@@ -13,8 +13,8 @@ A source file is a JSON document:
       }
     }
 
-Bit strings list base-bit coefficients with Y1 as the most significant
-character. ``entropy_vector`` sources carry ``values``: a map from subset
+Bit strings list base-bit coefficients: character i (counting from 0) is
+the coefficient of base bit Y(i+1), so the first character is Y1's. ``entropy_vector`` sources carry ``values``: a map from subset
 spec ("1,3,4"; "" for the empty set, which may be omitted and defaults to 0)
 to a rational string "p/q". ``tabular`` sources carry ``alphabets`` and
 ``pmf`` entries with ``symbols`` and ``prob``.

@@ -1,13 +1,25 @@
 """Exact rational simplex for Slepian-Wolf style linear programs.
 
-Solves  min 1.x  s.t.  A x >= b  with a 0/1 incidence matrix A whose rows
-are subset masks, entirely over ``fractions.Fraction``. The primal variables
-are free in the original program, so they are split x = x+ - x- in the
-equational form; the dual read off the final basis then satisfies y A = c
-and y >= 0 exactly, matching the dual program of the rate LP.
+The rate LP  min c.x  s.t.  A x >= b  (x free) has a 0/1 incidence matrix A
+whose l rows are subset masks: l is about 2^m for m terminals, while x has
+only m coordinates. Every LP is therefore handed to ``simplex_min`` in its
+dual form, which has one equality row per terminal:
 
-Pivot rule is Bland's (least index) throughout, for guaranteed termination
-and run-to-run determinism.
+* ``solve`` minimizes -b.y s.t. A^T y = c, y >= 0. Its optimal y is the
+  rate LP's dual, and the simplex multipliers pi of the m rows give the
+  primal optimum x = -pi.
+* ``uniqueness_test`` maximizes, over the optimal face, the slacks of the
+  rows tight at x plus the coordinates where x is zero, through the dual of
+  that auxiliary LP (Mangasarian, "Uniqueness of solution in linear
+  programming", 1979).
+* ``feasible_point`` decides a system of inequality and equality rows
+  through its dual, which is unbounded exactly when the system has no
+  nonnegative point.
+
+Each outcome is checked exactly against every row before it is returned.
+All arithmetic is over ``fractions.Fraction``, and the pivot rule is Bland's
+(least index) throughout, for guaranteed termination and run-to-run
+determinism.
 """
 
 from __future__ import annotations
@@ -232,11 +244,9 @@ def simplex_min(
     return z, y, objective
 
 
-def _incidence_row(mask: int, m: int) -> List[Fraction]:
-    row = [ZERO] * m
-    for j in iter_bits(mask):
-        row[j] = ONE
-    return row
+def _transposed(masks: Sequence[int], m: int) -> List[List[Fraction]]:
+    """The transpose of the 0/1 incidence rows: m rows, one column per mask."""
+    return [[ONE if mask >> j & 1 else ZERO for mask in masks] for j in range(m)]
 
 
 def solve(system: ConstraintSystem) -> LpSolution:
@@ -250,27 +260,21 @@ def solve(system: ConstraintSystem) -> LpSolution:
     if covered != full_mask(m):
         raise InvalidInputError("every column must be covered by some row")
 
-    # Equational form with x = x+ - x- and surplus variables s.
-    matrix = []
-    for i, mask in enumerate(system.row_masks):
-        a = _incidence_row(mask, m)
-        row = a + [-v for v in a]
-        row.extend(-ONE if k == i else ZERO for k in range(l))
-        matrix.append(row)
-    costs = list(system.c) + [-v for v in system.c] + [ZERO] * l
+    matrix = _transposed(system.row_masks, m)
+    # The dual is infeasible exactly when the rate LP is unbounded, and
+    # unbounded exactly when the rate LP is infeasible.
     try:
-        z, y, objective = simplex_min(matrix, system.b, costs)
+        y, pi, objective = simplex_min(matrix, system.c, [-v for v in system.b])
     except LpInfeasibleError as exc:
-        raise InternalContractError("rate LP reported infeasible") from exc
-    except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported unbounded") from exc
+    except LpUnboundedError as exc:
+        raise InternalContractError("rate LP reported infeasible") from exc
 
-    x = tuple(z[j] - z[m + j] for j in range(m))
-    y_t = tuple(y)
+    x = tuple(-v for v in pi)
     tight = tuple(
         i for i in range(l) if system.row_sum(x, i) == system.b[i]
     )
-    solution = LpSolution(objective, x, y_t, tight)
+    solution = LpSolution(-objective, x, tuple(y), tight)
     _verify(system, solution)
     return solution
 
@@ -307,11 +311,17 @@ def tight_rows(
 def uniqueness_test(
     system: ConstraintSystem, solution: LpSolution
 ) -> UniquenessCertificate:
-    """Search the optimal face for a vertex differing from the solution.
+    """Search the optimal face for a point differing from the solution.
 
-    Works on the equational form [A | -I] (x; x_s) = b with x, x_s >= 0 plus
-    the optimality cut c.x = objective, maximizing the coordinates that are
-    zero at the given vertex. A maximum of 0 certifies uniqueness.
+    Maximizes the slacks of the rows tight at x plus the coordinates where
+    x is zero over {A z >= b, c.z = R, z >= 0}, R the optimal value.
+    Written as d.z - K, with d = [x == 0] + A^T [row tight] and K the sum of
+    the tight rows' b, that LP is solved through its m-row dual
+
+        min -b.u + R t  s.t.  -A^T u + t c - s = d,  u, s >= 0,  t free,
+
+    whose simplex multipliers are an optimal z. A maximum of 0 certifies
+    uniqueness; otherwise z is the alternative optimum.
     """
     m, l = system.m, system.l
     x = solution.x
@@ -320,25 +330,34 @@ def uniqueness_test(
     slacks = [system.row_sum(x, i) - system.b[i] for i in range(l)]
     if any(v < 0 for v in slacks):
         raise InvalidInputError("solution is not feasible for the system")
-    if sum(system.c[j] * x[j] for j in range(m)) != solution.objective:
+    objective = solution.objective
+    if sum(system.c[j] * x[j] for j in range(m)) != objective:
         raise InvalidInputError("solution objective does not match the system")
 
-    point = list(x) + slacks
-    n_cols = m + l
-    matrix = []
-    for i, mask in enumerate(system.row_masks):
-        row = _incidence_row(mask, m)
-        row.extend(-ONE if k == i else ZERO for k in range(l))
-        matrix.append(row)
-    matrix.append(list(system.c) + [ZERO] * l)
-    rhs = list(system.b) + [solution.objective]
-    # Maximize the sum of coordinates vanishing at the given vertex.
-    costs = [-ONE if point[j] == 0 else ZERO for j in range(n_cols)]
-    z, _, objective = simplex_min(matrix, rhs, costs)
-    aux = -objective
+    tight = [i for i in range(l) if slacks[i] == 0]
+    d = [ONE if v == 0 else ZERO for v in x]
+    for i in tight:
+        for j in iter_bits(system.row_masks[i]):
+            d[j] += 1
+    matrix = [
+        [-v for v in row] + [system.c[j], -system.c[j]]
+        + [-ONE if k == j else ZERO for k in range(m)]
+        for j, row in enumerate(_transposed(system.row_masks, m))
+    ]
+    costs = [-v for v in system.b] + [objective, -objective] + [ZERO] * m
+    _, z, dual_objective = simplex_min(matrix, d, costs)
+    aux = dual_objective - sum((system.b[i] for i in tight), ZERO)
     if aux == 0:
         return UniquenessCertificate(True, aux)
-    return UniquenessCertificate(False, aux, tuple(z[:m]))
+    alternative = tuple(z)
+    if (
+        any(v < 0 for v in alternative)
+        or any(system.row_sum(alternative, i) < system.b[i] for i in range(l))
+        or sum(system.c[j] * alternative[j] for j in range(m)) != objective
+        or alternative == x
+    ):
+        raise InternalContractError("alternative optimum fails its certificate")
+    return UniquenessCertificate(False, aux, alternative)
 
 
 def feasible_point(
@@ -348,25 +367,35 @@ def feasible_point(
     eq_masks: Sequence[int],
     eq_b: Sequence[Fraction],
 ) -> Optional[Tuple[Fraction, ...]]:
-    """A vertex of {x >= 0 : sum_B x >= b for B, sum_C x = b for C}, or None.
+    """A point of {x >= 0 : sum_B x >= b for B, sum_C x = b for C}, or None.
 
-    Nonnegativity is harmless for rate regions: singleton constraints force
-    x_j >= h({j}) >= 0 anyway.
+    Solved through the m-row dual  min -(b.u + e.v)  s.t.
+    A^T u + E^T v + w = 0  with u, w >= 0 and v free: that dual is unbounded
+    exactly when no point exists, and otherwise its simplex multipliers pi
+    give the point x = -pi. Nonnegativity is harmless for rate regions:
+    singleton constraints force x_j >= h({j}) >= 0 anyway.
     """
-    n_ineq = len(ineq_masks)
-    matrix = []
-    for i, mask in enumerate(ineq_masks):
-        row = _incidence_row(mask, m)
-        row.extend(-ONE if k == i else ZERO for k in range(n_ineq))
-        matrix.append(row)
-    for mask in eq_masks:
-        row = _incidence_row(mask, m)
-        row.extend([ZERO] * n_ineq)
-        matrix.append(row)
-    rhs = list(ineq_b) + list(eq_b)
-    costs = [ZERO] * (m + n_ineq)
+    ineq_cols = _transposed(ineq_masks, m)
+    eq_cols = _transposed(eq_masks, m)
+    matrix = [
+        ineq_cols[j] + eq_cols[j] + [-v for v in eq_cols[j]]
+        + [ONE if k == j else ZERO for k in range(m)]
+        for j in range(m)
+    ]
+    costs = [-v for v in ineq_b] + [-v for v in eq_b] + list(eq_b) + [ZERO] * m
     try:
-        z, _, _ = simplex_min(matrix, rhs, costs)
-    except LpInfeasibleError:
+        _, pi, _ = simplex_min(matrix, [ZERO] * m, costs)
+    except LpUnboundedError:
         return None
-    return tuple(z[:m])
+    x = tuple(-v for v in pi)
+
+    def row_sum(mask: int) -> Fraction:
+        return sum((x[j] for j in iter_bits(mask)), ZERO)
+
+    if (
+        any(v < 0 for v in x)
+        or any(row_sum(mask) < b for mask, b in zip(ineq_masks, ineq_b))
+        or any(row_sum(mask) != b for mask, b in zip(eq_masks, eq_b))
+    ):
+        raise InternalContractError("feasible point fails its certificate")
+    return x

@@ -2,16 +2,24 @@
 
 These deliberately avoid the code paths they verify: entropies come from
 enumerating base-bit assignments, LP optima from enumerating basic points,
-partitions from unfiltered recursive generation.
+partitions from unfiltered recursive generation. The reference LP path at
+the end keeps the library's earlier constraint-per-row LP forms, so the
+m-row dual forms can be cross-checked against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from omniscio.simplex import ConstraintSystem
+from omniscio.simplex import (
+    ConstraintSystem,
+    LpInfeasibleError,
+    LpSolution,
+    UniquenessCertificate,
+    simplex_min,
+)
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import iter_bits
 
@@ -94,3 +102,76 @@ def brute_force_partitions(m: int) -> List[Tuple[int, ...]]:
 
     rec(0, [])
     return out
+
+
+# Reference LP path: the equational forms the library solved before it moved
+# to the m-row dual forms. Each builds a tableau with one row per constraint
+# (about 2^m), so it is only fit for small cross-checks.
+
+
+def _incidence_row(mask: int, m: int) -> List[Fraction]:
+    return [Fraction(mask >> j & 1) for j in range(m)]
+
+
+def reference_solve(system: ConstraintSystem) -> LpSolution:
+    """min c.x s.t. A x >= b with x = x+ - x- and l surplus columns."""
+    m, l = system.m, system.l
+    matrix = []
+    for i, mask in enumerate(system.row_masks):
+        a = _incidence_row(mask, m)
+        row = a + [-v for v in a]
+        row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
+        matrix.append(row)
+    costs = list(system.c) + [-v for v in system.c] + [Fraction(0)] * l
+    z, y, objective = simplex_min(matrix, system.b, costs)
+    x = tuple(z[j] - z[m + j] for j in range(m))
+    tight = tuple(i for i in range(l) if system.row_sum(x, i) == system.b[i])
+    return LpSolution(objective, x, tuple(y), tight)
+
+
+def reference_uniqueness_test(
+    system: ConstraintSystem, solution: LpSolution
+) -> UniquenessCertificate:
+    """Maximize the coordinates of (x, slacks) that vanish at the solution
+    over {[A | -I](x; s) = b, c.x = objective, x, s >= 0}."""
+    m, l = system.m, system.l
+    slacks = [system.row_sum(solution.x, i) - system.b[i] for i in range(l)]
+    point = list(solution.x) + slacks
+    matrix = []
+    for i, mask in enumerate(system.row_masks):
+        row = _incidence_row(mask, m)
+        row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
+        matrix.append(row)
+    matrix.append(list(system.c) + [Fraction(0)] * l)
+    rhs = list(system.b) + [solution.objective]
+    costs = [Fraction(-1) if v == 0 else Fraction(0) for v in point]
+    z, _, objective = simplex_min(matrix, rhs, costs)
+    aux = -objective
+    if aux == 0:
+        return UniquenessCertificate(True, aux)
+    return UniquenessCertificate(False, aux, tuple(z[:m]))
+
+
+def reference_feasible_point(
+    m: int,
+    ineq_masks: Sequence[int],
+    ineq_b: Sequence[Fraction],
+    eq_masks: Sequence[int],
+    eq_b: Sequence[Fraction],
+) -> Optional[Tuple[Fraction, ...]]:
+    """Phase 1 on {x >= 0 : sum_B x - s_B = b for B, sum_C x = b for C}."""
+    n_ineq = len(ineq_masks)
+    matrix = []
+    for i, mask in enumerate(ineq_masks):
+        row = _incidence_row(mask, m)
+        row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(n_ineq))
+        matrix.append(row)
+    for mask in eq_masks:
+        matrix.append(_incidence_row(mask, m) + [Fraction(0)] * n_ineq)
+    try:
+        z, _, _ = simplex_min(
+            matrix, list(ineq_b) + list(eq_b), [Fraction(0)] * (m + n_ineq)
+        )
+    except LpInfeasibleError:
+        return None
+    return tuple(z[:m])
