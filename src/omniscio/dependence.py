@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalContractError, InvalidInputError
-from .sources import EntropyOracle
+from .sources import EntropyOracle, scaled_joint_table
 from .subsets import check_mask, complement, full_mask
 
 # Bell-number growth makes exhaustive enumeration explode; refuse beyond
@@ -98,7 +98,6 @@ class DependenceValue:
 
     partition: Partition
     value: Fraction
-    cross_checked: bool
 
 
 def partition_dependence(
@@ -123,7 +122,7 @@ def partition_dependence(
         raise InternalContractError(
             f"dependence forms disagree: {value} vs {alt} on {partition}"
         )
-    return DependenceValue(tuple(partition), value, True)
+    return DependenceValue(tuple(partition), value)
 
 
 def mutual_dependence_bound(
@@ -132,25 +131,48 @@ def mutual_dependence_bound(
     *,
     max_m: Optional[int] = None,
 ) -> Tuple[Fraction, List[Partition]]:
-    """I(A) and every minimizing partition, in canonical order."""
+    """I(A) and every minimizing partition, in canonical order.
+
+    Runs on the oracle's integer table: each partition's scaled numerator
+    N = sum_i H(X_{C_i}) - H(X_M) is an int, and values N/(k-1) are
+    compared by cross-multiplying, so no Fraction is built per partition.
+    """
     cap = max_m if max_m is not None else _enumeration_cap()
     if oracle.m > cap:
         raise InvalidInputError(
             f"m={oracle.m} exceeds the enumeration cap {cap}; raise it "
             "explicitly (max_m / OMNISCIO_MAX_M) to proceed"
         )
-    best: Optional[Fraction] = None
+    scale, joint, tol = scaled_joint_table(oracle)
+    # The two dependence forms differ by exactly (k-1) H(X_emptyset).
+    if abs(joint[0]) > tol:
+        raise InvalidInputError(
+            f"H(X_emptyset) = {Fraction(joint[0], scale)} is not 0; I(A) "
+            "needs a normalised entropy table"
+        )
+    total = joint[-1]
+    h_full = total - joint[0]
+    best_n = best_d = 0
     argmin: List[Partition] = []
     for partition in enumerate_admissible(oracle.m, active):
-        value = partition_dependence(oracle, partition).value
-        if best is None or value < best:
-            best = value
+        d = len(partition) - 1
+        block_sum = sum(map(joint.__getitem__, partition))
+        n = block_sum - total
+        # (k-1) times the complement form h(M) - sum_i h(C_i^c) / (k-1).
+        alt = h_full * d - ((d + 1) * total - block_sum)
+        if abs(n - alt) > tol * d:
+            raise InternalContractError(
+                f"dependence forms disagree: {Fraction(n, d * scale)} vs "
+                f"{Fraction(alt, d * scale)} on {partition}"
+            )
+        if not argmin or n * best_d < best_n * d:
+            best_n, best_d = n, d
             argmin = [partition]
-        elif value == best:
+        elif n * best_d == best_n * d:
             argmin.append(partition)
-    if best is None:
+    if not argmin:
         raise InternalContractError("no admissible partition found")
-    return best, argmin
+    return Fraction(best_n, best_d * scale), argmin
 
 
 def _enumeration_cap() -> int:

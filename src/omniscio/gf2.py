@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-# Row vectors are ints; bit i is coordinate i. Widths beyond a few machine
-# words work (Python ints are arbitrary precision) but elimination is
-# O(rows * words), so keep n below ~4096.
-MAX_BITS = 4096
+# Row vectors are ints; bit i is coordinate i. Any width works (Python ints
+# are arbitrary precision), but elimination is O(rows * words).
 
 
 def gf2_rank(rows: Iterable[int]) -> int:

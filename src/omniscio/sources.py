@@ -257,33 +257,71 @@ class ValidityReport:
         )
 
 
+def scaled_joint_table(oracle: EntropyOracle) -> Tuple[int, List[int], int]:
+    """The joint entropies over one common denominator, as exact ints.
+
+    Returns ``(scale, joint, tol)`` with ``joint[S] = H(X_S) * scale`` and
+    ``tol = tolerance * scale``, where ``scale`` is the lcm of the
+    denominators of every joint value and of the tolerance (0 for exact
+    oracles). Comparisons of sums of table entries then need no Fraction.
+    """
+    values = [Fraction(v) for v in oracle.joint]
+    tolerance = Fraction(0) if oracle.exact else Fraction(oracle.tolerance)
+    scale = math.lcm(tolerance.denominator, *(v.denominator for v in values))
+    joint = [v.numerator * (scale // v.denominator) for v in values]
+    return scale, joint, tolerance.numerator * (scale // tolerance.denominator)
+
+
+def _elemental_squares_hold(h: Sequence[int], m: int) -> bool:
+    """Whether h(S+i) + h(S+j) <= h(S+i+j) + h(S) for all i < j outside S."""
+    for s in range(1 << m):
+        free = [1 << j for j in range(m) if not s >> j & 1]
+        for a, bi in enumerate(free):
+            gain = h[s | bi] - h[s]
+            for bj in free[a + 1:]:
+                if gain + h[s | bj] > h[s | bi | bj]:
+                    return False
+    return True
+
+
 def check_validity(oracle: EntropyOracle) -> ValidityReport:
     """Scan for h-supermodularity and h-monotonicity violations.
 
     Lists every violated pair h(B1)+h(B2) <= h(B1|B2)+h(B1&B2), every
     single-step monotonicity violation h(B) > h(B+{j}), and whether
     H(X_emptyset) = 0. Inexact oracles are judged at their tolerance.
+
+    The scan runs on the oracle's integer table. An exact h is supermodular
+    exactly when its C(m,2)*2^(m-2) elemental squares are (Yeung,
+    *Information Theory and Network Coding*, 2008, ch. 14), so the O(4^m)
+    pair listing runs only when a square fails or the oracle is inexact:
+    squares that hold within a tolerance need not compose to pairs that do.
     """
     m = oracle.m
-    h = [oracle.cond_entropy(s) for s in range(1 << m)]
-    slack = Fraction(0) if oracle.exact else Fraction(oracle.tolerance)
-    normalized = abs(oracle.joint[0]) <= slack
+    n = 1 << m
+    scale, joint, tol = scaled_joint_table(oracle)
+    h = [joint[-1] - joint[(n - 1) ^ s] for s in range(n)]
+    normalized = abs(joint[0]) <= tol
 
     mono: List[Tuple[int, int]] = []
-    for b in range(1 << m):
+    for b in range(n):
         for j in range(m):
             if not b & (1 << j):
                 bigger = b | (1 << j)
-                if h[b] - h[bigger] > slack:
+                if h[b] - h[bigger] > tol:
                     mono.append((b, bigger))
 
     supra: List[Tuple[int, int, Fraction, Fraction]] = []
-    for b1 in range(1 << m):
-        for b2 in range(b1, 1 << m):
-            lhs = h[b1] + h[b2]
-            rhs = h[b1 | b2] + h[b1 & b2]
-            if lhs - rhs > slack:
-                supra.append((b1, b2, lhs, rhs))
+    if not oracle.exact or not _elemental_squares_hold(h, m):
+        for b1 in range(n):
+            h1 = h[b1]
+            for b2 in range(b1, n):
+                lhs = h1 + h[b2]
+                rhs = h[b1 | b2] + h[b1 & b2]
+                if lhs - rhs > tol:
+                    supra.append(
+                        (b1, b2, Fraction(lhs, scale), Fraction(rhs, scale))
+                    )
 
     return ValidityReport(m, normalized, tuple(mono), tuple(supra))
 

@@ -32,6 +32,7 @@ from .omniscience import (
     CapacityReport,
     ConstraintFamily,
     RateVector,
+    build_family,
     r_co,
     region_contains,
     sw_gap,
@@ -126,8 +127,6 @@ def verify_closure(
     asserting.
     """
     m = oracle.m
-    from .omniscience import build_family
-
     family = build_family(m, active)
     gap1 = sw_gap(rates, b1, oracle)
     gap2 = sw_gap(rates, b2, oracle)

@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they verify: entropies come from
 enumerating base-bit assignments, LP optima from enumerating basic points,
-partitions from unfiltered recursive generation. The reference LP path at
-the end keeps the library's earlier constraint-per-row LP forms, so the
-m-row dual forms can be cross-checked against them.
+partitions from unfiltered recursive generation. The reference LP path
+keeps the library's earlier constraint-per-row LP forms, so the m-row dual
+forms can be cross-checked against them; the reference scans at the end keep
+the earlier Fraction-arithmetic validity scan and I(A) loop, so the integer
+table paths can be cross-checked against them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from omniscio.simplex import (
     UniquenessCertificate,
     simplex_min,
 )
-from omniscio.sources import LinearGF2Source
+from omniscio.dependence import (
+    Partition,
+    enumerate_admissible,
+    partition_dependence,
+)
+from omniscio.sources import EntropyOracle, LinearGF2Source, ValidityReport
 from omniscio.subsets import iter_bits
 
 
@@ -175,3 +182,51 @@ def reference_feasible_point(
     except LpInfeasibleError:
         return None
     return tuple(z[:m])
+
+
+# Reference scans: the Fraction-arithmetic validity scan over every pair and
+# the I(A) loop over partition_dependence that the library ran before it
+# moved both onto an integer entropy table.
+
+
+def reference_check_validity(oracle: EntropyOracle) -> ValidityReport:
+    """Every pair of subsets scanned in Fraction arithmetic."""
+    m = oracle.m
+    h = [oracle.cond_entropy(s) for s in range(1 << m)]
+    slack = Fraction(0) if oracle.exact else Fraction(oracle.tolerance)
+    normalized = abs(oracle.joint[0]) <= slack
+
+    mono: List[Tuple[int, int]] = []
+    for b in range(1 << m):
+        for j in range(m):
+            if not b & (1 << j):
+                bigger = b | (1 << j)
+                if h[b] - h[bigger] > slack:
+                    mono.append((b, bigger))
+
+    supra: List[Tuple[int, int, Fraction, Fraction]] = []
+    for b1 in range(1 << m):
+        for b2 in range(b1, 1 << m):
+            lhs = h[b1] + h[b2]
+            rhs = h[b1 | b2] + h[b1 & b2]
+            if lhs - rhs > slack:
+                supra.append((b1, b2, lhs, rhs))
+
+    return ValidityReport(m, normalized, tuple(mono), tuple(supra))
+
+
+def reference_mutual_dependence_bound(
+    oracle: EntropyOracle, active: int
+) -> Tuple[Fraction, List[Partition]]:
+    """I(A) as the minimum of partition_dependence over every partition."""
+    best: Optional[Fraction] = None
+    argmin: List[Partition] = []
+    for partition in enumerate_admissible(oracle.m, active):
+        value = partition_dependence(oracle, partition).value
+        if best is None or value < best:
+            best = value
+            argmin = [partition]
+        elif value == best:
+            argmin.append(partition)
+    assert best is not None, "no admissible partition found"
+    return best, argmin

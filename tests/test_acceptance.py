@@ -35,21 +35,18 @@ from omniscio import (
     uniqueness_test,
     witness_by_partition_search,
 )
-from omniscio.reporting import audit_report, counterexample_report
+from omniscio.reporting import (
+    PUBLISHED_TIGHT_MASKS,
+    audit_report,
+    counterexample_report,
+)
 from omniscio.subsets import complement, full_mask, mask_from_terminals
 
 from helpers import brute_force_joint_entropy, brute_force_lp_min
 
 F = Fraction
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))
-SIX_ROWS = {
-    frozenset({1, 3, 4}),
-    frozenset({2, 3, 5}),
-    frozenset({1, 2, 6}),
-    frozenset({1, 2, 4, 5, 6}),
-    frozenset({1, 3, 4, 5, 6}),
-    frozenset({2, 3, 4, 5, 6}),
-}
+SIX_ROWS = set(PUBLISHED_TIGHT_MASKS)
 
 
 def suite3_instances():

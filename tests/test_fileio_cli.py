@@ -226,6 +226,20 @@ class TestCli:
         assert main(["solve", path, "--no-validate"]) == 0
         assert "R_CO = 9/4" in capsys.readouterr().out
 
+    def test_unnormalised_vector_exits_two(self, tmp_path, capsys):
+        doc = {
+            "m": 2,
+            "active": [1, 2],
+            "source": {
+                "type": "entropy_vector",
+                "values": {"": "1", "1": "1", "2": "1", "1,2": "2"},
+            },
+        }
+        path = write_doc(tmp_path, doc)
+        for argv in (["mdb"], ["tight"], ["tight", "--constructive"]):
+            assert main([*argv, path, "--no-validate"]) == 2
+            assert "H(X_emptyset)" in capsys.readouterr().err
+
     def test_validate_verb(self, tmp_path, capsys):
         doc = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])
         bad = write_doc(tmp_path, doc, "bad.json")
