@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 computation assertion failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -25,7 +26,11 @@ from .reporting import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it:
+    parse_args leaves the parser unchanged, so no flag carries over from one
+    call of main to the next."""
     parser = argparse.ArgumentParser(
         prog="omniscio",
         description=(

@@ -16,23 +16,34 @@ dual form, which has one equality row per terminal:
   through its dual, which is unbounded exactly when the system has no
   nonnegative point.
 
-Each outcome is checked exactly against every row before it is returned.
-All arithmetic is over ``fractions.Fraction``, and the pivot rule is Bland's
+Each outcome is checked exactly against every row before it is returned,
+through one table of the point's sums over every subset mask.
+
+``simplex_min`` pivots a fraction-free tableau: integer cells over one
+common denominator, the determinant of the basis, updated by the exact
+divisions of Edmonds ("Systems of distinct representatives and linear
+algebra", 1967) and Bareiss ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968). Fractions are built only
+for the returned vertex, dual and objective. The pivot rule is Bland's
 (least index) throughout, for guaranteed termination and run-to-run
-determinism.
+determinism; the integer tableau holds the same values as a Fraction one
+would, so it takes the same pivots to the same vertex and dual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
 from .subsets import full_mask, iter_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Rational = Union[int, Fraction]
 
 
 class LpInfeasibleError(Exception):
@@ -119,55 +130,68 @@ class UniquenessCertificate:
 
 
 def simplex_min(
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    costs: Sequence[Fraction],
+    matrix: Sequence[Sequence[Rational]],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
 ) -> Tuple[List[Fraction], List[Fraction], Fraction]:
     """min costs.z  s.t.  matrix z = rhs, z >= 0  (two-phase, Bland's rule).
 
-    Returns (z, y, objective) where y is the equality-form dual vector.
-    Raises LpInfeasibleError / LpUnboundedError.
+    Cells may be ints or Fractions. Returns (z, y, objective) as Fractions,
+    where y is the equality-form dual vector. Raises LpInfeasibleError /
+    LpUnboundedError.
     """
     n_rows = len(matrix)
     n_cols = len(costs)
     art0 = n_cols
     width = n_cols + n_rows  # structural + artificial columns; rhs appended
 
-    tableau: List[List[Fraction]] = []
+    # Row i is scale * (matrix[i] | rhs[i]), negated where rhs[i] < 0, with
+    # a unit artificial column: each artificial is scale times the one of the
+    # unscaled system, which multiplies the phase-1 objective by scale > 0
+    # and changes no sign and no ratio.
+    scale = math.lcm(
+        *(v.denominator for row in matrix for v in row),
+        *(v.denominator for v in rhs),
+    )
+    tableau: List[List[int]] = []
     signs: List[int] = []
-    for i in range(n_rows):
-        row = [Fraction(v) for v in matrix[i]]
-        r = Fraction(rhs[i])
-        if r < 0:
-            row = [-v for v in row]
-            r = -r
-            signs.append(-1)
-        else:
-            signs.append(1)
-        row.extend(ONE if k == i else ZERO for k in range(n_rows))
-        row.append(r)
+    for i, r in enumerate(rhs):
+        sign = -1 if r < 0 else 1
+        row = [sign * v.numerator * (scale // v.denominator) for v in matrix[i]]
+        row.extend(1 if k == i else 0 for k in range(n_rows))
+        row.append(sign * r.numerator * (scale // r.denominator))
         tableau.append(row)
+        signs.append(sign)
     basis = [art0 + i for i in range(n_rows)]
+    # The tableau's value is tableau / denom, denom > 0 shared by every row
+    # and by zrow; denom is |det| of the basis, so every cell stays an int.
+    denom = 1
 
     def pivot(pi: int, pj: int) -> None:
+        # Edmonds-Bareiss update: (row * p - row[pj] * prow) / denom is
+        # exact, and p becomes the new denominator.
+        nonlocal tableau, zrow, denom
         prow = tableau[pi]
-        piv = prow[pj]
-        if piv != 1:
-            inv = 1 / piv
-            prow = tableau[pi] = [v * inv for v in prow]
-        nz = [k for k, v in enumerate(prow) if v]
-        for r in range(n_rows):
-            if r == pi:
-                continue
-            row = tableau[r]
+        p = prow[pj]
+
+        def update(row: List[int]) -> List[int]:
             f = row[pj]
-            if f:
-                for k in nz:
-                    row[k] -= f * prow[k]
-        f = zrow[pj]
-        if f:
-            for k in nz:
-                zrow[k] -= f * prow[k]
+            if not f:
+                return row if p == denom else [v * p // denom for v in row]
+            if denom != 1:
+                return [(v * p - f * w) // denom for v, w in zip(row, prow)]
+            # Most pivots of the rate LPs keep denom == p == 1.
+            if p == 1:
+                return [v - f * w for v, w in zip(row, prow)]
+            return [v * p - f * w for v, w in zip(row, prow)]
+
+        tableau = [prow if r == pi else update(row) for r, row in enumerate(tableau)]
+        zrow = update(zrow)
+        if p < 0:  # only the artificial drive-out pivots on a negative entry
+            tableau = [[-v for v in row] for row in tableau]
+            zrow = [-v for v in zrow]
+            p = -p
+        denom = p
         basis[pi] = pj
 
     def run(entering_limit: int) -> None:
@@ -179,30 +203,32 @@ def simplex_min(
                     break
             if pj < 0:
                 return
+            # Least ratio rhs / a over a > 0, cross-multiplied; ties go to
+            # the least basic index.
             pi = -1
-            best: Optional[Fraction] = None
             for i in range(n_rows):
-                a = tableau[i][pj]
+                row = tableau[i]
+                a = row[pj]
                 if a > 0:
-                    ratio = tableau[i][width] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[pi]
-                    ):
-                        best = ratio
+                    if pi < 0:
+                        pi = i
+                        continue
+                    best = tableau[pi]
+                    lhs, rhs_ = row[width] * best[pj], best[width] * a
+                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[pi]):
                         pi = i
             if pi < 0:
                 raise LpUnboundedError()
             pivot(pi, pj)
 
     # Phase 1: minimize the artificial sum.
-    zrow = [ZERO] * (width + 1)
-    for i in range(n_rows):
-        row = tableau[i]
+    zrow = [0] * (width + 1)
+    for row in tableau:
         for k in range(n_cols):
             zrow[k] -= row[k]
         zrow[width] -= row[width]
     run(n_cols)
-    if -zrow[width] > 0:
+    if zrow[width] < 0:
         raise LpInfeasibleError()
     # Drive artificials (basic at zero) out where possible.
     for i in range(n_rows):
@@ -213,45 +239,73 @@ def simplex_min(
                     pivot(i, j)
                     break
 
-    # Phase 2: the real objective (artificials cost 0 and never re-enter).
-    zrow = [Fraction(c) for c in costs] + [ZERO] * (n_rows + 1)
+    # Phase 2: the real objective (artificials cost 0 and never re-enter),
+    # as denom * cost_scale * (c - c_B B^-1 A) in ints.
+    cost_scale = math.lcm(*(c.denominator for c in costs))
+    int_costs = [c.numerator * (cost_scale // c.denominator) for c in costs]
+    zrow = [denom * c for c in int_costs] + [0] * (n_rows + 1)
     for i in range(n_rows):
-        cb = costs[basis[i]] if basis[i] < n_cols else ZERO
+        cb = int_costs[basis[i]] if basis[i] < n_cols else 0
         if cb:
-            row = tableau[i]
-            for k in range(width + 1):
-                if row[k]:
-                    zrow[k] -= cb * row[k]
+            zrow = [zk - cb * v for zk, v in zip(zrow, tableau[i])]
     run(n_cols)
 
     z = [ZERO] * n_cols
-    objective = ZERO
+    objective = 0
+    basic_costs = []
     for i in range(n_rows):
         val = tableau[i][width]
         if basis[i] < n_cols:
-            z[basis[i]] = val
-            objective += costs[basis[i]] * val
+            z[basis[i]] = Fraction(val, denom)
+            cb = int_costs[basis[i]]
+            objective += cb * val
+            if cb:
+                basic_costs.append((cb, tableau[i]))
         elif val != 0:
             raise InternalContractError("artificial variable basic at nonzero level")
-    y = []
-    for i in range(n_rows):
-        yi = ZERO
-        for r in range(n_rows):
-            cb = costs[basis[r]] if basis[r] < n_cols else ZERO
-            if cb:
-                yi += cb * tableau[r][art0 + i]
-        y.append(yi * signs[i])
-    return z, y, objective
+    # On a row whose basic variable is structural, the scaled tableau's
+    # artificial columns are the unscaled ones divided by scale.
+    y = [
+        Fraction(
+            scale * signs[i] * sum(cb * row[art0 + i] for cb, row in basic_costs),
+            denom * cost_scale,
+        )
+        for i in range(n_rows)
+    ]
+    return z, y, Fraction(objective, denom * cost_scale)
 
 
-def _transposed(masks: Sequence[int], m: int) -> List[List[Fraction]]:
+def _transposed(masks: Sequence[int], m: int) -> List[List[int]]:
     """The transpose of the 0/1 incidence rows: m rows, one column per mask."""
-    return [[ONE if mask >> j & 1 else ZERO for mask in masks] for j in range(m)]
+    return [[mask >> j & 1 for mask in masks] for j in range(m)]
+
+
+def _scaled_slacks(
+    x: Sequence[Rational], masks: Sequence[int], b: Sequence[Rational]
+) -> List[int]:
+    """The slacks x(B) - b_B of the rows (masks, b), each times the same
+    positive int, so their signs and zeros are exact.
+
+    x(B) is read from one table of x's sums over every mask, built over the
+    common denominator in 2^m int additions: sums[B] = sums[B - low] + x_low
+    for the lowest bit low of B.
+    """
+    qx = math.lcm(*(v.denominator for v in x))
+    qb = math.lcm(*(v.denominator for v in b))
+    scaled = [v.numerator * (qx // v.denominator) * qb for v in x]
+    sums = [0] * (1 << len(x))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + scaled[low.bit_length() - 1]
+    return [
+        sums[mask] - v.numerator * (qb // v.denominator) * qx
+        for mask, v in zip(masks, b)
+    ]
 
 
 def solve(system: ConstraintSystem) -> LpSolution:
     """Solve min c.x s.t. A x >= b (x free) exactly; verify all contracts."""
-    m, l = system.m, system.l
+    m = system.m
     if any(v < 0 for v in system.b):
         raise InvalidInputError("right-hand side must be nonnegative")
     covered = 0
@@ -271,32 +325,36 @@ def solve(system: ConstraintSystem) -> LpSolution:
         raise InternalContractError("rate LP reported infeasible") from exc
 
     x = tuple(-v for v in pi)
-    tight = tuple(
-        i for i in range(l) if system.row_sum(x, i) == system.b[i]
-    )
+    slacks = _scaled_slacks(x, system.row_masks, system.b)
+    tight = tuple(i for i, v in enumerate(slacks) if v == 0)
     solution = LpSolution(-objective, x, tuple(y), tight)
-    _verify(system, solution)
+    _verify(system, solution, slacks)
     return solution
 
 
-def _verify(system: ConstraintSystem, sol: LpSolution) -> None:
-    m, l = system.m, system.l
+def _verify(
+    system: ConstraintSystem, sol: LpSolution, slacks: Sequence[int]
+) -> None:
+    """Certify sol against every row, given the rows' scaled slacks at sol.x."""
+    m = system.m
     if sum(system.c[j] * sol.x[j] for j in range(m)) != sol.objective:
         raise InternalContractError("objective mismatch with primal x")
-    if sum(sol.y[i] * system.b[i] for i in range(l)) != sol.objective:
+    support = [
+        (mask, y, b)
+        for mask, y, b in zip(system.row_masks, sol.y, system.b)
+        if y
+    ]
+    if sum((y * b for _, y, b in support), ZERO) != sol.objective:
         raise InternalContractError("strong duality violated")
-    for i in range(l):
-        if sol.y[i] < 0:
+    for y, slack in zip(sol.y, slacks):
+        if y < 0:
             raise InternalContractError("negative dual weight")
-        gap = system.row_sum(sol.x, i) - system.b[i]
-        if gap < 0:
+        if slack < 0:
             raise InternalContractError("primal infeasibility in solution")
-        if sol.y[i] > 0 and gap != 0:
+        if y > 0 and slack != 0:
             raise InternalContractError("complementary slackness violated")
     for j in range(m):
-        col = sum(
-            (sol.y[i] for i in range(l) if system.row_masks[i] >> j & 1), ZERO
-        )
+        col = sum((y for mask, y, _ in support if mask >> j & 1), ZERO)
         if col != system.c[j]:
             raise InternalContractError("dual feasibility y.A = c violated")
 
@@ -323,36 +381,37 @@ def uniqueness_test(
     whose simplex multipliers are an optimal z. A maximum of 0 certifies
     uniqueness; otherwise z is the alternative optimum.
     """
-    m, l = system.m, system.l
+    m = system.m
     x = solution.x
     if any(v < 0 for v in x):
         raise InvalidInputError("uniqueness test requires a nonnegative optimum")
-    slacks = [system.row_sum(x, i) - system.b[i] for i in range(l)]
+    slacks = _scaled_slacks(x, system.row_masks, system.b)
     if any(v < 0 for v in slacks):
         raise InvalidInputError("solution is not feasible for the system")
     objective = solution.objective
     if sum(system.c[j] * x[j] for j in range(m)) != objective:
         raise InvalidInputError("solution objective does not match the system")
 
-    tight = [i for i in range(l) if slacks[i] == 0]
-    d = [ONE if v == 0 else ZERO for v in x]
-    for i in tight:
-        for j in iter_bits(system.row_masks[i]):
-            d[j] += 1
+    tight = [i for i, v in enumerate(slacks) if v == 0]
+    d = [
+        (v == 0) + sum(system.row_masks[i] >> j & 1 for i in tight)
+        for j, v in enumerate(x)
+    ]
     matrix = [
         [-v for v in row] + [system.c[j], -system.c[j]]
-        + [-ONE if k == j else ZERO for k in range(m)]
+        + [-1 if k == j else 0 for k in range(m)]
         for j, row in enumerate(_transposed(system.row_masks, m))
     ]
-    costs = [-v for v in system.b] + [objective, -objective] + [ZERO] * m
+    costs = [-v for v in system.b] + [objective, -objective] + [0] * m
     _, z, dual_objective = simplex_min(matrix, d, costs)
     aux = dual_objective - sum((system.b[i] for i in tight), ZERO)
     if aux == 0:
         return UniquenessCertificate(True, aux)
     alternative = tuple(z)
+    alt_slacks = _scaled_slacks(alternative, system.row_masks, system.b)
     if (
         any(v < 0 for v in alternative)
-        or any(system.row_sum(alternative, i) < system.b[i] for i in range(l))
+        or any(v < 0 for v in alt_slacks)
         or sum(system.c[j] * alternative[j] for j in range(m)) != objective
         or alternative == x
     ):
@@ -379,23 +438,21 @@ def feasible_point(
     eq_cols = _transposed(eq_masks, m)
     matrix = [
         ineq_cols[j] + eq_cols[j] + [-v for v in eq_cols[j]]
-        + [ONE if k == j else ZERO for k in range(m)]
+        + [1 if k == j else 0 for k in range(m)]
         for j in range(m)
     ]
-    costs = [-v for v in ineq_b] + [-v for v in eq_b] + list(eq_b) + [ZERO] * m
+    costs = [-v for v in ineq_b] + [-v for v in eq_b] + list(eq_b) + [0] * m
     try:
-        _, pi, _ = simplex_min(matrix, [ZERO] * m, costs)
+        _, pi, _ = simplex_min(matrix, [0] * m, costs)
     except LpUnboundedError:
         return None
     x = tuple(-v for v in pi)
-
-    def row_sum(mask: int) -> Fraction:
-        return sum((x[j] for j in iter_bits(mask)), ZERO)
-
+    n_ineq = len(ineq_masks)
+    slacks = _scaled_slacks(x, [*ineq_masks, *eq_masks], [*ineq_b, *eq_b])
     if (
         any(v < 0 for v in x)
-        or any(row_sum(mask) < b for mask, b in zip(ineq_masks, ineq_b))
-        or any(row_sum(mask) != b for mask, b in zip(eq_masks, eq_b))
+        or any(v < 0 for v in slacks[:n_ineq])
+        or any(slacks[n_ineq:])
     ):
         raise InternalContractError("feasible point fails its certificate")
     return x

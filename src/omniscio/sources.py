@@ -241,6 +241,9 @@ class ValidityReport:
         )
 
     def describe_first(self) -> str:
+        """The first violation found, or "no violation" for a valid report."""
+        if self.ok:
+            return "no violation"
         if not self.normalized:
             return "H(X_emptyset) != 0"
         if self.supermodularity_violations:

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: entropies come from
 enumerating base-bit assignments, LP optima from enumerating basic points,
 partitions from unfiltered recursive generation. The reference LP path
-keeps the library's earlier constraint-per-row LP forms, so the m-row dual
-forms can be cross-checked against them; the reference scans at the end keep
+keeps the library's earlier constraint-per-row LP forms on its earlier
+Fraction-tableau simplex, so the m-row dual forms and the integer tableau
+can be cross-checked against them; the reference scans at the end keep
 the earlier Fraction-arithmetic validity scan and I(A) loop, so the integer
 table paths can be cross-checked against them.
 """
@@ -15,12 +16,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
+from omniscio.errors import InternalContractError
 from omniscio.simplex import (
     ConstraintSystem,
     LpInfeasibleError,
     LpSolution,
+    LpUnboundedError,
     UniquenessCertificate,
-    simplex_min,
 )
 from omniscio.dependence import (
     Partition,
@@ -111,6 +113,141 @@ def brute_force_partitions(m: int) -> List[Tuple[int, ...]]:
     return out
 
 
+# Reference simplex: the two-phase Bland simplex over a dense Fraction
+# tableau that the library ran before it moved to a fraction-free integer
+# tableau. Every reference LP below runs on it, so the cross-checks never
+# compare the library's simplex with itself.
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def reference_simplex_min(
+    matrix: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    costs: Sequence[Fraction],
+) -> Tuple[List[Fraction], List[Fraction], Fraction]:
+    """min costs.z  s.t.  matrix z = rhs, z >= 0  (two-phase, Bland's rule).
+
+    Returns (z, y, objective) where y is the equality-form dual vector.
+    Raises LpInfeasibleError / LpUnboundedError.
+    """
+    n_rows = len(matrix)
+    n_cols = len(costs)
+    art0 = n_cols
+    width = n_cols + n_rows  # structural + artificial columns; rhs appended
+
+    tableau: List[List[Fraction]] = []
+    signs: List[int] = []
+    for i in range(n_rows):
+        row = [Fraction(v) for v in matrix[i]]
+        r = Fraction(rhs[i])
+        if r < 0:
+            row = [-v for v in row]
+            r = -r
+            signs.append(-1)
+        else:
+            signs.append(1)
+        row.extend(ONE if k == i else ZERO for k in range(n_rows))
+        row.append(r)
+        tableau.append(row)
+    basis = [art0 + i for i in range(n_rows)]
+
+    def pivot(pi: int, pj: int) -> None:
+        prow = tableau[pi]
+        piv = prow[pj]
+        if piv != 1:
+            inv = 1 / piv
+            prow = tableau[pi] = [v * inv for v in prow]
+        nz = [k for k, v in enumerate(prow) if v]
+        for r in range(n_rows):
+            if r == pi:
+                continue
+            row = tableau[r]
+            f = row[pj]
+            if f:
+                for k in nz:
+                    row[k] -= f * prow[k]
+        f = zrow[pj]
+        if f:
+            for k in nz:
+                zrow[k] -= f * prow[k]
+        basis[pi] = pj
+
+    def run(entering_limit: int) -> None:
+        while True:
+            pj = -1
+            for j in range(entering_limit):
+                if zrow[j] < 0:
+                    pj = j
+                    break
+            if pj < 0:
+                return
+            pi = -1
+            best: Optional[Fraction] = None
+            for i in range(n_rows):
+                a = tableau[i][pj]
+                if a > 0:
+                    ratio = tableau[i][width] / a
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[pi]
+                    ):
+                        best = ratio
+                        pi = i
+            if pi < 0:
+                raise LpUnboundedError()
+            pivot(pi, pj)
+
+    # Phase 1: minimize the artificial sum.
+    zrow = [ZERO] * (width + 1)
+    for i in range(n_rows):
+        row = tableau[i]
+        for k in range(n_cols):
+            zrow[k] -= row[k]
+        zrow[width] -= row[width]
+    run(n_cols)
+    if -zrow[width] > 0:
+        raise LpInfeasibleError()
+    # Drive artificials (basic at zero) out where possible.
+    for i in range(n_rows):
+        if basis[i] >= art0:
+            row = tableau[i]
+            for j in range(n_cols):
+                if row[j]:
+                    pivot(i, j)
+                    break
+
+    # Phase 2: the real objective (artificials cost 0 and never re-enter).
+    zrow = [Fraction(c) for c in costs] + [ZERO] * (n_rows + 1)
+    for i in range(n_rows):
+        cb = costs[basis[i]] if basis[i] < n_cols else ZERO
+        if cb:
+            row = tableau[i]
+            for k in range(width + 1):
+                if row[k]:
+                    zrow[k] -= cb * row[k]
+    run(n_cols)
+
+    z = [ZERO] * n_cols
+    objective = ZERO
+    for i in range(n_rows):
+        val = tableau[i][width]
+        if basis[i] < n_cols:
+            z[basis[i]] = val
+            objective += costs[basis[i]] * val
+        elif val != 0:
+            raise InternalContractError("artificial variable basic at nonzero level")
+    y = []
+    for i in range(n_rows):
+        yi = ZERO
+        for r in range(n_rows):
+            cb = costs[basis[r]] if basis[r] < n_cols else ZERO
+            if cb:
+                yi += cb * tableau[r][art0 + i]
+        y.append(yi * signs[i])
+    return z, y, objective
+
+
 # Reference LP path: the equational forms the library solved before it moved
 # to the m-row dual forms. Each builds a tableau with one row per constraint
 # (about 2^m), so it is only fit for small cross-checks.
@@ -130,7 +267,7 @@ def reference_solve(system: ConstraintSystem) -> LpSolution:
         row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
         matrix.append(row)
     costs = list(system.c) + [-v for v in system.c] + [Fraction(0)] * l
-    z, y, objective = simplex_min(matrix, system.b, costs)
+    z, y, objective = reference_simplex_min(matrix, system.b, costs)
     x = tuple(z[j] - z[m + j] for j in range(m))
     tight = tuple(i for i in range(l) if system.row_sum(x, i) == system.b[i])
     return LpSolution(objective, x, tuple(y), tight)
@@ -152,7 +289,7 @@ def reference_uniqueness_test(
     matrix.append(list(system.c) + [Fraction(0)] * l)
     rhs = list(system.b) + [solution.objective]
     costs = [Fraction(-1) if v == 0 else Fraction(0) for v in point]
-    z, _, objective = simplex_min(matrix, rhs, costs)
+    z, _, objective = reference_simplex_min(matrix, rhs, costs)
     aux = -objective
     if aux == 0:
         return UniquenessCertificate(True, aux)
@@ -176,7 +313,7 @@ def reference_feasible_point(
     for mask in eq_masks:
         matrix.append(_incidence_row(mask, m) + [Fraction(0)] * n_ineq)
     try:
-        z, _, _ = simplex_min(
+        z, _, _ = reference_simplex_min(
             matrix, list(ineq_b) + list(eq_b), [Fraction(0)] * (m + n_ineq)
         )
     except LpInfeasibleError:

@@ -11,7 +11,7 @@ from omniscio import (
     make_oracle,
     parse_source_file,
 )
-from omniscio.cli import main
+from omniscio.cli import _build_parser, main
 from omniscio.errors import InvalidInputError, ValidationError
 from omniscio.fileio import (
     format_fraction,
@@ -216,6 +216,23 @@ class TestCli:
         assert constructive["tight"] is False
         assert constructive["witness"] is None
         assert constructive["method"] == "constructive"
+
+    def test_parser_reuse_leaks_no_flag(self, tmp_path, capsys):
+        path = write_doc(tmp_path, COUNTEREXAMPLE_DOC)
+        requests = [
+            ["tight", path, "--constructive"],
+            ["tight", path],
+            ["solve", path, "--json"],
+            ["tight", path, "--constructive"],
+        ]
+        first = {}
+        for argv in requests:
+            _build_parser.cache_clear()
+            first[tuple(argv)] = (main(argv), capsys.readouterr().out)
+        assert len(set(first.values())) == 3
+        for argv in requests:
+            assert (main(argv), capsys.readouterr().out) == first[tuple(argv)]
+        assert _build_parser.cache_info().misses == 1
 
     def test_invalid_vector_file_exits_two(self, tmp_path, capsys):
         doc = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])

@@ -1,0 +1,151 @@
+"""The fraction-free simplex against the Fraction-tableau reference.
+
+``simplex.simplex_min`` pivots integer cells over one common denominator;
+``helpers.reference_simplex_min`` is the Fraction tableau it replaced. Both
+take Bland's path through the same tableau values, so on every system they
+must return the same vertex, dual and objective, or raise the same
+exception.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import omniscio.simplex as simplex
+from omniscio import (
+    build_family,
+    counterexample_entropy_vector,
+    enumerate_admissible,
+    make_counterexample,
+    make_oracle,
+    r_co,
+    random_linear_source,
+    witness_by_partition_search,
+)
+from omniscio.simplex import LpInfeasibleError, LpUnboundedError, feasible_point
+from omniscio.subsets import complement, full_mask
+
+from helpers import reference_simplex_min
+
+F = Fraction
+
+
+def outcome(fn, matrix, rhs, costs):
+    try:
+        return fn(matrix, rhs, costs)
+    except (LpInfeasibleError, LpUnboundedError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(matrix, rhs, costs):
+    new = outcome(simplex.simplex_min, matrix, rhs, costs)
+    assert new == outcome(reference_simplex_min, matrix, rhs, costs)
+    if not isinstance(new, type):
+        z, y, objective = new
+        assert all(type(v) is Fraction for v in [*z, *y, objective])
+    return new
+
+
+def instances():
+    for m in (3, 4, 5, 6):
+        for active in sorted({full_mask(m), 0b111}):
+            for seed in range(3):
+                source = random_linear_source(m, m, 2, seed)
+                yield f"m{m}-a{active:b}-s{seed}", source, active
+    source, active = make_counterexample()
+    yield "generative", source, active
+    yield "paper-h", counterexample_entropy_vector(), 0b111
+
+
+CASES = list(instances())
+
+
+@pytest.mark.parametrize(
+    "name,source,active", CASES, ids=[case[0] for case in CASES]
+)
+def test_every_library_call_matches_reference(name, source, active, monkeypatch):
+    calls = []
+    real = simplex.simplex_min
+
+    def recording(matrix, rhs, costs):
+        calls.append((matrix, rhs, costs))
+        return real(matrix, rhs, costs)
+
+    monkeypatch.setattr(simplex, "simplex_min", recording)
+    oracle = make_oracle(source, validate=False)
+    m = oracle.m
+    witness_by_partition_search(oracle, active, report=r_co(oracle, active))
+    if m <= 5:
+        # Every admissible partition, so infeasible systems (an unbounded
+        # dual) are recorded too, not only those passing the witness filter.
+        family = build_family(m, active)
+        b = [oracle.cond_entropy(mask) for mask in family.masks]
+        for partition in enumerate_admissible(m, active):
+            comps = [complement(block, m) for block in partition]
+            eq_b = [oracle.cond_entropy(c) for c in comps]
+            feasible_point(m, family.masks, b, comps, eq_b)
+    monkeypatch.undo()
+
+    assert len(calls) >= 2
+    for matrix, rhs, costs in calls:
+        assert_same_outcome(matrix, rhs, costs)
+
+
+cells = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def rational_systems(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 7))
+    matrix = [draw(st.lists(cells, min_size=cols, max_size=cols)) for _ in range(rows)]
+    rhs = draw(st.lists(cells, min_size=rows, max_size=rows))
+    costs = draw(st.lists(cells, min_size=cols, max_size=cols))
+    return matrix, rhs, costs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rational_systems())
+def test_random_rational_systems_match_reference(system):
+    assert_same_outcome(*system)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """A row, a scalar multiple of it with both right-hand sides zero, and
+    up to two more rows: phase 1 ends with an artificial basic at zero. The
+    row leans negative, so phase 1 seldom pivots on it and the drive-out
+    often pivots on a negative entry."""
+    cols = draw(st.integers(1, 6))
+    row = draw(st.lists(st.fractions(-3, 1, max_denominator=4), min_size=cols,
+                        max_size=cols))
+    factor = draw(st.sampled_from([F(-2), F(-1, 2), F(3, 4), F(2)]))
+    extra = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), max_size=2))
+    matrix = [row, [factor * v for v in row]] + extra
+    rhs = [F(0), F(0)] + draw(st.lists(cells, min_size=len(extra), max_size=len(extra)))
+    order = draw(st.permutations(range(len(matrix))))
+    costs = draw(st.lists(cells, min_size=cols, max_size=cols))
+    return [matrix[i] for i in order], [rhs[i] for i in order], costs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(degenerate_systems())
+def test_degenerate_systems_match_reference(system):
+    assert_same_outcome(*system)
+
+
+def test_drive_out_pivots_on_a_negative_entry():
+    # Row 1 is twice row 0, both with right-hand side 0. Phase 1 makes one
+    # pivot, column 2 into row 2, and stops with the artificials of rows 0
+    # and 1 basic at zero. The drive-out pivots row 0 on its entry -2,
+    # which turns the common denominator negative, and leaves row 1 on its
+    # artificial. Phase 2 makes one degenerate pivot, column 1 into row 0.
+    matrix = [[-2, -1, 0], [-4, -2, 0], [1, 0, 1]]
+    rhs = [0, 0, 3]
+    costs = [F(1), F(1, 2), F(-1)]
+    z, y, objective = assert_same_outcome(matrix, rhs, costs)
+    assert z == [0, 0, 3]
+    assert objective == -3
+    assert y == [F(-1, 2), 0, -1]

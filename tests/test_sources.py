@@ -133,6 +133,7 @@ class TestValidity:
         src = random_linear_source(4, 5, 2, seed)
         report = check_validity(make_oracle(src))
         assert report.ok
+        assert report.describe_first() == "no violation"
 
     def test_shared_bit_pair_is_valid(self):
         report = check_validity(make_oracle(shared_bit_source(2)))
