@@ -29,8 +29,17 @@ Partition = Tuple[int, ...]  # block masks, ordered by smallest element
 def enumerate_partitions(m: int, active: int, k: int) -> Iterator[Partition]:
     """All admissible k-partitions, in restricted-growth (canonical) order.
 
-    Blocks come out sorted by their smallest element; assignments that can
-    no longer give every block an active terminal are pruned early.
+    Terminal j goes to one of the blocks opened so far or opens the next
+    one, so the block indices form a restricted-growth string with exactly
+    k blocks (Knuth, TAOCP 4A, 7.2.1.5), and blocks come out sorted by
+    their smallest element. The strings are walked in lexicographic order
+    by one generator frame with O(m) state. It keeps a running count of
+    open blocks with no active terminal and skips every assignment after
+    which the unassigned terminals can no longer open the missing blocks
+    and give each activeless block its own active terminal.
+
+    The arguments are checked when this is called, not when the result is
+    first iterated.
     """
     check_mask(active, m)
     size_a = active.bit_count()
@@ -38,37 +47,63 @@ def enumerate_partitions(m: int, active: int, k: int) -> Iterator[Partition]:
         raise InvalidInputError("active set must have at least two terminals")
     if not 2 <= k <= size_a:
         raise InvalidInputError(f"k={k} outside [2, |A|={size_a}]")
+    return _restricted_growth(m, active, k)
 
-    blocks: List[int] = []
 
-    def remaining_active(j: int) -> int:
-        return (active >> j).bit_count()
-
-    def rec(j: int) -> Iterator[Partition]:
-        if j == m:
-            if len(blocks) == k and all(b & active for b in blocks):
-                yield tuple(blocks)
+def _restricted_growth(m: int, active: int, k: int) -> Iterator[Partition]:
+    blocks = [0] * k  # block masks; the first ``opened[j]`` are open
+    choice = [0] * m  # block of terminal j on the current path
+    # Before terminal j: open blocks, and open blocks without an active
+    # terminal; active terminals among j..m-1.
+    opened = [0] * m
+    lacking = [0] * m
+    active_left = [(active >> j).bit_count() for j in range(m + 1)]
+    last = m - 1
+    last_bit = 1 << last
+    j, c = 0, 0  # terminal, next block to try for it
+    while True:
+        o = opened[j]
+        if c <= o and c < k:
+            bit = 1 << j
+            e = lacking[j]
+            if c == o:
+                o += 1
+                if not active & bit:
+                    e += 1
+            elif active & bit and not blocks[c] & active:
+                e -= 1
+            blocks[c] |= bit
+            nxt = j + 1
+            # Enough terminals left to open the missing blocks, and enough
+            # active ones for every block still without one.
+            if o + m - nxt >= k and active_left[nxt] >= e + k - o:
+                if nxt < last:
+                    choice[j] = c
+                    opened[nxt], lacking[nxt] = o, e
+                    j, c = nxt, 0
+                    continue
+                # That check leaves the last terminal only these blocks:
+                # the last one if it is still unopened, else the one block
+                # without an active terminal if there is one, else any.
+                if o < k:
+                    targets = (o,)
+                elif e:
+                    targets = [i for i in range(k) if not blocks[i] & active]
+                else:
+                    targets = range(k)
+                for t in targets:
+                    blocks[t] |= last_bit
+                    yield tuple(blocks)
+                    blocks[t] ^= last_bit
+            blocks[c] ^= bit
+            c += 1
+        elif j:
+            j -= 1
+            c = choice[j]
+            blocks[c] ^= 1 << j
+            c += 1
+        else:
             return
-        left = m - j
-        # Must still be able to open enough blocks.
-        if len(blocks) + left < k:
-            return
-        # Every activeless block, current or yet to be opened, still needs
-        # its own active terminal from the unassigned ones.
-        deficit = sum(1 for b in blocks if not b & active) + (k - len(blocks))
-        if remaining_active(j) < deficit:
-            return
-        bit = 1 << j
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            yield from rec(j + 1)
-            blocks[i] &= ~bit
-        if len(blocks) < k:
-            blocks.append(bit)
-            yield from rec(j + 1)
-            blocks.pop()
-
-    return rec(0)
 
 
 def enumerate_admissible(m: int, active: int) -> Iterator[Partition]:
@@ -144,27 +179,21 @@ def mutual_dependence_bound(
             "explicitly (max_m / OMNISCIO_MAX_M) to proceed"
         )
     scale, joint, tol = scaled_joint_table(oracle)
-    # The two dependence forms differ by exactly (k-1) H(X_emptyset).
+    # For every partition, N minus (k-1) times the complement form
+    # h(M) - (1/(k-1)) sum_i h(C_i^c) is exactly (k-1) H(X_emptyset), so
+    # the two forms agree within the tolerance on every partition exactly
+    # when H(X_emptyset) does; that is checked once, here.
     if abs(joint[0]) > tol:
         raise InvalidInputError(
             f"H(X_emptyset) = {Fraction(joint[0], scale)} is not 0; I(A) "
             "needs a normalised entropy table"
         )
-    total = joint[-1]
-    h_full = total - joint[0]
+    total, entropy_of = joint[-1], joint.__getitem__
     best_n = best_d = 0
     argmin: List[Partition] = []
     for partition in enumerate_admissible(oracle.m, active):
         d = len(partition) - 1
-        block_sum = sum(map(joint.__getitem__, partition))
-        n = block_sum - total
-        # (k-1) times the complement form h(M) - sum_i h(C_i^c) / (k-1).
-        alt = h_full * d - ((d + 1) * total - block_sum)
-        if abs(n - alt) > tol * d:
-            raise InternalContractError(
-                f"dependence forms disagree: {Fraction(n, d * scale)} vs "
-                f"{Fraction(alt, d * scale)} on {partition}"
-            )
+        n = sum(map(entropy_of, partition)) - total
         if not argmin or n * best_d < best_n * d:
             best_n, best_d = n, d
             argmin = [partition]

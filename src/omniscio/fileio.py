@@ -45,6 +45,20 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, with plain ASCII ``p`` and ``p/q`` read by ``int``.
+
+    Anything else (signs, spaces, decimals, exponents, underscores,
+    non-ASCII digits, a zero denominator, JSON numbers) goes to
+    ``Fraction(text)`` itself, so the accepted inputs and the errors are
+    those of ``Fraction``.
+    """
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if num.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and int(den):
+                return Fraction(int(num), int(den))
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -21,7 +21,7 @@ from .simplex import (
     solve,
     uniqueness_test,
 )
-from .sources import EntropyOracle
+from .sources import EntropyOracle, scaled_joint_table
 from .subsets import check_mask, full_mask
 
 RateVector = Tuple[Fraction, ...]
@@ -40,10 +40,17 @@ class ConstraintFamily:
         return len(self.masks)
 
     def system(self, oracle: EntropyOracle) -> ConstraintSystem:
-        """Price the family under an oracle: b_i = h(B_i)."""
+        """Price the family under an oracle: b_i = h(B_i).
+
+        Reads h(B) = H(X_M) - H(X_{B^c}) from the oracle's integer table.
+        """
         if oracle.m != self.m:
             raise InvalidInputError("oracle terminal count mismatch")
-        b = tuple(oracle.cond_entropy(mask) for mask in self.masks)
+        scale, joint, _ = scaled_joint_table(oracle)
+        total, full = joint[-1], full_mask(self.m)
+        b = tuple(
+            Fraction(total - joint[full ^ mask], scale) for mask in self.masks
+        )
         return make_system(self.m, self.masks, b)
 
 

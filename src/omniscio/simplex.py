@@ -97,9 +97,12 @@ def make_system(
 ) -> ConstraintSystem:
     if c is None:
         c = [ONE] * m
-    return ConstraintSystem(
-        m, tuple(row_masks), tuple(Fraction(v) for v in b), tuple(Fraction(v) for v in c)
-    )
+    return ConstraintSystem(m, tuple(row_masks), _fractions(b), _fractions(c))
+
+
+def _fractions(values: Sequence[Rational]) -> Tuple[Fraction, ...]:
+    """``values`` as Fractions, keeping those that already are."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidInputError, ValidationError
@@ -178,6 +180,25 @@ class EntropyOracle:
             return a == b
         return abs(a - b) <= self.tolerance
 
+    @cached_property
+    def _scaled_table(self) -> Tuple[int, Tuple[int, ...], int]:
+        """``(scale, joint, tol)``: see ``scaled_joint_table``.
+
+        Computed on first use and kept in the instance ``__dict__``; it is
+        not a dataclass field, so equality, hashing and repr ignore it.
+        """
+        values = [
+            v if isinstance(v, (int, Fraction)) else Fraction(v)
+            for v in self.joint
+        ]
+        tolerance = Fraction(0) if self.exact else Fraction(self.tolerance)
+        scale = math.lcm(
+            tolerance.denominator, *{v.denominator for v in values}
+        )
+        joint = tuple(v.numerator * (scale // v.denominator) for v in values)
+        tol = tolerance.numerator * (scale // tolerance.denominator)
+        return scale, joint, tol
+
 
 def _tabular_joint_table(
     source: TabularSource, tolerance: float
@@ -260,30 +281,45 @@ class ValidityReport:
         )
 
 
-def scaled_joint_table(oracle: EntropyOracle) -> Tuple[int, List[int], int]:
+def scaled_joint_table(
+    oracle: EntropyOracle,
+) -> Tuple[int, Tuple[int, ...], int]:
     """The joint entropies over one common denominator, as exact ints.
 
     Returns ``(scale, joint, tol)`` with ``joint[S] = H(X_S) * scale`` and
     ``tol = tolerance * scale``, where ``scale`` is the lcm of the
     denominators of every joint value and of the tolerance (0 for exact
     oracles). Comparisons of sums of table entries then need no Fraction.
+    The table is built once per oracle and the same tuple is returned on
+    every call.
     """
-    values = [Fraction(v) for v in oracle.joint]
-    tolerance = Fraction(0) if oracle.exact else Fraction(oracle.tolerance)
-    scale = math.lcm(tolerance.denominator, *(v.denominator for v in values))
-    joint = [v.numerator * (scale // v.denominator) for v in values]
-    return scale, joint, tolerance.numerator * (scale // tolerance.denominator)
+    return oracle._scaled_table
 
 
 def _elemental_squares_hold(h: Sequence[int], m: int) -> bool:
-    """Whether h(S+i) + h(S+j) <= h(S+i+j) + h(S) for all i < j outside S."""
-    for s in range(1 << m):
-        free = [1 << j for j in range(m) if not s >> j & 1]
-        for a, bi in enumerate(free):
-            gain = h[s | bi] - h[s]
-            for bj in free[a + 1:]:
-                if gain + h[s | bj] > h[s | bi | bj]:
-                    return False
+    """Whether h(S+i) + h(S+j) <= h(S+i+j) + h(S) for all i < j outside S.
+
+    That is, whether each gain g_i(S) = h(S+i) - h(S) is nondecreasing in
+    every coordinate j > i. Listed over all S, g_i(S+j) sits 2^j places
+    after g_i(S), so each coordinate is checked by comparing list slices
+    (g_i is 0 on both sides when S holds i).
+    """
+    n = 1 << m
+    for i in range(m):
+        bit = 1 << i
+        gain = [h[s | bit] - h[s] for s in range(n)]
+        for j in range(i + 1, m):
+            w = 1 << j
+            step = 2 * w
+            # The S without j: w strided slices or n/2w runs, the fewer.
+            if w * w <= n // 2:
+                spans = [(slice(r, n, step), slice(r + w, n, step))
+                         for r in range(w)]
+            else:
+                spans = [(slice(b, b + w), slice(b + w, b + step))
+                         for b in range(0, n, step)]
+            if not all(all(map(le, gain[lo], gain[hi])) for lo, hi in spans):
+                return False
     return True
 
 
@@ -303,30 +339,39 @@ def check_validity(oracle: EntropyOracle) -> ValidityReport:
     m = oracle.m
     n = 1 << m
     scale, joint, tol = scaled_joint_table(oracle)
-    h = [joint[-1] - joint[(n - 1) ^ s] for s in range(n)]
+    total = joint[-1]
+    h = [total - v for v in reversed(joint)]  # h(S) = H(M) - H(M - S)
     normalized = abs(joint[0]) <= tol
 
-    mono: List[Tuple[int, int]] = []
-    for b in range(n):
-        for j in range(m):
-            if not b & (1 << j):
-                bigger = b | (1 << j)
-                if h[b] - h[bigger] > tol:
-                    mono.append((b, bigger))
+    bits = [1 << j for j in range(m)]
+    mono = [
+        (b, b | bit)
+        for b in range(n)
+        for bit in bits
+        if not b & bit and h[b] - h[b | bit] > tol
+    ]
 
-    supra: List[Tuple[int, int, Fraction, Fraction]] = []
+    pairs: List[Tuple[int, int]] = []
     if not oracle.exact or not _elemental_squares_hold(h, m):
-        for b1 in range(n):
-            h1 = h[b1]
-            for b2 in range(b1, n):
-                lhs = h1 + h[b2]
-                rhs = h[b1 | b2] + h[b1 & b2]
-                if lhs - rhs > tol:
-                    supra.append(
-                        (b1, b2, Fraction(lhs, scale), Fraction(rhs, scale))
-                    )
+        # b2 = b1 gives lhs = rhs, which never violates: tol >= 0.
+        pairs = [
+            (b1, b2)
+            for b1 in range(n)
+            for h1 in (h[b1] - tol,)
+            for b2 in range(b1 + 1, n)
+            if h1 + h[b2] > h[b1 | b2] + h[b1 & b2]
+        ]
+    supra = tuple(
+        (
+            b1,
+            b2,
+            Fraction(h[b1] + h[b2], scale),
+            Fraction(h[b1 | b2] + h[b1 & b2], scale),
+        )
+        for b1, b2 in pairs
+    )
 
-    return ValidityReport(m, normalized, tuple(mono), tuple(supra))
+    return ValidityReport(m, normalized, tuple(mono), supra)
 
 
 def _check_partition_blocks(blocks: Sequence[int], m: int) -> None:

@@ -69,7 +69,7 @@ def parse_mask_spec(spec: str, m: int) -> int:
     if not spec:
         return 0
     try:
-        terminals = [int(part) for part in spec.split(",")]
+        terminals = list(map(int, spec.split(",")))
     except ValueError as exc:
         raise ValueError(f"bad subset spec {spec!r}") from exc
     return mask_from_terminals(terminals, m)

@@ -2,21 +2,22 @@
 
 These deliberately avoid the code paths they verify: entropies come from
 enumerating base-bit assignments, LP optima from enumerating basic points,
-partitions from unfiltered recursive generation. The reference LP path
-keeps the library's earlier constraint-per-row LP forms on its earlier
-Fraction-tableau simplex, so the m-row dual forms and the integer tableau
-can be cross-checked against them; the reference scans at the end keep
-the earlier Fraction-arithmetic validity scan and I(A) loop, so the integer
-table paths can be cross-checked against them.
+partitions from unfiltered recursive generation. The reference enumerator
+is the pruned recursive generator the library ran before its one-frame
+walk. The reference LP path keeps the library's earlier constraint-per-row
+LP forms on its earlier Fraction-tableau simplex, so the m-row dual forms
+and the integer tableau can be cross-checked against them; the reference
+scans at the end keep the earlier Fraction-arithmetic validity scan and
+I(A) loop, so the integer table paths can be cross-checked against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from omniscio.errors import InternalContractError
+from omniscio.errors import InternalContractError, InvalidInputError
 from omniscio.simplex import (
     ConstraintSystem,
     LpInfeasibleError,
@@ -30,7 +31,7 @@ from omniscio.dependence import (
     partition_dependence,
 )
 from omniscio.sources import EntropyOracle, LinearGF2Source, ValidityReport
-from omniscio.subsets import iter_bits
+from omniscio.subsets import check_mask, iter_bits
 
 
 def brute_force_joint_entropy(source: LinearGF2Source, subset: int) -> int:
@@ -111,6 +112,58 @@ def brute_force_partitions(m: int) -> List[Tuple[int, ...]]:
 
     rec(0, [])
     return out
+
+
+# Reference enumerator: the recursive generator (one frame per assigned
+# terminal) that the library ran before it walked restricted-growth strings
+# in one frame; the library enumerator must yield the same sequence.
+
+
+def reference_enumerate_partitions(
+    m: int, active: int, k: int
+) -> Iterator[Partition]:
+    """All admissible k-partitions, in restricted-growth (canonical) order.
+
+    Blocks come out sorted by their smallest element; assignments that can
+    no longer give every block an active terminal are pruned early.
+    """
+    check_mask(active, m)
+    size_a = active.bit_count()
+    if size_a < 2:
+        raise InvalidInputError("active set must have at least two terminals")
+    if not 2 <= k <= size_a:
+        raise InvalidInputError(f"k={k} outside [2, |A|={size_a}]")
+
+    blocks: List[int] = []
+
+    def remaining_active(j: int) -> int:
+        return (active >> j).bit_count()
+
+    def rec(j: int) -> Iterator[Partition]:
+        if j == m:
+            if len(blocks) == k and all(b & active for b in blocks):
+                yield tuple(blocks)
+            return
+        left = m - j
+        # Must still be able to open enough blocks.
+        if len(blocks) + left < k:
+            return
+        # Every activeless block, current or yet to be opened, still needs
+        # its own active terminal from the unassigned ones.
+        deficit = sum(1 for b in blocks if not b & active) + (k - len(blocks))
+        if remaining_active(j) < deficit:
+            return
+        bit = 1 << j
+        for i in range(len(blocks)):
+            blocks[i] |= bit
+            yield from rec(j + 1)
+            blocks[i] &= ~bit
+        if len(blocks) < k:
+            blocks.append(bit)
+            yield from rec(j + 1)
+            blocks.pop()
+
+    return rec(0)
 
 
 # Reference simplex: the two-phase Bland simplex over a dense Fraction

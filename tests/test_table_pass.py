@@ -1,0 +1,196 @@
+"""The entropy-table verbs' one integer pass against the paths it replaced.
+
+``enumerate_partitions`` walks restricted-growth strings in one generator
+frame and must yield exactly what the recursive reference enumerator in
+``helpers`` yields, in the same order; the elemental squares that let an
+exact table skip the pair listing are checked slice by slice and must
+decide supermodularity as every pair does. ``parse_fraction`` reads plain
+ASCII ``p`` and ``p/q`` with ``int`` and must agree with ``Fraction`` on
+everything else. The oracle builds its integer table once; caching it must
+leave equality, hashing and repr alone, and every reader of it (the rate
+LP's right-hand side, I(A)) must see the values the Fraction reads give.
+"""
+
+import random
+import re
+from dataclasses import fields
+from fractions import Fraction
+
+import pytest
+
+from omniscio import (
+    build_family,
+    enumerate_partitions,
+    make_counterexample,
+    make_oracle,
+    mutual_dependence_bound,
+    random_linear_source,
+)
+from omniscio.errors import InvalidInputError
+from omniscio.fileio import parse_fraction
+from omniscio.simplex import make_system
+from omniscio.sources import (
+    EntropyOracle,
+    _elemental_squares_hold,
+    scaled_joint_table,
+)
+from omniscio.subsets import full_mask
+
+from helpers import (
+    reference_enumerate_partitions,
+    reference_mutual_dependence_bound,
+)
+from test_integer_tables import perturbed_vector, tabular_source
+
+F = Fraction
+
+
+def assert_same_partitions(m, active):
+    for k in range(2, active.bit_count() + 1):
+        got = list(enumerate_partitions(m, active, k))
+        assert got == list(reference_enumerate_partitions(m, active, k)), (
+            m, active, k
+        )
+
+
+class TestEnumeratorMatchesReference:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_every_active_set(self, m):
+        for active in range(1 << m):
+            if active.bit_count() >= 2:
+                assert_same_partitions(m, active)
+
+    @pytest.mark.parametrize("m", (8, 9))
+    def test_sampled_active_sets(self, m):
+        rng = random.Random(m)
+        candidates = [a for a in range(1 << m) if a.bit_count() >= 2]
+        for active in [full_mask(m)] + rng.sample(candidates, 8):
+            assert_same_partitions(m, active)
+
+    @pytest.mark.parametrize(
+        "m, active, k",
+        [
+            (4, 0b0011, 3),  # k above |A|
+            (4, 0b0111, 1),  # k below 2
+            (4, 0b0001, 2),  # |A| < 2
+            (4, 0b0000, 2),
+        ],
+    )
+    def test_bad_arguments_raise_on_call(self, m, active, k):
+        with pytest.raises(InvalidInputError):
+            enumerate_partitions(m, active, k)  # not iterated
+
+    def test_out_of_range_active_set_raises_on_call(self):
+        with pytest.raises(ValueError):
+            enumerate_partitions(3, 0b1000, 2)
+
+
+CORPUS = [
+    "3", "-3", "+3", "0/5", "6/4", " 1/2 ", "1 / 2", "1_000/3", "1/0", "/",
+    "1/", "", "٣/٤", "1.5", "1e3", "two",
+]
+
+
+class TestParseFraction:
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_agrees_with_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            message = re.escape(f"bad rational {text!r}")
+            with pytest.raises(InvalidInputError, match=message):
+                parse_fraction(text)
+        else:
+            got = parse_fraction(text)
+            assert type(got) is Fraction
+            assert got == expected
+
+    def test_json_numbers_still_parse(self):
+        assert parse_fraction(3) == 3
+        assert parse_fraction(0.5) == F(1, 2)
+
+
+def oracles():
+    source, _ = make_counterexample()
+    return [
+        make_oracle(source),
+        make_oracle(random_linear_source(5, 5, 2, 3)),
+        make_oracle(perturbed_vector(5, 1), validate=False),
+        make_oracle(tabular_source(3, 0)),
+    ]
+
+
+class TestOracleTable:
+    @pytest.mark.parametrize("index", range(4))
+    def test_table_is_built_once(self, index):
+        oracle = oracles()[index]
+        table = scaled_joint_table(oracle)
+        assert scaled_joint_table(oracle) is table
+        scale, joint, tol = table
+        assert isinstance(joint, tuple)
+        assert [F(v, scale) for v in joint] == [F(v) for v in oracle.joint]
+        expected_tol = 0 if oracle.exact else F(oracle.tolerance)
+        assert F(tol, scale) == expected_tol
+
+    def test_cache_leaves_eq_hash_repr_alone(self):
+        cached = make_oracle(random_linear_source(4, 4, 2, 0))
+        fresh = make_oracle(random_linear_source(4, 4, 2, 0))
+        scaled_joint_table(cached)
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+        assert [f.name for f in fields(EntropyOracle)] == [
+            "m", "variant", "exact", "joint", "source", "tolerance",
+        ]
+
+    @pytest.mark.parametrize("h_empty", (F(1, 8), F(-1, 4)))
+    def test_inexact_bound_with_small_empty_entropy(self, h_empty):
+        values = list(make_oracle(random_linear_source(5, 5, 2, 2)).joint)
+        values[0] = h_empty
+        oracle = EntropyOracle(5, "tabular", False, tuple(values),
+                               tolerance=0.25)
+        for active in (full_mask(5), 0b10110):
+            assert mutual_dependence_bound(oracle, active) == (
+                reference_mutual_dependence_bound(oracle, active)
+            )
+
+
+class TestElementalSquares:
+    def test_squares_decide_supermodularity(self):
+        """The slice-wise square check against every pair, on linear tables
+        with a few entries moved by one (both outcomes occur)."""
+        rng = random.Random(0)
+        outcomes = set()
+        for seed in range(300):
+            m = rng.randrange(2, 7)
+            joint = make_oracle(random_linear_source(m, m, 2, seed)).joint
+            n = 1 << m
+            h = [int(joint[-1] - joint[(n - 1) ^ s]) for s in range(n)]
+            for _ in range(rng.randrange(3)):
+                h[rng.randrange(n)] += rng.choice((-1, 1))
+            supermodular = all(
+                h[a] + h[b] <= h[a | b] + h[a & b]
+                for a in range(n)
+                for b in range(n)
+            )
+            assert _elemental_squares_hold(h, m) == supermodular, (m, h)
+            outcomes.add(supermodular)
+        assert outcomes == {True, False}
+
+
+class TestFamilyPricing:
+    @pytest.mark.parametrize("index", range(4))
+    def test_right_hand_side_is_cond_entropy(self, index):
+        oracle = oracles()[index]
+        active = full_mask(oracle.m) if index else make_counterexample()[1]
+        family = build_family(oracle.m, active)
+        b = family.system(oracle).b
+        assert b == tuple(oracle.cond_entropy(mask) for mask in family.masks)
+        assert all(type(v) is Fraction for v in b)
+
+    def test_make_system_keeps_fractions(self):
+        value = F(7, 3)
+        system = make_system(2, (0b01, 0b10), [value, 2])
+        assert system.b[0] is value
+        assert system.b == (F(7, 3), F(2))
+        assert type(system.b[1]) is Fraction
