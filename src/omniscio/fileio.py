@@ -35,7 +35,12 @@ from .sources import (
     TabularSource,
     make_oracle,
 )
-from .subsets import format_mask, mask_from_terminals, parse_mask_spec
+from .subsets import (
+    check_terminal_count,
+    format_mask,
+    mask_from_terminals,
+    parse_mask_spec,
+)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -96,12 +101,22 @@ def _require(doc: Dict[str, Any], key: str) -> Any:
 
 
 def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
-    """Build the source object and active-set mask from a parsed document."""
+    """Build the source object and active-set mask from a parsed document.
+
+    The terminal count is checked before anything is sized by it. The
+    ``ValueError`` of a terminal count outside its range, of a terminal out
+    of range in ``active`` or in a subset key, or of a malformed key is
+    raised as an ``InvalidInputError`` with the same message.
+    """
     m = _require(doc, "m")
     if not isinstance(m, int):
         raise InvalidInputError("field 'm' must be an integer")
     active_list = _require(doc, "active")
-    active = mask_from_terminals(active_list, m)
+    try:
+        check_terminal_count(m)
+        active = mask_from_terminals(active_list, m)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from exc
     spec = _require(doc, "source")
     kind = _require(spec, "type")
 
@@ -120,10 +135,13 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
         values_map = _require(spec, "values")
         values: List[Fraction] = [Fraction(0)] * (1 << m)
         seen = {0}
-        for key, text in values_map.items():
-            mask = parse_mask_spec(key, m)
-            values[mask] = parse_fraction(text)
-            seen.add(mask)
+        try:
+            for key, text in values_map.items():
+                mask = parse_mask_spec(key, m)
+                values[mask] = parse_fraction(text)
+                seen.add(mask)
+        except ValueError as exc:
+            raise InvalidInputError(str(exc)) from exc
         missing = [s for s in range(1, 1 << m) if s not in seen]
         if missing:
             raise InvalidInputError(

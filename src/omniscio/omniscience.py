@@ -17,7 +17,6 @@ from .simplex import (
     ConstraintSystem,
     LpSolution,
     UniquenessCertificate,
-    make_system,
     solve,
     uniqueness_test,
 )
@@ -42,16 +41,15 @@ class ConstraintFamily:
     def system(self, oracle: EntropyOracle) -> ConstraintSystem:
         """Price the family under an oracle: b_i = h(B_i).
 
-        Reads h(B) = H(X_M) - H(X_{B^c}) from the oracle's integer table.
+        Reads h(B) = H(X_M) - H(X_{B^c}) from the oracle's integer table,
+        and keeps b as ints over the table's scale.
         """
         if oracle.m != self.m:
             raise InvalidInputError("oracle terminal count mismatch")
         scale, joint, _ = scaled_joint_table(oracle)
         total, full = joint[-1], full_mask(self.m)
-        b = tuple(
-            Fraction(total - joint[full ^ mask], scale) for mask in self.masks
-        )
-        return make_system(self.m, self.masks, b)
+        b = tuple(total - joint[full ^ mask] for mask in self.masks)
+        return ConstraintSystem(self.m, self.masks, b, scale, (1,) * self.m, 1)
 
 
 def build_family(m: int, active: int) -> ConstraintFamily:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dependence import (
+# enumerate_admissible is not called in this module; it stays bound here
+# because perfbench/tracer.py wraps it under this module's name.
+from .dependence import (  # noqa: F401
     Partition,
     check_admissible,
     enumerate_admissible,
@@ -38,7 +40,7 @@ from .omniscience import (
     sw_gap,
 )
 from .simplex import LpSolution, feasible_point
-from .sources import EntropyOracle
+from .sources import EntropyOracle, scaled_joint_table
 from .subsets import complement, format_mask, full_mask
 
 
@@ -71,32 +73,41 @@ def witness_by_partition_search(
     oracle: EntropyOracle, active: int, *, report: Optional[CapacityReport] = None
 ) -> TightnessVerdict:
     """Constructive form: find (partition, rates) with every block-complement
-    constraint tight, scanning partitions in canonical order.
+    constraint tight, trying partitions in canonical order.
 
-    A partition can only host a witness when sum_i h(C_i^c) = (k-1) R_CO
-    (tight constraints pin the total rate to the optimum), so partitions
-    failing that arithmetic are skipped without solving a feasibility LP.
+    Only the minimizers of I(A) can host a witness, and only when
+    I(A) = C_SK. For an admissible P = (C_1, ..., C_k) every complement
+    C_i^c is a row of the family (it is nonempty and proper, and misses the
+    active terminals of C_i), and each terminal lies in exactly k - 1 of
+    them, so every point x of the rate region has
+    (k-1) sum(x) = sum_i x(C_i^c) >= sum_i h(C_i^c) = k H(M) - sum_i H(C_i).
+    At an optimum sum(x) = R_CO = H(M) - C_SK, which reads I_P >= C_SK; a
+    witness, with every C_i^c tight and sum(x) >= R_CO, forces I_P = C_SK.
+    As I(A) is the least I_P, the partitions with I_P = C_SK are exactly
+    the minimizers of I(A) when I(A) = C_SK, and none otherwise. Nothing
+    here uses the validity of the entropy table, so this holds for every
+    oracle, exact or tabular. The search therefore runs ``feasible_point``
+    over the argmin of ``mutual_dependence_bound``, in its canonical order,
+    when the bound equals C_SK, with every right-hand side read as an int
+    from the oracle's table.
     """
     if report is None:
         report = r_co(oracle, active)
-    family = report.family
-    b = [oracle.cond_entropy(mask) for mask in family.masks]
-    m = oracle.m
-
+    bound, minimizers = mutual_dependence_bound(oracle, active)
     witness: Optional[Tuple[Partition, RateVector]] = None
-    for partition in enumerate_admissible(m, active):
-        k = len(partition)
-        comps = [complement(block, m) for block in partition]
-        total = sum((oracle.cond_entropy(c) for c in comps), Fraction(0))
-        if total != (k - 1) * report.r_co:
-            continue
-        eq_b = [oracle.cond_entropy(c) for c in comps]
-        rates = feasible_point(m, family.masks, b, comps, eq_b)
-        if rates is not None:
-            witness = (partition, rates)
-            break
-
-    bound, _ = mutual_dependence_bound(oracle, active)
+    if bound == report.c_sk:
+        family = report.family
+        m = oracle.m
+        scale, joint, _ = scaled_joint_table(oracle)
+        total, full = joint[-1], full_mask(m)
+        b = [total - joint[full ^ mask] for mask in family.masks]
+        for partition in minimizers:
+            comps = [full ^ block for block in partition]
+            eq_b = [total - joint[block] for block in partition]
+            rates = feasible_point(m, family.masks, b, comps, eq_b, scale)
+            if rates is not None:
+                witness = (partition, rates)
+                break
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
 

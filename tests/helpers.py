@@ -7,8 +7,10 @@ is the pruned recursive generator the library ran before its one-frame
 walk. The reference LP path keeps the library's earlier constraint-per-row
 LP forms on its earlier Fraction-tableau simplex, so the m-row dual forms
 and the integer tableau can be cross-checked against them; the reference
-scans at the end keep the earlier Fraction-arithmetic validity scan and
-I(A) loop, so the integer table paths can be cross-checked against them.
+scans keep the earlier Fraction-arithmetic validity scan and I(A) loop,
+so the integer table paths can be cross-checked against them; the
+reference witness search at the end keeps the earlier scan of every
+admissible partition with a Fraction arithmetic filter.
 """
 
 from __future__ import annotations
@@ -24,14 +26,18 @@ from omniscio.simplex import (
     LpSolution,
     LpUnboundedError,
     UniquenessCertificate,
+    feasible_point,
 )
 from omniscio.dependence import (
     Partition,
     enumerate_admissible,
+    mutual_dependence_bound,
     partition_dependence,
 )
+from omniscio.omniscience import CapacityReport, RateVector, r_co
 from omniscio.sources import EntropyOracle, LinearGF2Source, ValidityReport
-from omniscio.subsets import check_mask, iter_bits
+from omniscio.subsets import check_mask, complement, iter_bits
+from omniscio.tightness import TightnessVerdict
 
 
 def brute_force_joint_entropy(source: LinearGF2Source, subset: int) -> int:
@@ -420,3 +426,42 @@ def reference_mutual_dependence_bound(
             argmin.append(partition)
     assert best is not None, "no admissible partition found"
     return best, argmin
+
+
+# Reference witness search: the scan of every admissible partition with a
+# Fraction arithmetic filter that the library ran before it read the
+# candidates off the minimizers of I(A).
+
+
+def reference_witness_by_partition_search(
+    oracle: EntropyOracle, active: int, *, report: Optional[CapacityReport] = None
+) -> TightnessVerdict:
+    """Constructive form: find (partition, rates) with every block-complement
+    constraint tight, scanning partitions in canonical order.
+
+    A partition can only host a witness when sum_i h(C_i^c) = (k-1) R_CO
+    (tight constraints pin the total rate to the optimum), so partitions
+    failing that arithmetic are skipped without solving a feasibility LP.
+    """
+    if report is None:
+        report = r_co(oracle, active)
+    family = report.family
+    b = [oracle.cond_entropy(mask) for mask in family.masks]
+    m = oracle.m
+
+    witness: Optional[Tuple[Partition, RateVector]] = None
+    for partition in enumerate_admissible(m, active):
+        k = len(partition)
+        comps = [complement(block, m) for block in partition]
+        total = sum((oracle.cond_entropy(c) for c in comps), Fraction(0))
+        if total != (k - 1) * report.r_co:
+            continue
+        eq_b = [oracle.cond_entropy(c) for c in comps]
+        rates = feasible_point(m, family.masks, b, comps, eq_b)
+        if rates is not None:
+            witness = (partition, rates)
+            break
+
+    bound, _ = mutual_dependence_bound(oracle, active)
+    gap = bound - report.c_sk
+    return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)

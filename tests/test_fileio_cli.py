@@ -257,6 +257,33 @@ class TestCli:
             assert main([*argv, path, "--no-validate"]) == 2
             assert "H(X_emptyset)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "m,active,key,message",
+        [
+            (2, [1, 3], "1", "terminal 3 out of range for m=2"),
+            (2, [1, 2], "1,3", "terminal 3 out of range for m=2"),
+            (2, [1, 2], "x", "bad subset spec 'x'"),
+            (1, [1, 2], "1", "terminal count must be in [2, 20], got 1"),
+            (21, [1, 2], "1", "terminal count must be in [2, 20], got 21"),
+        ],
+        ids=["active-range", "key-range", "key-malformed", "m-small", "m-large"],
+    )
+    def test_bad_subset_or_terminal_count_exits_two(
+        self, tmp_path, capsys, m, active, key, message
+    ):
+        values = {"1": "1", "2": "1", "1,2": "2", key: "1"}
+        doc = {
+            "m": m,
+            "active": active,
+            "source": {"type": "entropy_vector", "values": values},
+        }
+        path = write_doc(tmp_path, doc)
+        for verb in ("mdb", "validate", "solve", "tight"):
+            assert main([verb, path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"omniscio: error: {message}\n"
+
     def test_validate_verb(self, tmp_path, capsys):
         doc = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])
         bad = write_doc(tmp_path, doc, "bad.json")
