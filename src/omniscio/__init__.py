@@ -32,7 +32,6 @@ from .simplex import (
     UniquenessCertificate,
     make_system,
     solve,
-    tight_rows,
     uniqueness_test,
 )
 from .sources import (
@@ -96,7 +95,6 @@ __all__ = [
     "solve",
     "source_from_document",
     "sw_gap",
-    "tight_rows",
     "uniqueness_test",
     "verify_closure",
     "witness_by_partition_search",

@@ -25,11 +25,15 @@ sums over every subset mask. Fractions are built only for returned values.
 common denominator, the determinant of the basis, updated by the exact
 divisions of Edmonds ("Systems of distinct representatives and linear
 algebra", 1967) and Bareiss ("Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968). Fractions are built only
-for the returned vertex, dual and objective. The pivot rule is Bland's
-(least index) throughout, for guaranteed termination and run-to-run
-determinism; the integer tableau holds the same values as a Fraction one
-would, so it takes the same pivots to the same vertex and dual.
+integer-preserving Gaussian elimination", 1968). Each row's cells are
+packed into one int of fixed-width signed fields (Lamport, "Multiple byte
+processing with full-word instructions", 1975), so a row update is a few
+whole-int operations; the width comes from a Hadamard bound on the cells.
+Fractions are built only for the returned vertex, dual and objective. The
+pivot rule is Bland's (least index) throughout, for guaranteed termination
+and run-to-run determinism; the integer tableau holds the same values as a
+Fraction one would, so it takes the same pivots to the same vertex and
+dual.
 """
 
 from __future__ import annotations
@@ -190,11 +194,29 @@ def simplex_min(
     Cells may be ints or Fractions. Returns (z, y, objective) as Fractions,
     where y is the equality-form dual vector. Raises LpInfeasibleError /
     LpUnboundedError.
+
+    Each tableau row keeps its structural and artificial cells packed in
+    one int of w-bit fields, sum_k v_k 2^(k w); its rhs cell, and the
+    z-row's, are plain ints. The Edmonds-Bareiss update is linear in the
+    row, so it runs on whole packed rows and yields exactly the cells of
+    the unpacked tableau; only the field reads below need every stored
+    |v_k| < 2^(w-1).
+
+    Width. Let M = [A | I] be the scaled, sign-normalised matrix with its
+    artificial columns, n = n_rows, B the current basis and T the packed
+    part of the tableau. The update keeps T = |det B| B^-1 M and the
+    z-row |det B| (c - c_B B^-1 M), c the phase's costs (Edmonds 1967).
+    By Cramer's rule every cell of T is +-det of B with one column swapped
+    for a column of M: an n x n minor of M, at most the product H of M's n
+    largest column norms (Hadamard). A z-row cell is +-det[B M_k; c_B c_k],
+    an (n+1)-minor of M over the cost row; expanded along that row it is
+    at most (n+1) max|c| H. Phase 1 costs 0 or 1, phase 2 the int costs,
+    so w = bitlen((n+1) max(1, max|c|) H) + 1 fits every stored cell. The
+    rhs column is never packed, so its norm does not enter H.
     """
     n_rows = len(matrix)
     n_cols = len(costs)
     art0 = n_cols
-    width = n_cols + n_rows  # structural + artificial columns; rhs appended
 
     # Row i is scale * (matrix[i] | rhs[i]), negated where rhs[i] < 0, with
     # a unit artificial column: each artificial is scale times the one of the
@@ -202,7 +224,7 @@ def simplex_min(
     # and changes no sign and no ratio. An all-int system has scale 1.
     if _all_ints(chain(chain.from_iterable(matrix), rhs)):
         scale = 1
-        rows = [list(row) for row in matrix]
+        rows = matrix
         right = list(rhs)
     else:
         scale = math.lcm(
@@ -214,126 +236,167 @@ def simplex_min(
             for row in matrix
         ]
         right = [v.numerator * (scale // v.denominator) for v in rhs]
-    tableau: List[List[int]] = []
+    int_costs, cost_scale = _over_common_denominator(costs)
+
+    # Squared column norms; a zero column ranks below the unit artificials.
+    norms = [sum(map(mul, col, col)) for col in zip(*rows)]
+    norms.sort(reverse=True)
+    hadamard = math.isqrt(math.prod(v for v in norms[:n_rows] if v))
+    top_cost = max(1, max(map(abs, int_costs), default=1))
+    w = ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
+    low, half = (1 << w) - 1, 1 << (w - 1)
+    # half in the field of every structural column: the sign bits of a
+    # packed row once half is added to each of its fields.
+    signs_struct = half * (((1 << (n_cols * w)) - 1) // low)
+
+    def column(j: int) -> List[int]:
+        # Field j of every packed row. (r >> (jw - 1) + 1) >> 1 rounds
+        # r / 2^(jw) to the nearest int, which drops the fields below j:
+        # they sum to less than 2^(jw - 1) in magnitude. Field j is the low
+        # w bits of that, read in two's complement.
+        if not j:
+            return [((r & low) ^ half) - half for r in packed]
+        s = j * w - 1
+        return [((((r >> s) + 1) >> 1 & low) ^ half) - half for r in packed]
+
+    # The z-row rides along as row n_rows. Phase 1 minimizes the artificial
+    # sum, whose reduced costs start at minus the sum of the structural rows.
+    packed: List[int] = []
     signs: List[int] = []
+    zrow = 0
     for i, (row, r) in enumerate(zip(rows, right)):
         sign = -1 if r < 0 else 1
-        if sign < 0:
-            row = [-v for v in row]
-        row.extend(1 if k == i else 0 for k in range(n_rows))
-        row.append(sign * r)
-        tableau.append(row)
+        value = sign * _pack(row, w)
+        zrow -= value
+        packed.append(value + (1 << (art0 + i) * w))
+        right[i] = sign * r
         signs.append(sign)
+    packed.append(zrow)
+    right.append(-sum(right))
     basis = [art0 + i for i in range(n_rows)]
-    # The tableau's value is tableau / denom, denom > 0 shared by every row
-    # and by zrow; denom is |det| of the basis, so every cell stays an int.
+    # The tableau's value is its cells / denom, denom > 0 shared by every
+    # row and the z-row; denom is |det| of the basis, so every cell is an int.
     denom = 1
 
-    def pivot(pi: int, pj: int) -> None:
+    def pivot(pi: int, pj: int, col: List[int]) -> None:
         # Edmonds-Bareiss update: (row * p - row[pj] * prow) / denom is
         # exact, and p becomes the new denominator.
-        nonlocal tableau, zrow, denom
-        prow = tableau[pi]
-        p = prow[pj]
-
-        def update(row: List[int]) -> List[int]:
-            f = row[pj]
+        nonlocal denom
+        p = col[pi]
+        prow, prhs = packed[pi], right[pi]
+        for r, f in enumerate(col):
+            if r == pi:
+                continue
             if not f:
-                return row if p == denom else [v * p // denom for v in row]
-            if denom != 1:
-                return [(v * p - f * w) // denom for v, w in zip(row, prow)]
+                if p != denom:
+                    packed[r] = packed[r] * p // denom
+                    right[r] = right[r] * p // denom
+            elif denom != 1:
+                packed[r] = (packed[r] * p - f * prow) // denom
+                right[r] = (right[r] * p - f * prhs) // denom
             # Most pivots of the rate LPs keep denom == p == 1.
-            if p == 1:
-                return [v - f * w for v, w in zip(row, prow)]
-            return [v * p - f * w for v, w in zip(row, prow)]
-
-        tableau = [prow if r == pi else update(row) for r, row in enumerate(tableau)]
-        zrow = update(zrow)
+            elif p == 1:
+                packed[r] -= f * prow
+                right[r] -= f * prhs
+            else:
+                packed[r] = packed[r] * p - f * prow
+                right[r] = right[r] * p - f * prhs
         if p < 0:  # only the artificial drive-out pivots on a negative entry
-            tableau = [[-v for v in row] for row in tableau]
-            zrow = [-v for v in zrow]
+            packed[:] = [-v for v in packed]
+            right[:] = [-v for v in right]
             p = -p
         denom = p
         basis[pi] = pj
 
-    def run(entering_limit: int) -> None:
+    def run() -> None:
         while True:
-            pj = -1
-            for j in range(entering_limit):
-                if zrow[j] < 0:
-                    pj = j
-                    break
-            if pj < 0:
+            # Bland: the least structural column whose z-row field is
+            # negative, i.e. whose sign bit stays clear once half is added.
+            negative = signs_struct & ~(packed[n_rows] + signs_struct)
+            if not negative:
                 return
+            pj = (negative & -negative).bit_length() // w - 1
+            col = column(pj)
             # Least ratio rhs / a over a > 0, cross-multiplied; ties go to
             # the least basic index.
             pi = -1
             for i in range(n_rows):
-                row = tableau[i]
-                a = row[pj]
+                a = col[i]
                 if a > 0:
                     if pi < 0:
                         pi = i
                         continue
-                    best = tableau[pi]
-                    lhs, rhs_ = row[width] * best[pj], best[width] * a
+                    lhs, rhs_ = right[i] * col[pi], right[pi] * a
                     if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[pi]):
                         pi = i
             if pi < 0:
                 raise LpUnboundedError()
-            pivot(pi, pj)
+            pivot(pi, pj, col)
 
-    # Phase 1: minimize the artificial sum.
-    zrow = [0] * (width + 1)
-    for row in tableau:
-        for k in range(n_cols):
-            zrow[k] -= row[k]
-        zrow[width] -= row[width]
-    run(n_cols)
-    if zrow[width] < 0:
+    run()
+    if right[n_rows] < 0:
         raise LpInfeasibleError()
-    # Drive artificials (basic at zero) out where possible.
+    # Drive artificials (basic at zero) out where possible: the lowest set
+    # bit of a packed row lies in its least nonzero field.
     for i in range(n_rows):
         if basis[i] >= art0:
-            row = tableau[i]
-            for j in range(n_cols):
-                if row[j]:
-                    pivot(i, j)
-                    break
+            row = packed[i]
+            pj = ((row & -row).bit_length() - 1) // w
+            if pj < n_cols:
+                pivot(i, pj, column(pj))
 
     # Phase 2: the real objective (artificials cost 0 and never re-enter),
     # as denom * cost_scale * (c - c_B B^-1 A) in ints.
-    int_costs, cost_scale = _over_common_denominator(costs)
-    zrow = [denom * c for c in int_costs] + [0] * (n_rows + 1)
+    zrow = denom * _pack(int_costs, w)
+    z_rhs = 0
     for i in range(n_rows):
         cb = int_costs[basis[i]] if basis[i] < n_cols else 0
         if cb:
-            zrow = [zk - cb * v for zk, v in zip(zrow, tableau[i])]
-    run(n_cols)
+            zrow -= cb * packed[i]
+            z_rhs -= cb * right[i]
+    packed[n_rows], right[n_rows] = zrow, z_rhs
+    run()
 
     z = [ZERO] * n_cols
-    objective = 0
-    basic_costs = []
     for i in range(n_rows):
-        val = tableau[i][width]
+        val = right[i]
         if basis[i] < n_cols:
             z[basis[i]] = Fraction(val, denom)
-            cb = int_costs[basis[i]]
-            objective += cb * val
-            if cb:
-                basic_costs.append((cb, tableau[i]))
         elif val != 0:
             raise InternalContractError("artificial variable basic at nonzero level")
-    # On a row whose basic variable is structural, the scaled tableau's
-    # artificial columns are the unscaled ones divided by scale.
-    y = [
-        Fraction(
-            scale * signs[i] * sum(cb * row[art0 + i] for cb, row in basic_costs),
-            denom * cost_scale,
-        )
-        for i in range(n_rows)
-    ]
-    return z, y, Fraction(objective, denom * cost_scale)
+    # The z-row's artificial fields are -denom * cost_scale * c_B B^-1, the
+    # multipliers of the tableau's rows, and its rhs is minus the objective.
+    # Row i is scale * signs[i] times the caller's row i, so the caller's
+    # multiplier is scale * signs[i] times that of row i.
+    fields = packed[n_rows]
+    if art0:
+        fields = ((fields >> (art0 * w - 1)) + 1) >> 1
+    y = []
+    for sign in signs:
+        v = ((fields & low) ^ half) - half
+        fields = (fields - v) >> w
+        y.append(Fraction(-scale * sign * v, denom * cost_scale))
+    return z, y, Fraction(-right[n_rows], denom * cost_scale)
+
+
+def _pack(values: Sequence[int], w: int) -> int:
+    """sum_k values[k] 2^(k w): the values as signed w-bit fields.
+
+    Horner's rule on runs of 32 values, then the runs merged pairwise, so
+    the time stays about linear in the bits rather than quadratic."""
+    runs = []
+    for k in range(0, len(values), 32):
+        packed = 0
+        for v in reversed(values[k:k + 32]):
+            packed = (packed << w) + v
+        runs.append(packed)
+    shift = 32 * w
+    while len(runs) > 1:
+        if len(runs) % 2:
+            runs.append(0)
+        runs = [lo + (hi << shift) for lo, hi in zip(runs[::2], runs[1::2])]
+        shift *= 2
+    return runs[0] if runs else 0
 
 
 def _transposed(masks: Sequence[int], m: int) -> List[List[int]]:
@@ -424,13 +487,6 @@ def solve(system: ConstraintSystem) -> LpSolution:
         Fraction(r.numerator, r.denominator * system.b_den * system.c_den),
         x, y, tight,
     )
-
-
-def tight_rows(
-    solution: LpSolution, system: ConstraintSystem
-) -> List[Tuple[int, int]]:
-    """All rows holding with equality at the solution, as (index, mask)."""
-    return [(i, system.row_masks[i]) for i in solution.tight_rows]
 
 
 def uniqueness_test(

@@ -6,7 +6,9 @@ partitions from unfiltered recursive generation. The reference enumerator
 is the pruned recursive generator the library ran before its one-frame
 walk. The reference LP path keeps the library's earlier constraint-per-row
 LP forms on its earlier Fraction-tableau simplex, so the m-row dual forms
-and the integer tableau can be cross-checked against them; the reference
+and the integer tableau can be cross-checked against them; the feasibility
+form runs on the list-of-ints tableau that preceded the packed one, which
+takes the same pivots as the Fraction tableau. The reference
 scans keep the earlier Fraction-arithmetic validity scan and I(A) loop,
 so the integer table paths can be cross-checked against them; the
 reference witness search at the end keeps the earlier scan of every
@@ -15,8 +17,9 @@ admissible partition with a Fraction arithmetic filter.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from omniscio.errors import InternalContractError, InvalidInputError
@@ -25,7 +28,10 @@ from omniscio.simplex import (
     LpInfeasibleError,
     LpSolution,
     LpUnboundedError,
+    Rational,
     UniquenessCertificate,
+    _all_ints,
+    _over_common_denominator,
     feasible_point,
 )
 from omniscio.dependence import (
@@ -307,6 +313,165 @@ def reference_simplex_min(
     return z, y, objective
 
 
+def reference_integer_simplex_min(
+    matrix: Sequence[Sequence[Rational]],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
+) -> Tuple[List[Fraction], List[Fraction], Fraction]:
+    """min costs.z  s.t.  matrix z = rhs, z >= 0  (two-phase, Bland's rule).
+
+    The fraction-free list-of-ints tableau the library pivoted before it
+    packed each row into one int: Edmonds-Bareiss updates on integer cells
+    over one common denominator, on the same Bland path. Cells may be ints
+    or Fractions. Returns (z, y, objective) as Fractions, where y is the
+    equality-form dual vector. Raises LpInfeasibleError / LpUnboundedError.
+    """
+    n_rows = len(matrix)
+    n_cols = len(costs)
+    art0 = n_cols
+    width = n_cols + n_rows  # structural + artificial columns; rhs appended
+
+    # Row i is scale * (matrix[i] | rhs[i]), negated where rhs[i] < 0, with
+    # a unit artificial column: each artificial is scale times the one of the
+    # unscaled system, which multiplies the phase-1 objective by scale > 0
+    # and changes no sign and no ratio. An all-int system has scale 1.
+    if _all_ints(chain(chain.from_iterable(matrix), rhs)):
+        scale = 1
+        rows = [list(row) for row in matrix]
+        right = list(rhs)
+    else:
+        scale = math.lcm(
+            *(v.denominator for row in matrix for v in row),
+            *(v.denominator for v in rhs),
+        )
+        rows = [
+            [v.numerator * (scale // v.denominator) for v in row]
+            for row in matrix
+        ]
+        right = [v.numerator * (scale // v.denominator) for v in rhs]
+    tableau: List[List[int]] = []
+    signs: List[int] = []
+    for i, (row, r) in enumerate(zip(rows, right)):
+        sign = -1 if r < 0 else 1
+        if sign < 0:
+            row = [-v for v in row]
+        row.extend(1 if k == i else 0 for k in range(n_rows))
+        row.append(sign * r)
+        tableau.append(row)
+        signs.append(sign)
+    basis = [art0 + i for i in range(n_rows)]
+    # The tableau's value is tableau / denom, denom > 0 shared by every row
+    # and by zrow; denom is |det| of the basis, so every cell stays an int.
+    denom = 1
+
+    def pivot(pi: int, pj: int) -> None:
+        # Edmonds-Bareiss update: (row * p - row[pj] * prow) / denom is
+        # exact, and p becomes the new denominator.
+        nonlocal tableau, zrow, denom
+        prow = tableau[pi]
+        p = prow[pj]
+
+        def update(row: List[int]) -> List[int]:
+            f = row[pj]
+            if not f:
+                return row if p == denom else [v * p // denom for v in row]
+            if denom != 1:
+                return [(v * p - f * w) // denom for v, w in zip(row, prow)]
+            # Most pivots of the rate LPs keep denom == p == 1.
+            if p == 1:
+                return [v - f * w for v, w in zip(row, prow)]
+            return [v * p - f * w for v, w in zip(row, prow)]
+
+        tableau = [prow if r == pi else update(row) for r, row in enumerate(tableau)]
+        zrow = update(zrow)
+        if p < 0:  # only the artificial drive-out pivots on a negative entry
+            tableau = [[-v for v in row] for row in tableau]
+            zrow = [-v for v in zrow]
+            p = -p
+        denom = p
+        basis[pi] = pj
+
+    def run(entering_limit: int) -> None:
+        while True:
+            pj = -1
+            for j in range(entering_limit):
+                if zrow[j] < 0:
+                    pj = j
+                    break
+            if pj < 0:
+                return
+            # Least ratio rhs / a over a > 0, cross-multiplied; ties go to
+            # the least basic index.
+            pi = -1
+            for i in range(n_rows):
+                row = tableau[i]
+                a = row[pj]
+                if a > 0:
+                    if pi < 0:
+                        pi = i
+                        continue
+                    best = tableau[pi]
+                    lhs, rhs_ = row[width] * best[pj], best[width] * a
+                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[pi]):
+                        pi = i
+            if pi < 0:
+                raise LpUnboundedError()
+            pivot(pi, pj)
+
+    # Phase 1: minimize the artificial sum.
+    zrow = [0] * (width + 1)
+    for row in tableau:
+        for k in range(n_cols):
+            zrow[k] -= row[k]
+        zrow[width] -= row[width]
+    run(n_cols)
+    if zrow[width] < 0:
+        raise LpInfeasibleError()
+    # Drive artificials (basic at zero) out where possible.
+    for i in range(n_rows):
+        if basis[i] >= art0:
+            row = tableau[i]
+            for j in range(n_cols):
+                if row[j]:
+                    pivot(i, j)
+                    break
+
+    # Phase 2: the real objective (artificials cost 0 and never re-enter),
+    # as denom * cost_scale * (c - c_B B^-1 A) in ints.
+    int_costs, cost_scale = _over_common_denominator(costs)
+    zrow = [denom * c for c in int_costs] + [0] * (n_rows + 1)
+    for i in range(n_rows):
+        cb = int_costs[basis[i]] if basis[i] < n_cols else 0
+        if cb:
+            zrow = [zk - cb * v for zk, v in zip(zrow, tableau[i])]
+    run(n_cols)
+
+    z = [ZERO] * n_cols
+    objective = 0
+    basic_costs = []
+    for i in range(n_rows):
+        val = tableau[i][width]
+        if basis[i] < n_cols:
+            z[basis[i]] = Fraction(val, denom)
+            cb = int_costs[basis[i]]
+            objective += cb * val
+            if cb:
+                basic_costs.append((cb, tableau[i]))
+        elif val != 0:
+            raise InternalContractError("artificial variable basic at nonzero level")
+    # On a row whose basic variable is structural, the scaled tableau's
+    # artificial columns are the unscaled ones divided by scale.
+    y = [
+        Fraction(
+            scale * signs[i] * sum(cb * row[art0 + i] for cb, row in basic_costs),
+            denom * cost_scale,
+        )
+        for i in range(n_rows)
+    ]
+    return z, y, Fraction(objective, denom * cost_scale)
+
+
+
 # Reference LP path: the equational forms the library solved before it moved
 # to the m-row dual forms. Each builds a tableau with one row per constraint
 # (about 2^m), so it is only fit for small cross-checks.
@@ -362,18 +527,20 @@ def reference_feasible_point(
     eq_masks: Sequence[int],
     eq_b: Sequence[Fraction],
 ) -> Optional[Tuple[Fraction, ...]]:
-    """Phase 1 on {x >= 0 : sum_B x - s_B = b for B, sum_C x = b for C}."""
+    """Phase 1 on {x >= 0 : sum_B x - s_B = b for B, sum_C x = b for C},
+    pivoted on the list-of-ints tableau: with one row per constraint it is
+    the slowest reference, and the Fraction tableau takes the same path."""
     n_ineq = len(ineq_masks)
     matrix = []
     for i, mask in enumerate(ineq_masks):
-        row = _incidence_row(mask, m)
-        row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(n_ineq))
+        row = [mask >> j & 1 for j in range(m)]
+        row.extend(-1 if k == i else 0 for k in range(n_ineq))
         matrix.append(row)
     for mask in eq_masks:
-        matrix.append(_incidence_row(mask, m) + [Fraction(0)] * n_ineq)
+        matrix.append([mask >> j & 1 for j in range(m)] + [0] * n_ineq)
     try:
-        z, _, _ = reference_simplex_min(
-            matrix, list(ineq_b) + list(eq_b), [Fraction(0)] * (m + n_ineq)
+        z, _, _ = reference_integer_simplex_min(
+            matrix, list(ineq_b) + list(eq_b), [0] * (m + n_ineq)
         )
     except LpInfeasibleError:
         return None

@@ -1,12 +1,14 @@
-"""The fraction-free simplex against the Fraction-tableau reference.
+"""The packed fraction-free simplex against the tableaux it replaced.
 
-``simplex.simplex_min`` pivots integer cells over one common denominator;
-``helpers.reference_simplex_min`` is the Fraction tableau it replaced. Both
-take Bland's path through the same tableau values, so on every system they
-must return the same vertex, dual and objective, or raise the same
-exception.
+``simplex.simplex_min`` pivots integer rows packed into one int each, over
+one common denominator; ``helpers.reference_integer_simplex_min`` is the
+list-of-ints tableau it replaced, and ``helpers.reference_simplex_min`` the
+Fraction tableau before that. All three take Bland's path through the same
+tableau values, so on every system they must return the same vertex, dual
+and objective, or raise the same exception.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from omniscio import (
 from omniscio.simplex import LpInfeasibleError, LpUnboundedError, feasible_point
 from omniscio.subsets import complement, full_mask
 
-from helpers import reference_simplex_min
+from helpers import reference_integer_simplex_min, reference_simplex_min
 
 F = Fraction
 
@@ -39,13 +41,28 @@ def outcome(fn, matrix, rhs, costs):
         return type(exc)
 
 
-def assert_same_outcome(matrix, rhs, costs):
+def assert_same_outcome(matrix, rhs, costs, fraction_tableau=True):
     new = outcome(simplex.simplex_min, matrix, rhs, costs)
-    assert new == outcome(reference_simplex_min, matrix, rhs, costs)
+    assert new == outcome(reference_integer_simplex_min, matrix, rhs, costs)
+    if fraction_tableau:
+        assert new == outcome(reference_simplex_min, matrix, rhs, costs)
     if not isinstance(new, type):
         z, y, objective = new
         assert all(type(v) is Fraction for v in [*z, *y, objective])
     return new
+
+
+def record_calls(monkeypatch):
+    """A list of every simplex_min call made until ``monkeypatch.undo()``."""
+    calls = []
+    real = simplex.simplex_min
+
+    def recording(matrix, rhs, costs):
+        calls.append((matrix, rhs, costs))
+        return real(matrix, rhs, costs)
+
+    monkeypatch.setattr(simplex, "simplex_min", recording)
+    return calls
 
 
 def instances():
@@ -66,14 +83,7 @@ CASES = list(instances())
     "name,source,active", CASES, ids=[case[0] for case in CASES]
 )
 def test_every_library_call_matches_reference(name, source, active, monkeypatch):
-    calls = []
-    real = simplex.simplex_min
-
-    def recording(matrix, rhs, costs):
-        calls.append((matrix, rhs, costs))
-        return real(matrix, rhs, costs)
-
-    monkeypatch.setattr(simplex, "simplex_min", recording)
+    calls = record_calls(monkeypatch)
     oracle = make_oracle(source, validate=False)
     m = oracle.m
     witness_by_partition_search(oracle, active, report=r_co(oracle, active))
@@ -91,6 +101,32 @@ def test_every_library_call_matches_reference(name, source, active, monkeypatch)
     assert len(calls) >= 2
     for matrix, rhs, costs in calls:
         assert_same_outcome(matrix, rhs, costs)
+
+
+# The widest fields: m = 7 and 8 at A = M and |A| = 3. The Fraction tableau
+# is too slow here, so the list-of-ints tableau is the reference.
+WIDE = [
+    (f"m{m}-a{active:b}-s{seed}", random_linear_source(m, m, 2, seed), active)
+    for m in (7, 8)
+    for active in (full_mask(m), 0b111)
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize(
+    "name,source,active", WIDE, ids=[case[0] for case in WIDE]
+)
+def test_wide_library_calls_match_integer_reference(
+    name, source, active, monkeypatch
+):
+    calls = record_calls(monkeypatch)
+    oracle = make_oracle(source, validate=False)
+    witness_by_partition_search(oracle, active, report=r_co(oracle, active))
+    monkeypatch.undo()
+
+    assert len(calls) >= 2
+    for matrix, rhs, costs in calls:
+        assert_same_outcome(matrix, rhs, costs, fraction_tableau=False)
 
 
 cells = st.fractions(-3, 3, max_denominator=4)
@@ -134,6 +170,41 @@ def degenerate_systems(draw):
 @given(degenerate_systems())
 def test_degenerate_systems_match_reference(system):
     assert_same_outcome(*system)
+
+
+def sylvester(order):
+    """The Sylvester-Hadamard +-1 matrix of the given power-of-two order."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_sylvester_hadamard_systems_match_reference(order):
+    # A Sylvester-Hadamard matrix has determinant n^(n/2), the Hadamard
+    # bound of its columns, so a basis of its columns puts cells at the
+    # bound that sets the packed field width. Large and fractional
+    # right-hand sides and costs widen the rhs column and the z-row.
+    h = sylvester(order)
+    rng = random.Random(order)
+    outcomes = set()
+    for matrix in (h, [row + [-v for v in row] for row in h]):
+        cols = len(matrix[0])
+        for _ in range(6):
+            rhs = [F(rng.randrange(-10**12, 10**12), rng.randrange(1, 50))
+                   for _ in range(order)]
+            costs = [F(rng.randrange(-10**9, 10**9), rng.randrange(1, 50))
+                     for _ in range(cols)]
+            for c in (costs, [abs(v) for v in costs]):
+                result = assert_same_outcome(matrix, rhs, c)
+                outcomes.add(result if isinstance(result, type) else "optimal")
+    assert "optimal" in outcomes
+
+
+@pytest.mark.parametrize("rhs", [[0], [1], [0, 0]])
+def test_systems_without_columns_match_reference(rhs):
+    assert_same_outcome([[] for _ in rhs], rhs, [])
 
 
 def test_drive_out_pivots_on_a_negative_entry():
