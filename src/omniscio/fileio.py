@@ -100,6 +100,17 @@ def _require(doc: Dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
+def _canonical_masks(m: int) -> Dict[str, int]:
+    """Every subset's canonical spelling ("", "1", "2", "1,2", ...) mapped
+    to its mask, built by doubling: the masks holding bit j, the highest,
+    append ",j+1" to the spellings of those below 2^j."""
+    names = [""]
+    for j in range(m):
+        tail = str(j + 1)
+        names += [f"{name},{tail}" if name else tail for name in names]
+    return dict(zip(names, range(1 << m)))
+
+
 def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     """Build the source object and active-set mask from a parsed document.
 
@@ -134,18 +145,30 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     if kind == "entropy_vector":
         values_map = _require(spec, "values")
         values: List[Fraction] = [Fraction(0)] * (1 << m)
-        seen = {0}
+        seen = bytearray(1 << m)
+        masks = _canonical_masks(m)
+        # The tables repeat a handful of values; only strings are memoised,
+        # so any other value meets parse_fraction (and its error) each time.
+        parsed: Dict[str, Fraction] = {}
         try:
             for key, text in values_map.items():
-                mask = parse_mask_spec(key, m)
-                values[mask] = parse_fraction(text)
-                seen.add(mask)
+                mask = masks.get(key)
+                if mask is None:
+                    mask = parse_mask_spec(key, m)
+                if isinstance(text, str):
+                    value = parsed.get(text)
+                    if value is None:
+                        value = parsed[text] = parse_fraction(text)
+                else:
+                    value = parse_fraction(text)
+                values[mask] = value
+                seen[mask] = 1
         except ValueError as exc:
             raise InvalidInputError(str(exc)) from exc
-        missing = [s for s in range(1, 1 << m) if s not in seen]
-        if missing:
+        missing = seen.find(0, 1)
+        if missing > 0:
             raise InvalidInputError(
-                f"entropy vector missing subset {{{format_mask(missing[0])}}}"
+                f"entropy vector missing subset {{{format_mask(missing)}}}"
             )
         return EntropyVector(m, tuple(values)), active
 

@@ -21,11 +21,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidInputError, ValidationError
 from .gf2 import gf2_rank
+from .simplex import _pack
 from .subsets import (
     check_mask,
     check_terminal_count,
@@ -296,33 +296,6 @@ def scaled_joint_table(
     return oracle._scaled_table
 
 
-def _elemental_squares_hold(h: Sequence[int], m: int) -> bool:
-    """Whether h(S+i) + h(S+j) <= h(S+i+j) + h(S) for all i < j outside S.
-
-    That is, whether each gain g_i(S) = h(S+i) - h(S) is nondecreasing in
-    every coordinate j > i. Listed over all S, g_i(S+j) sits 2^j places
-    after g_i(S), so each coordinate is checked by comparing list slices
-    (g_i is 0 on both sides when S holds i).
-    """
-    n = 1 << m
-    for i in range(m):
-        bit = 1 << i
-        gain = [h[s | bit] - h[s] for s in range(n)]
-        for j in range(i + 1, m):
-            w = 1 << j
-            step = 2 * w
-            # The S without j: w strided slices or n/2w runs, the fewer.
-            if w * w <= n // 2:
-                spans = [(slice(r, n, step), slice(r + w, n, step))
-                         for r in range(w)]
-            else:
-                spans = [(slice(b, b + w), slice(b + w, b + step))
-                         for b in range(0, n, step)]
-            if not all(all(map(le, gain[lo], gain[hi])) for lo, hi in spans):
-                return False
-    return True
-
-
 def check_validity(oracle: EntropyOracle) -> ValidityReport:
     """Scan for h-supermodularity and h-monotonicity violations.
 
@@ -330,48 +303,169 @@ def check_validity(oracle: EntropyOracle) -> ValidityReport:
     single-step monotonicity violation h(B) > h(B+{j}), and whether
     H(X_emptyset) = 0. Inexact oracles are judged at their tolerance.
 
-    The scan runs on the oracle's integer table. An exact h is supermodular
-    exactly when its C(m,2)*2^(m-2) elemental squares are (Yeung,
-    *Information Theory and Network Coding*, 2008, ch. 14), so the O(4^m)
-    pair listing runs only when a square fails or the oracle is inexact:
-    squares that hold within a tolerance need not compose to pairs that do.
+    The scan runs on the oracle's integer table, packed into one int of
+    w-bit fields (Lamport, "Multiple byte processing with full-word
+    instructions", 1975): field S holds u(S) = h(S) - min h, in [0, R] with
+    R = max H - min H. Each check is a few whole-int shifts and sums whose
+    field S holds one inequality's slack plus a bias; one AND against the
+    fields' sign bits reads every verdict at once. An exact h is
+    supermodular exactly when its C(m,2)*2^(m-2) elemental squares are
+    (Yeung, *Information Theory and Network Coding*, 2008, ch. 14), so the
+    O(4^m) pair listing runs only when a square fails or the oracle is
+    inexact: squares that hold within a tolerance need not compose to pairs
+    that do.
+
+    Width. Let t = tol. Every checked quantity is v + c in one field, v a
+    signed sum of at most four table values, so |v| <= 2R, and c a bias in
+    [2^(w-1) - 1 - t, 2^(w-1) + t]: the monotonicity fields
+    u(S+j) - u(S) + t + 2^(w-1), the square fields
+    u(S+i+j) + u(S) - u(S+i) - u(S+j) + 2^(w-1) (t = 0 on an exact oracle)
+    and the pair fields u(B1) + u(B2) - u(B1|B2) - u(B1&B2) - t + 2^(w-1) - 1.
+    With w = bitlen(2R + t) + 1, 2R + t < 2^(w-1), so every v + c lies in
+    [0, 2^w) and its sign bit (bit w-1) tells whether the inequality holds.
+    Fields whose verdict is not read hold the same kind of sum, with
+    shifted-in zeros, which lie in [0, R] too. The sums are linear in the
+    fields, so once every field of the result is in range no field has
+    carried into or borrowed from its neighbour, whatever the order of the
+    operations, and every sign bit is exact.
     """
     m = oracle.m
     n = 1 << m
     scale, joint, tol = scaled_joint_table(oracle)
-    total = joint[-1]
-    h = [total - v for v in reversed(joint)]  # h(S) = H(M) - H(M - S)
     normalized = abs(joint[0]) <= tol
+    top = max(joint)
+    w = (2 * (top - min(joint)) + tol).bit_length() + 1
+    half = 1 << (w - 1)
+    # u(S) = h(S) - min h = max H - H(X_{M-S}).
+    table = _pack([top - v for v in reversed(joint)], w)
+    ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)
+    signs = half * ones
+    # clear[j]: all w bits of every field whose index lacks bit j, built by
+    # doubling a run of 2^j fields.
+    clear = []
+    for j in range(m):
+        run = (1 << (w << j)) - 1
+        period = 2 << j
+        while period < n:
+            run |= run << (period * w)
+            period <<= 1
+        clear.append(run)
+    clear_signs = [c & signs for c in clear]
+    # shifted[j] has u(S + 2^j) in field S: the table's up-neighbours in j.
+    shifted = [table >> (w << j) for j in range(m)]
 
-    bits = [1 << j for j in range(m)]
-    mono = [
-        (b, b | bit)
-        for b in range(n)
-        for bit in bits
-        if not b & bit and h[b] - h[b | bit] > tol
-    ]
+    # Field S of shifted[j] + base is u(S+j) - u(S) + t + 2^(w-1): its sign
+    # bit is clear exactly when h(S) - h(S+j) > t.
+    base = (half + tol) * ones - table
+    mono = sorted(
+        (b, b | 1 << j)
+        for j in range(m)
+        for b in _field_indices(clear_signs[j] & ~(shifted[j] + base), w)
+    )
 
     pairs: List[Tuple[int, int]] = []
-    if not oracle.exact or not _elemental_squares_hold(h, m):
-        # b2 = b1 gives lhs = rhs, which never violates: tol >= 0.
-        pairs = [
-            (b1, b2)
-            for b1 in range(n)
-            for h1 in (h[b1] - tol,)
-            for b2 in range(b1 + 1, n)
-            if h1 + h[b2] > h[b1 | b2] + h[b1 & b2]
-        ]
+    if not oracle.exact or not _packed_squares_hold(
+        table + signs, shifted, clear_signs, w
+    ):
+        pairs = _violating_pairs(
+            table, ones, clear, (half - 1 - tol) * ones + table, w, m
+        )
+    total = joint[-1]
+    full = n - 1
     supra = tuple(
         (
             b1,
             b2,
-            Fraction(h[b1] + h[b2], scale),
-            Fraction(h[b1 | b2] + h[b1 & b2], scale),
+            Fraction(2 * total - joint[full ^ b1] - joint[full ^ b2], scale),
+            Fraction(
+                2 * total - joint[full ^ (b1 | b2)] - joint[full ^ (b1 & b2)],
+                scale,
+            ),
         )
         for b1, b2 in pairs
     )
 
     return ValidityReport(m, normalized, tuple(mono), supra)
+
+
+def _field_indices(bits: int, w: int) -> List[int]:
+    """The indices of the fields of w bits whose sign bit is set in bits,
+    ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() // w - 1)
+        bits ^= low
+    return out
+
+
+def _packed_squares_hold(
+    biased: int, shifted: Sequence[int], clear_signs: Sequence[int], w: int
+) -> bool:
+    """Whether u(S+i) + u(S+j) <= u(S+i+j) + u(S) for all i < j outside S.
+
+    ``biased`` is the packed table plus 2^(w-1) in every field and
+    ``shifted[i]`` the table shifted down by 2^i fields, so field S of the
+    four-term sum below is the square's slack plus 2^(w-1); the square
+    holds where its sign bit is set.
+    """
+    for i, up_i in enumerate(shifted):
+        for j in range(i + 1, len(shifted)):
+            want = clear_signs[i] & clear_signs[j]
+            square = (up_i >> (w << j)) + biased - up_i - shifted[j]
+            if square & want != want:
+                return False
+    return True
+
+
+def _violating_pairs(
+    table: int,
+    ones: int,
+    clear: Sequence[int],
+    floor: int,
+    w: int,
+    m: int,
+) -> List[Tuple[int, int]]:
+    """Every pair B1 < B2 with u(B1) + u(B2) - u(B1|B2) - u(B1&B2) > t, in
+    order of B1, then B2.
+
+    ``floor`` is the table plus 2^(w-1) - 1 - t in every field. A depth-first
+    walk fixes the bits of B1 from the highest down, 0 before 1, so its
+    leaves come in ascending B1. At a node with prefix p (the bits fixed so
+    far, the rest 0) it keeps, for every B2 >= p from field B2 - p on,
+    ``join`` = u(p | B2) and ``meet`` = u((p + 2^(k+1) - 1) & B2), k the
+    highest open bit: each child updates one of them by projecting bit k,
+    and the child that sets bit k drops the 2^k fields below its prefix.
+    At leaf B1 the fields start at B2 = B1, whose slack 0 is never listed,
+    so only B2 > B1 is read.
+    """
+    out: List[Tuple[int, int]] = []
+    low = (1 << w) - 1
+    signs = ones << (w - 1)
+    fields = ones * low
+    setbits = [fields ^ c for c in clear]
+
+    def leaf(b1: int, join: int, meet: int) -> None:
+        # Field 0 of join is u(B1 | B1) = u(B1), spread over every field.
+        shift = b1 * w
+        slack = (floor >> shift) + (join & low) * (ones >> shift) - join - meet
+        bad = slack & signs
+        if bad:
+            out.extend((b1, b1 + t) for t in _field_indices(bad, w))
+
+    def walk(k: int, b1: int, join: int, meet: int) -> None:
+        s = w << k
+        below = meet & clear[k]
+        above = join & setbits[k]
+        if k:
+            walk(k - 1, b1, join, below | below << s)
+            walk(k - 1, b1 | 1 << k, (above | above >> s) >> s, meet >> s)
+        else:
+            leaf(b1, join, below | below << s)
+            leaf(b1 | 1, (above | above >> s) >> s, meet >> s)
+
+    walk(m - 1, 0, table, table)
+    return out
 
 
 def _check_partition_blocks(blocks: Sequence[int], m: int) -> None:

@@ -12,7 +12,9 @@ takes the same pivots as the Fraction tableau. The reference
 scans keep the earlier Fraction-arithmetic validity scan and I(A) loop,
 so the integer table paths can be cross-checked against them; the
 reference witness search at the end keeps the earlier scan of every
-admissible partition with a Fraction arithmetic filter.
+admissible partition with a Fraction arithmetic filter. The integer
+validity scan that preceded the packed one, and the entropy-vector reader's
+earlier per-entry loop, are kept as references too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import le
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from omniscio.errors import InternalContractError, InvalidInputError
@@ -41,8 +44,21 @@ from omniscio.dependence import (
     partition_dependence,
 )
 from omniscio.omniscience import CapacityReport, RateVector, r_co
-from omniscio.sources import EntropyOracle, LinearGF2Source, ValidityReport
-from omniscio.subsets import check_mask, complement, iter_bits
+from omniscio.fileio import parse_fraction
+from omniscio.sources import (
+    EntropyOracle,
+    EntropyVector,
+    LinearGF2Source,
+    ValidityReport,
+    scaled_joint_table,
+)
+from omniscio.subsets import (
+    check_mask,
+    complement,
+    format_mask,
+    iter_bits,
+    parse_mask_spec,
+)
 from omniscio.tightness import TightnessVerdict
 
 
@@ -578,6 +594,89 @@ def reference_check_validity(oracle: EntropyOracle) -> ValidityReport:
     return ValidityReport(m, normalized, tuple(mono), tuple(supra))
 
 
+# Reference integer scan: the list-of-ints validity scan that preceded the
+# packed one, with its slice-wise elemental squares and its pair listing
+# over every b1 < b2.
+
+
+def _elemental_squares_hold(h: Sequence[int], m: int) -> bool:
+    """Whether h(S+i) + h(S+j) <= h(S+i+j) + h(S) for all i < j outside S.
+
+    That is, whether each gain g_i(S) = h(S+i) - h(S) is nondecreasing in
+    every coordinate j > i. Listed over all S, g_i(S+j) sits 2^j places
+    after g_i(S), so each coordinate is checked by comparing list slices
+    (g_i is 0 on both sides when S holds i).
+    """
+    n = 1 << m
+    for i in range(m):
+        bit = 1 << i
+        gain = [h[s | bit] - h[s] for s in range(n)]
+        for j in range(i + 1, m):
+            w = 1 << j
+            step = 2 * w
+            # The S without j: w strided slices or n/2w runs, the fewer.
+            if w * w <= n // 2:
+                spans = [(slice(r, n, step), slice(r + w, n, step))
+                         for r in range(w)]
+            else:
+                spans = [(slice(b, b + w), slice(b + w, b + step))
+                         for b in range(0, n, step)]
+            if not all(all(map(le, gain[lo], gain[hi])) for lo, hi in spans):
+                return False
+    return True
+
+
+def reference_integer_check_validity(oracle: EntropyOracle) -> ValidityReport:
+    """Scan for h-supermodularity and h-monotonicity violations.
+
+    Lists every violated pair h(B1)+h(B2) <= h(B1|B2)+h(B1&B2), every
+    single-step monotonicity violation h(B) > h(B+{j}), and whether
+    H(X_emptyset) = 0. Inexact oracles are judged at their tolerance.
+
+    The scan runs on the oracle's integer table. An exact h is supermodular
+    exactly when its C(m,2)*2^(m-2) elemental squares are (Yeung,
+    *Information Theory and Network Coding*, 2008, ch. 14), so the O(4^m)
+    pair listing runs only when a square fails or the oracle is inexact:
+    squares that hold within a tolerance need not compose to pairs that do.
+    """
+    m = oracle.m
+    n = 1 << m
+    scale, joint, tol = scaled_joint_table(oracle)
+    total = joint[-1]
+    h = [total - v for v in reversed(joint)]  # h(S) = H(M) - H(M - S)
+    normalized = abs(joint[0]) <= tol
+
+    bits = [1 << j for j in range(m)]
+    mono = [
+        (b, b | bit)
+        for b in range(n)
+        for bit in bits
+        if not b & bit and h[b] - h[b | bit] > tol
+    ]
+
+    pairs: List[Tuple[int, int]] = []
+    if not oracle.exact or not _elemental_squares_hold(h, m):
+        # b2 = b1 gives lhs = rhs, which never violates: tol >= 0.
+        pairs = [
+            (b1, b2)
+            for b1 in range(n)
+            for h1 in (h[b1] - tol,)
+            for b2 in range(b1 + 1, n)
+            if h1 + h[b2] > h[b1 | b2] + h[b1 & b2]
+        ]
+    supra = tuple(
+        (
+            b1,
+            b2,
+            Fraction(h[b1] + h[b2], scale),
+            Fraction(h[b1 | b2] + h[b1 & b2], scale),
+        )
+        for b1, b2 in pairs
+    )
+
+    return ValidityReport(m, normalized, tuple(mono), supra)
+
+
 def reference_mutual_dependence_bound(
     oracle: EntropyOracle, active: int
 ) -> Tuple[Fraction, List[Partition]]:
@@ -593,6 +692,30 @@ def reference_mutual_dependence_bound(
             argmin.append(partition)
     assert best is not None, "no admissible partition found"
     return best, argmin
+
+
+# Reference entropy-vector reader: the loop the file reader ran before it
+# looked canonical keys up in an index and memoised the values, one
+# parse_mask_spec and one parse_fraction per entry.
+
+
+def reference_entropy_vector(values_map, m: int) -> EntropyVector:
+    """The ``values`` map of an ``entropy_vector`` document as a vector."""
+    values: List[Fraction] = [Fraction(0)] * (1 << m)
+    seen = {0}
+    try:
+        for key, text in values_map.items():
+            mask = parse_mask_spec(key, m)
+            values[mask] = parse_fraction(text)
+            seen.add(mask)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from exc
+    missing = [s for s in range(1, 1 << m) if s not in seen]
+    if missing:
+        raise InvalidInputError(
+            f"entropy vector missing subset {{{format_mask(missing[0])}}}"
+        )
+    return EntropyVector(m, tuple(values))
 
 
 # Reference witness search: the scan of every admissible partition with a

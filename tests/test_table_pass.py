@@ -3,7 +3,7 @@
 ``enumerate_partitions`` walks restricted-growth strings in one generator
 frame and must yield exactly what the recursive reference enumerator in
 ``helpers`` yields, in the same order; the elemental squares that let an
-exact table skip the pair listing are checked slice by slice and must
+exact table skip the pair listing are checked on the packed table and must
 decide supermodularity as every pair does. ``parse_fraction`` reads plain
 ASCII ``p`` and ``p/q`` with ``int`` and must agree with ``Fraction`` on
 everything else. The oracle builds its integer table once; caching it must
@@ -29,11 +29,8 @@ from omniscio import (
 from omniscio.errors import InvalidInputError
 from omniscio.fileio import parse_fraction
 from omniscio.simplex import make_system
-from omniscio.sources import (
-    EntropyOracle,
-    _elemental_squares_hold,
-    scaled_joint_table,
-)
+from omniscio import sources
+from omniscio.sources import EntropyOracle, check_validity, scaled_joint_table
 from omniscio.subsets import full_mask
 
 from helpers import (
@@ -156,9 +153,19 @@ class TestOracleTable:
 
 
 class TestElementalSquares:
-    def test_squares_decide_supermodularity(self):
-        """The slice-wise square check against every pair, on linear tables
-        with a few entries moved by one (both outcomes occur)."""
+    def test_squares_decide_supermodularity(self, monkeypatch):
+        """The packed square check against every pair, on linear tables
+        with a few entries moved by one (both outcomes occur): an exact
+        oracle lists pairs only when a square fails, and then lists every
+        violating pair."""
+        listings = []
+        real = sources._violating_pairs
+
+        def recording(*args):
+            listings.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sources, "_violating_pairs", recording)
         rng = random.Random(0)
         outcomes = set()
         for seed in range(300):
@@ -173,7 +180,21 @@ class TestElementalSquares:
                 for a in range(n)
                 for b in range(n)
             )
-            assert _elemental_squares_hold(h, m) == supermodular, (m, h)
+            # Adding a constant to h moves both sides of every pair alike,
+            # so h - h(empty set), the h of the joint table below, has the
+            # same verdict and the same violating pairs.
+            base = [v - h[0] for v in h]
+            table = tuple(base[-1] - base[(n - 1) ^ s] for s in range(n))
+            oracle = EntropyOracle(m, "vector", True, table)
+            listings.clear()
+            report = check_validity(oracle)
+            assert bool(listings) != supermodular, (m, h)
+            assert [pair[:2] for pair in report.supermodularity_violations] == [
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if h[a] + h[b] > h[a | b] + h[a & b]
+            ], (m, h)
             outcomes.add(supermodular)
         assert outcomes == {True, False}
 
