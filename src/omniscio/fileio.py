@@ -54,8 +54,9 @@ def parse_fraction(text: str) -> Fraction:
 
     Anything else (signs, spaces, decimals, exponents, underscores,
     non-ASCII digits, a zero denominator, JSON numbers) goes to
-    ``Fraction(text)`` itself, so the accepted inputs and the errors are
-    those of ``Fraction``.
+    ``Fraction(text)`` itself, so the accepted inputs are those of
+    ``Fraction``; whatever it rejects, a JSON null, list or object among
+    them, raises ``InvalidInputError``.
     """
     if isinstance(text, str):
         num, slash, den = text.partition("/")
@@ -66,7 +67,7 @@ def parse_fraction(text: str) -> Fraction:
                 return Fraction(int(num), int(den))
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad rational {text!r}") from exc
     return value
 
@@ -94,10 +95,18 @@ def render_bit_string(mask: int, n: int) -> str:
     return "".join("1" if mask >> i & 1 else "0" for i in range(n))
 
 
-def _require(doc: Dict[str, Any], key: str) -> Any:
+_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _require(doc: Dict[str, Any], key: str, kind: type = object) -> Any:
+    """``doc[key]``, which must be present and, if ``kind`` is given, of
+    that JSON type."""
     if key not in doc:
         raise InvalidInputError(f"missing required field {key!r}")
-    return doc[key]
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"field {key!r} must be {_JSON_TYPES[kind]}")
+    return value
 
 
 def _canonical_masks(m: int) -> Dict[str, int]:
@@ -119,21 +128,19 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     of range in ``active`` or in a subset key, or of a malformed key is
     raised as an ``InvalidInputError`` with the same message.
     """
-    m = _require(doc, "m")
-    if not isinstance(m, int):
-        raise InvalidInputError("field 'm' must be an integer")
-    active_list = _require(doc, "active")
+    m = _require(doc, "m", int)
+    active_list = _require(doc, "active", list)
     try:
         check_terminal_count(m)
         active = mask_from_terminals(active_list, m)
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
-    spec = _require(doc, "source")
+    spec = _require(doc, "source", dict)
     kind = _require(spec, "type")
 
     if kind == "linear_gf2":
-        n = _require(spec, "base_bits")
-        terminals = _require(spec, "terminals")
+        n = _require(spec, "base_bits", int)
+        terminals = _require(spec, "terminals", list)
         if len(terminals) != m:
             raise InvalidInputError(f"expected {m} terminal row lists")
         rows = tuple(
@@ -143,7 +150,7 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
         return LinearGF2Source(m, n, rows), active
 
     if kind == "entropy_vector":
-        values_map = _require(spec, "values")
+        values_map = _require(spec, "values", dict)
         values: List[Fraction] = [Fraction(0)] * (1 << m)
         seen = bytearray(1 << m)
         masks = _canonical_masks(m)
@@ -173,10 +180,10 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
         return EntropyVector(m, tuple(values)), active
 
     if kind == "tabular":
-        alphabets = tuple(_require(spec, "alphabets"))
+        alphabets = tuple(_require(spec, "alphabets", list))
         entries = []
-        for entry in _require(spec, "pmf"):
-            symbols = tuple(_require(entry, "symbols"))
+        for entry in _require(spec, "pmf", list):
+            symbols = tuple(_require(entry, "symbols", list))
             prob = parse_fraction(_require(entry, "prob"))
             entries.append((symbols, prob))
         return TabularSource(m, alphabets, tuple(entries)), active

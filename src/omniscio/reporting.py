@@ -17,6 +17,11 @@ from .errors import ComputationError
 from .fileio import format_fraction, format_fraction_text
 from .omniscience import CapacityReport, build_family, r_co
 from .sources import (
+    PUBLISHED_BOUND,
+    PUBLISHED_C_SK,
+    PUBLISHED_R_CO,
+    PUBLISHED_RATES,
+    PUBLISHED_TIGHT_MASKS,
     EntropyOracle,
     check_validity,
     counterexample_entropy_vector,
@@ -25,16 +30,6 @@ from .sources import (
 )
 from .subsets import mask_from_terminals, terminals_of
 from .tightness import TightnessVerdict, check_bound, witness_by_partition_search
-
-PUBLISHED_TIGHT_MASKS = (
-    frozenset({1, 3, 4}),
-    frozenset({2, 3, 5}),
-    frozenset({1, 2, 6}),
-    frozenset({1, 2, 4, 5, 6}),
-    frozenset({1, 3, 4, 5, 6}),
-    frozenset({2, 3, 4, 5, 6}),
-)
-
 
 def _frac(value: Fraction) -> str:
     return format_fraction(value)
@@ -192,15 +187,17 @@ def counterexample_report(mode: str) -> Dict[str, Any]:
 
 
 def _assert_published_values(report: CapacityReport, bound: Fraction) -> None:
-    expected_x = (
-        Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
-        Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
-    )
     checks = [
-        (report.r_co == Fraction(9, 4), f"R_CO = {report.r_co}, expected 9/4"),
-        (report.c_sk == Fraction(7, 4), f"C_SK = {report.c_sk}, expected 7/4"),
-        (bound == Fraction(2), f"I(A) = {bound}, expected 2"),
-        (report.rates == expected_x, f"optimal rates {report.rates}"),
+        (
+            report.r_co == PUBLISHED_R_CO,
+            f"R_CO = {report.r_co}, expected {PUBLISHED_R_CO}",
+        ),
+        (
+            report.c_sk == PUBLISHED_C_SK,
+            f"C_SK = {report.c_sk}, expected {PUBLISHED_C_SK}",
+        ),
+        (bound == PUBLISHED_BOUND, f"I(A) = {bound}, expected {PUBLISHED_BOUND}"),
+        (report.rates == PUBLISHED_RATES, f"optimal rates {report.rates}"),
         (report.uniqueness.unique, "optimum expected to be unique"),
         (
             {frozenset(terminals_of(m)) for m in report.tight_masks}

@@ -16,10 +16,12 @@ dual form, which has one equality row per terminal:
   through its dual, which is unbounded exactly when the system has no
   nonnegative point.
 
-The entry points hand ``simplex_min`` int matrices, right-hand sides and
-costs over one common denominator, and check each outcome exactly against
-every row in ints before it is returned, through one table of the point's
-sums over every subset mask. Fractions are built only for returned values.
+``simplex_min`` takes ints only: the entry points hand it int matrices,
+with right-hand sides and costs put over common denominators. It returns
+ints too, the vertex, the dual and the objective as numerators over one
+denominator, and each entry point checks those exactly against every row
+in ints, through one table of the point's sums over every subset mask.
+Fractions are built only for returned values.
 
 ``simplex_min`` pivots a fraction-free tableau: integer cells over one
 common denominator, the determinant of the basis, updated by the exact
@@ -29,11 +31,10 @@ integer-preserving Gaussian elimination", 1968). Each row's cells are
 packed into one int of fixed-width signed fields (Lamport, "Multiple byte
 processing with full-word instructions", 1975), so a row update is a few
 whole-int operations; the width comes from a Hadamard bound on the cells.
-Fractions are built only for the returned vertex, dual and objective. The
-pivot rule is Bland's (least index) throughout, for guaranteed termination
-and run-to-run determinism; the integer tableau holds the same values as a
-Fraction one would, so it takes the same pivots to the same vertex and
-dual.
+The pivot rule is Bland's (least index) throughout, for guaranteed
+termination and run-to-run determinism; the integer tableau holds the same
+values as a Fraction one would, so it takes the same pivots to the same
+vertex and dual.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
-from .subsets import full_mask, iter_bits
+from .subsets import full_mask
 
 ZERO = Fraction(0)
 
@@ -108,9 +108,6 @@ class ConstraintSystem:
     def l(self) -> int:  # noqa: E743 - row count
         return len(self.row_masks)
 
-    def row_sum(self, x: Sequence[Fraction], i: int) -> Fraction:
-        return sum((x[j] for j in iter_bits(self.row_masks[i])), ZERO)
-
 
 def make_system(
     m: int,
@@ -139,20 +136,11 @@ def _fractions(values: Sequence[Rational]) -> Tuple[Fraction, ...]:
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
-_INT = frozenset({int})
-
-
-def _all_ints(values: Iterable[Rational]) -> bool:
-    return set(map(type, values)) <= _INT
-
-
 def _over_common_denominator(
     values: Sequence[Rational],
 ) -> Tuple[Tuple[int, ...], int]:
     """``(nums, den)`` with den > 0 the lcm of the denominators and
-    values[i] == nums[i] / den; ints come back as they are, over 1."""
-    if _all_ints(values):
-        return tuple(values), 1
+    values[i] == nums[i] / den."""
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
@@ -185,15 +173,16 @@ class UniquenessCertificate:
 
 
 def simplex_min(
-    matrix: Sequence[Sequence[Rational]],
-    rhs: Sequence[Rational],
-    costs: Sequence[Rational],
-) -> Tuple[List[Fraction], List[Fraction], Fraction]:
+    matrix: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    costs: Sequence[int],
+) -> Tuple[List[int], List[int], int, int]:
     """min costs.z  s.t.  matrix z = rhs, z >= 0  (two-phase, Bland's rule).
 
-    Cells may be ints or Fractions. Returns (z, y, objective) as Fractions,
-    where y is the equality-form dual vector. Raises LpInfeasibleError /
-    LpUnboundedError.
+    Cells, right-hand sides and costs are ints. Returns (z, y, objective,
+    den): the vertex z, the equality-form dual vector y and the objective,
+    all int numerators over the one denominator den > 0, |det| of the final
+    basis. Raises LpInfeasibleError / LpUnboundedError.
 
     Each tableau row keeps its structural and artificial cells packed in
     one int of w-bit fields, sum_k v_k 2^(k w); its rhs cell, and the
@@ -202,7 +191,7 @@ def simplex_min(
     the unpacked tableau; only the field reads below need every stored
     |v_k| < 2^(w-1).
 
-    Width. Let M = [A | I] be the scaled, sign-normalised matrix with its
+    Width. Let M = [A | I] be the sign-normalised matrix with its
     artificial columns, n = n_rows, B the current basis and T the packed
     part of the tableau. The update keeps T = |det B| B^-1 M and the
     z-row |det B| (c - c_B B^-1 M), c the phase's costs (Edmonds 1967).
@@ -217,32 +206,13 @@ def simplex_min(
     n_rows = len(matrix)
     n_cols = len(costs)
     art0 = n_cols
-
-    # Row i is scale * (matrix[i] | rhs[i]), negated where rhs[i] < 0, with
-    # a unit artificial column: each artificial is scale times the one of the
-    # unscaled system, which multiplies the phase-1 objective by scale > 0
-    # and changes no sign and no ratio. An all-int system has scale 1.
-    if _all_ints(chain(chain.from_iterable(matrix), rhs)):
-        scale = 1
-        rows = matrix
-        right = list(rhs)
-    else:
-        scale = math.lcm(
-            *(v.denominator for row in matrix for v in row),
-            *(v.denominator for v in rhs),
-        )
-        rows = [
-            [v.numerator * (scale // v.denominator) for v in row]
-            for row in matrix
-        ]
-        right = [v.numerator * (scale // v.denominator) for v in rhs]
-    int_costs, cost_scale = _over_common_denominator(costs)
+    right = list(rhs)
 
     # Squared column norms; a zero column ranks below the unit artificials.
-    norms = [sum(map(mul, col, col)) for col in zip(*rows)]
+    norms = [sum(map(mul, col, col)) for col in zip(*matrix)]
     norms.sort(reverse=True)
     hadamard = math.isqrt(math.prod(v for v in norms[:n_rows] if v))
-    top_cost = max(1, max(map(abs, int_costs), default=1))
+    top_cost = max(1, max(map(abs, costs), default=1))
     w = ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
     low, half = (1 << w) - 1, 1 << (w - 1)
     # half in the field of every structural column: the sign bits of a
@@ -259,12 +229,14 @@ def simplex_min(
         s = j * w - 1
         return [((((r >> s) + 1) >> 1 & low) ^ half) - half for r in packed]
 
-    # The z-row rides along as row n_rows. Phase 1 minimizes the artificial
-    # sum, whose reduced costs start at minus the sum of the structural rows.
+    # Row i is matrix[i] | rhs[i], negated where rhs[i] < 0, with a unit
+    # artificial column. The z-row rides along as row n_rows. Phase 1
+    # minimizes the artificial sum, whose reduced costs start at minus the
+    # sum of the structural rows.
     packed: List[int] = []
     signs: List[int] = []
     zrow = 0
-    for i, (row, r) in enumerate(zip(rows, right)):
+    for i, (row, r) in enumerate(zip(matrix, right)):
         sign = -1 if r < 0 else 1
         value = sign * _pack(row, w)
         zrow -= value
@@ -346,28 +318,28 @@ def simplex_min(
                 pivot(i, pj, column(pj))
 
     # Phase 2: the real objective (artificials cost 0 and never re-enter),
-    # as denom * cost_scale * (c - c_B B^-1 A) in ints.
-    zrow = denom * _pack(int_costs, w)
+    # as denom * (c - c_B B^-1 A) in ints.
+    zrow = denom * _pack(costs, w)
     z_rhs = 0
     for i in range(n_rows):
-        cb = int_costs[basis[i]] if basis[i] < n_cols else 0
+        cb = costs[basis[i]] if basis[i] < n_cols else 0
         if cb:
             zrow -= cb * packed[i]
             z_rhs -= cb * right[i]
     packed[n_rows], right[n_rows] = zrow, z_rhs
     run()
 
-    z = [ZERO] * n_cols
+    z = [0] * n_cols
     for i in range(n_rows):
         val = right[i]
         if basis[i] < n_cols:
-            z[basis[i]] = Fraction(val, denom)
+            z[basis[i]] = val
         elif val != 0:
             raise InternalContractError("artificial variable basic at nonzero level")
-    # The z-row's artificial fields are -denom * cost_scale * c_B B^-1, the
-    # multipliers of the tableau's rows, and its rhs is minus the objective.
-    # Row i is scale * signs[i] times the caller's row i, so the caller's
-    # multiplier is scale * signs[i] times that of row i.
+    # The z-row's artificial fields are -denom * c_B B^-1, the multipliers
+    # of the tableau's rows, and its rhs is minus the objective. Row i is
+    # signs[i] times the caller's row i, so the caller's multiplier is
+    # signs[i] times that of row i.
     fields = packed[n_rows]
     if art0:
         fields = ((fields >> (art0 * w - 1)) + 1) >> 1
@@ -375,8 +347,8 @@ def simplex_min(
     for sign in signs:
         v = ((fields & low) ^ half) - half
         fields = (fields - v) >> w
-        y.append(Fraction(-scale * sign * v, denom * cost_scale))
-    return z, y, Fraction(-right[n_rows], denom * cost_scale)
+        y.append(-sign * v)
+    return z, y, -right[n_rows], denom
 
 
 def _pack(values: Sequence[int], w: int) -> int:
@@ -432,10 +404,10 @@ def solve(system: ConstraintSystem) -> LpSolution:
     """Solve min c.x s.t. A x >= b (x free) exactly; verify all contracts.
 
     The dual goes to ``simplex_min`` with b and c as the system's ints, so
-    its vertex is c_den * y, its multipliers are -b_den * x and its
-    objective is -b_den * c_den * R. The certificate runs in ints on those:
-    primal feasibility on every row, y >= 0, y.A = c, complementary
-    slackness, strong duality and c.x = R.
+    over its denominator d its vertex is c_den * y, its multipliers are
+    -b_den * x and its objective is -b_den * c_den * R. The certificate runs
+    in ints on those numerators: primal feasibility on every row, y >= 0,
+    y.A = c, complementary slackness, strong duality and c.x = R.
     """
     m, masks = system.m, system.row_masks
     b, c = system.b_num, system.c_num
@@ -451,22 +423,21 @@ def solve(system: ConstraintSystem) -> LpSolution:
     # The dual is infeasible exactly when the rate LP is unbounded, and
     # unbounded exactly when the rate LP is infeasible.
     try:
-        z, pi, objective = simplex_min(matrix, c, [-v for v in b])
+        z, pi, objective, d = simplex_min(matrix, c, [-v for v in b])
     except LpInfeasibleError as exc:
         raise InternalContractError("rate LP reported unbounded") from exc
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
 
-    # b_den * x = x_num / x_den, c_den * y_i = z_i, b_den * c_den * R = r.
-    p_num, x_den = _over_common_denominator(pi)
-    x_num = [-v for v in p_num]
+    # b_den * x = x_num / d, c_den * y_i = z_i / d, b_den * c_den * R = r / d.
+    x_num = [-v for v in pi]
     r = -objective
-    slacks = _slacks(x_num, x_den, masks, b, 1)
+    slacks = _slacks(x_num, d, masks, b, 1)
     support = [i for i, v in enumerate(z) if v]
-    z_num, z_den = _over_common_denominator([z[i] for i in support])
-    if _dot(c, x_num) * r.denominator != r.numerator * x_den:
+    z_num = [z[i] for i in support]
+    if _dot(c, x_num) != r:
         raise InternalContractError("objective mismatch with primal x")
-    if _dot([b[i] for i in support], z_num) * r.denominator != r.numerator * z_den:
+    if _dot([b[i] for i in support], z_num) != r:
         raise InternalContractError("strong duality violated")
     if any(v < 0 for v in z_num):
         raise InternalContractError("negative dual weight")
@@ -477,16 +448,14 @@ def solve(system: ConstraintSystem) -> LpSolution:
     support_masks = [masks[i] for i in support]
     for j in range(m):
         column = sum(w for mask, w in zip(support_masks, z_num) if mask >> j & 1)
-        if column != c[j] * z_den:
+        if column != c[j] * d:
             raise InternalContractError("dual feasibility y.A = c violated")
 
-    x = tuple(Fraction(v, x_den * system.b_den) for v in x_num)
-    y = tuple(z) if system.c_den == 1 else tuple(v / system.c_den for v in z)
+    x_den, y_den = d * system.b_den, d * system.c_den
+    x = tuple(Fraction(v, x_den) for v in x_num)
+    y = tuple(Fraction(v, y_den) if v else ZERO for v in z)
     tight = tuple(i for i, v in enumerate(slacks) if not v)
-    return LpSolution(
-        Fraction(r.numerator, r.denominator * system.b_den * system.c_den),
-        x, y, tight,
-    )
+    return LpSolution(Fraction(r, x_den * system.c_den), x, y, tight)
 
 
 def uniqueness_test(
@@ -504,7 +473,8 @@ def uniqueness_test(
     whose simplex multipliers are an optimal z. A maximum of 0 certifies
     uniqueness; otherwise z is the alternative optimum. The dual is handed
     over in ints: t is scaled by c_den, so its columns read c_num, and every
-    cost is put over one denominator q, so the multipliers are q z.
+    cost is put over one denominator q, so the multipliers are q z over the
+    simplex's denominator.
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
@@ -533,14 +503,13 @@ def uniqueness_test(
     q = math.lcm(b_den, r_den)
     per_b, t_cost = q // b_den, r_num * c_den * (q // r_den)
     costs = [-per_b * v for v in b] + [t_cost, -t_cost] + [0] * m
-    _, pi, dual_objective = simplex_min(matrix, d, costs)
-    # aux = dual_objective / q - (sum of the tight rows' b_num) / b_den.
+    _, z_num, dual_objective, den = simplex_min(matrix, d, costs)
+    # aux = dual_objective / (q den) - (sum of the tight rows' b_num) / b_den.
+    z_den = q * den
     tight_b = sum(b[i] for i in tight)
-    if dual_objective.numerator * b_den == q * tight_b * dual_objective.denominator:
+    if dual_objective * b_den == z_den * tight_b:
         return UniquenessCertificate(True, ZERO)
-    aux = dual_objective / q - Fraction(tight_b, b_den)
-    z_num, z_den = _over_common_denominator(pi)
-    z_den *= q
+    aux = Fraction(dual_objective, z_den) - Fraction(tight_b, b_den)
     alternative = tuple(Fraction(v, z_den) for v in z_num)
     if (
         any(v < 0 for v in z_num)
@@ -583,11 +552,10 @@ def feasible_point(
     ]
     costs = [-v for v in b] + list(b[n_ineq:]) + [0] * m
     try:
-        _, pi, _ = simplex_min(matrix, [0] * m, costs)
+        _, pi, _, x_den = simplex_min(matrix, [0] * m, costs)
     except LpUnboundedError:
         return None
-    p_num, x_den = _over_common_denominator(pi)
-    x_num = [-v for v in p_num]
+    x_num = [-v for v in pi]
     slacks = _slacks(x_num, x_den, [*ineq_masks, *eq_masks], b, 1)
     if (
         any(v < 0 for v in x_num)

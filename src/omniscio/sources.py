@@ -561,6 +561,26 @@ def counterexample_entropy_vector() -> EntropyVector:
     return EntropyVector(6, tuple(values))
 
 
+# The paper's published values for the six-terminal example with active set
+# {1,2,3}: R_CO(A), C_SK(A), the mutual-dependence bound I(A), the unique
+# optimal rates, and the six constraints tight at them, as terminal sets.
+PUBLISHED_R_CO = Fraction(9, 4)
+PUBLISHED_C_SK = Fraction(7, 4)
+PUBLISHED_BOUND = Fraction(2)
+PUBLISHED_RATES = (
+    Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
+    Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+)
+PUBLISHED_TIGHT_MASKS = (
+    frozenset({1, 3, 4}),
+    frozenset({2, 3, 5}),
+    frozenset({1, 2, 6}),
+    frozenset({1, 2, 4, 5, 6}),
+    frozenset({1, 3, 4, 5, 6}),
+    frozenset({2, 3, 4, 5, 6}),
+)
+
+
 def make_sunflower(m: int, core_bits: int, petal_bits: int) -> LinearGF2Source:
     """Source where every terminal sees a shared core plus its own petal."""
     check_terminal_count(m)

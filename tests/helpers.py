@@ -14,7 +14,9 @@ so the integer table paths can be cross-checked against them; the
 reference witness search at the end keeps the earlier scan of every
 admissible partition with a Fraction arithmetic filter. The integer
 validity scan that preceded the packed one, and the entropy-vector reader's
-earlier per-entry loop, are kept as references too.
+earlier per-entry loop, are kept as references too. ``rational_simplex_min``
+hands a rational system to the library's int-only simplex, scaled to ints,
+and reads the answer back in the system's own terms.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import le
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from omniscio.errors import InternalContractError, InvalidInputError
 from omniscio.simplex import (
@@ -33,9 +35,9 @@ from omniscio.simplex import (
     LpUnboundedError,
     Rational,
     UniquenessCertificate,
-    _all_ints,
     _over_common_denominator,
     feasible_point,
+    simplex_min,
 )
 from omniscio.dependence import (
     Partition,
@@ -194,6 +196,38 @@ def reference_enumerate_partitions(
     return rec(0)
 
 
+def rational_simplex_min(
+    matrix: Sequence[Sequence[Rational]],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
+) -> Tuple[List[Fraction], List[Fraction], Fraction]:
+    """The library's int-only ``simplex_min`` on a system of ints or
+    Fractions, read back as that system's (z, y, objective) in Fractions.
+
+    The rows go over times s and the costs times k, the lcms of their
+    denominators. The int answer (z, y, objective, den) must be all ints
+    with den > 0; row scaling leaves z alone and multiplies y by 1/s, cost
+    scaling multiplies y and the objective by k, so the system's own values
+    are z / den, s y / (k den) and objective / (k den). Raises what
+    ``simplex_min`` raises.
+    """
+    scale = math.lcm(
+        *(Fraction(v).denominator for v in chain(chain.from_iterable(matrix), rhs))
+    )
+    cost_scale = math.lcm(*(Fraction(v).denominator for v in costs))
+    z, y, objective, den = simplex_min(
+        [[int(v * scale) for v in row] for row in matrix],
+        [int(v * scale) for v in rhs],
+        [int(v * cost_scale) for v in costs],
+    )
+    assert den > 0 and all(type(v) is int for v in [*z, *y, objective, den])
+    return (
+        [Fraction(v, den) for v in z],
+        [Fraction(scale * v, cost_scale * den) for v in y],
+        Fraction(objective, cost_scale * den),
+    )
+
+
 # Reference simplex: the two-phase Bland simplex over a dense Fraction
 # tableau that the library ran before it moved to a fraction-free integer
 # tableau. Every reference LP below runs on it, so the cross-checks never
@@ -327,6 +361,13 @@ def reference_simplex_min(
                 yi += cb * tableau[r][art0 + i]
         y.append(yi * signs[i])
     return z, y, objective
+
+
+_INT = frozenset({int})
+
+
+def _all_ints(values: Iterable[Rational]) -> bool:
+    return set(map(type, values)) <= _INT
 
 
 def reference_integer_simplex_min(
@@ -493,6 +534,11 @@ def reference_integer_simplex_min(
 # (about 2^m), so it is only fit for small cross-checks.
 
 
+def row_sum(system: ConstraintSystem, x: Sequence[Fraction], i: int) -> Fraction:
+    """x(B) for the mask B of the system's row i."""
+    return sum((x[j] for j in iter_bits(system.row_masks[i])), ZERO)
+
+
 def _incidence_row(mask: int, m: int) -> List[Fraction]:
     return [Fraction(mask >> j & 1) for j in range(m)]
 
@@ -509,7 +555,7 @@ def reference_solve(system: ConstraintSystem) -> LpSolution:
     costs = list(system.c) + [-v for v in system.c] + [Fraction(0)] * l
     z, y, objective = reference_simplex_min(matrix, system.b, costs)
     x = tuple(z[j] - z[m + j] for j in range(m))
-    tight = tuple(i for i in range(l) if system.row_sum(x, i) == system.b[i])
+    tight = tuple(i for i in range(l) if row_sum(system, x, i) == system.b[i])
     return LpSolution(objective, x, tuple(y), tight)
 
 
@@ -519,7 +565,7 @@ def reference_uniqueness_test(
     """Maximize the coordinates of (x, slacks) that vanish at the solution
     over {[A | -I](x; s) = b, c.x = objective, x, s >= 0}."""
     m, l = system.m, system.l
-    slacks = [system.row_sum(solution.x, i) - system.b[i] for i in range(l)]
+    slacks = [row_sum(system, solution.x, i) - system.b[i] for i in range(l)]
     point = list(solution.x) + slacks
     matrix = []
     for i, mask in enumerate(system.row_masks):

@@ -52,6 +52,13 @@ def entropy_vector_doc(vector: EntropyVector, active):
     }
 
 
+def vector_source(changes):
+    """An m = 2 entropy_vector source with ``changes`` to its values."""
+    values = {"1": "1", "2": "1", "1,2": "2"}
+    values.update(changes)
+    return {"type": "entropy_vector", "values": values}
+
+
 def write_doc(tmp_path, doc, name="source.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -279,6 +286,38 @@ class TestCli:
         }
         path = write_doc(tmp_path, doc)
         for verb in ("mdb", "validate", "solve", "tight"):
+            assert main([verb, path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"omniscio: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "active,source,message",
+        [
+            ([1, 2], vector_source({"1": None}), "bad rational None"),
+            ([1, 2], {"type": "tabular", "alphabets": [2, 2],
+                      "pmf": [{"symbols": [0, 0], "prob": None}]},
+             "bad rational None"),
+            ([1, 2], "type", "field 'source' must be an object"),
+            ([1, 2], {"type": "entropy_vector", "values": ["1", "1", "2"]},
+             "field 'values' must be an object"),
+            ([1, 2], {"type": "linear_gf2", "base_bits": 2, "terminals": 5},
+             "field 'terminals' must be a list"),
+            (3, vector_source({}), "field 'active' must be a list"),
+            ([1, 2], {"type": "linear_gf2", "base_bits": "2",
+                      "terminals": [["10"], ["01"]]},
+             "field 'base_bits' must be an integer"),
+        ],
+        ids=["value-null", "prob-null", "source-string", "values-list",
+             "terminals-int", "active-int", "base-bits-string"],
+    )
+    def test_malformed_document_exits_two(
+        self, tmp_path, capsys, active, source, message
+    ):
+        # The first six ended in a TypeError or AttributeError traceback, and
+        # a string base_bits was blamed on a bit string.
+        path = write_doc(tmp_path, {"m": 2, "active": active, "source": source})
+        for verb in ("solve", "mdb", "validate"):
             assert main([verb, path]) == 2
             out, err = capsys.readouterr()
             assert out == ""

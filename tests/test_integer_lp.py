@@ -1,11 +1,11 @@
 """The LP entry points on integer data, and their integer certificates.
 
 ``solve``, ``uniqueness_test`` and ``feasible_point`` hand ``simplex_min``
-ints over common denominators and certify its answer in ints. These tests
-feed ``solve`` broken answers through a patched ``simplex_min``, check the
-alternative-optimum search against the constraint-per-row reference for
-general objectives, and check that the integer forms give the values the
-Fraction forms give.
+ints over common denominators, get back ints over one denominator, and
+certify that answer in ints. These tests feed ``solve`` broken answers
+through a patched ``simplex_min``, check the alternative-optimum search
+against the constraint-per-row reference for general objectives, and check
+that the integer forms give the values the Fraction forms give.
 """
 
 from fractions import Fraction
@@ -32,8 +32,10 @@ from omniscio.subsets import complement, full_mask
 
 from helpers import (
     brute_force_lp_min,
+    rational_simplex_min,
     reference_simplex_min,
     reference_uniqueness_test,
+    row_sum,
 )
 
 F = Fraction
@@ -69,37 +71,38 @@ SYSTEMS = {
 
 
 def tampered(change):
-    """A simplex_min that hands solve ``change(z, pi)`` for its (z, pi)."""
+    """A simplex_min that hands solve ``change(z, pi, den)`` for its (z, pi),
+    both int numerators over den."""
     real = simplex.simplex_min
 
     def wrapper(matrix, rhs, costs):
-        z, pi, objective = real(matrix, rhs, costs)
-        z, pi = change(list(z), list(pi))
-        return z, pi, objective
+        z, pi, objective, den = real(matrix, rhs, costs)
+        z, pi = change(list(z), list(pi), den)
+        return z, pi, objective, den
 
     return wrapper
 
 
 def move_to_slack_row(system):
     x = solve(system).x
-    slack = [i for i in range(system.l) if system.row_sum(x, i) > system.b[i]]
+    slack = [i for i in range(system.l) if row_sum(system, x, i) > system.b[i]]
 
-    def change(z, pi):
+    def change(z, pi, den):
         i = next(i for i, v in enumerate(z) if v)
-        z[slack[0]], z[i] = z[slack[0]] + z[i], F(0)
+        z[slack[0]], z[i] = z[slack[0]] + z[i], 0
         return z, pi
 
     return change
 
 
 def shift_multipliers(system):
-    return lambda z, pi: (z, [v - 1 for v in pi])
+    return lambda z, pi, den: (z, [v - den for v in pi])
 
 
 def one_unit_off(system):
-    def change(z, pi):
+    def change(z, pi, den):
         i = next(i for i, v in enumerate(z) if v)
-        z[i] += 1
+        z[i] += den
         return z, pi
 
     return change
@@ -128,8 +131,8 @@ def test_solve_rejects_a_negative_dual_weight(monkeypatch):
     system = make_system(3, THREE, [F(1), F(1), F(2), F(1), F(0), F(0)])
     assert solve(system).x == (1, 1, 1)
 
-    def change(z, pi):
-        t = max(z[0], z[1]) + 1
+    def change(z, pi, den):
+        t = max(z[0], z[1]) + den
         z[0], z[1], z[2] = z[0] - t, z[1] - t, z[2] + t
         return z, pi
 
@@ -147,8 +150,8 @@ def test_solve_rejects_an_infeasible_point(monkeypatch):
     sol = solve(system)
     assert {i for i, v in enumerate(sol.y) if v} == {2, 3}
 
-    def change(z, pi):
-        t = sol.x[1] + 1  # the multipliers are -x
+    def change(z, pi, den):
+        t = den - pi[1]  # (x2 + 1) * den, the multipliers being -x * den
         return z, [pi[0] - t, pi[1] + t, pi[2]]
 
     monkeypatch.setattr(simplex, "simplex_min", tampered(change))
@@ -198,7 +201,7 @@ def test_uniqueness_matches_reference_for_general_objectives(data):
         alt = new.alternative
         assert alt != sol.x and min(alt) >= 0
         assert sum(cj * v for cj, v in zip(system.c, alt)) == sol.objective
-        assert all(system.row_sum(alt, i) >= system.b[i] for i in range(system.l))
+        assert all(row_sum(system, alt, i) >= system.b[i] for i in range(system.l))
 
 
 def tabular_oracle():
@@ -273,7 +276,9 @@ def test_all_int_systems_match_their_fraction_form(system):
         [F(v) for v in rhs],
         [F(v) for v in costs],
     )
-    assert new == outcome(simplex.simplex_min, *as_fractions)
-    assert new == outcome(reference_simplex_min, *as_fractions)
     if not isinstance(new, type):
-        assert all(type(v) is Fraction for v in [*new[0], *new[1], new[2]])
+        z, y, objective, den = new
+        assert den > 0 and all(type(v) is int for v in [*z, *y, objective])
+        new = [F(v, den) for v in z], [F(v, den) for v in y], F(objective, den)
+    assert new == outcome(rational_simplex_min, *as_fractions)
+    assert new == outcome(reference_simplex_min, *as_fractions)

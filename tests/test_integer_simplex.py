@@ -1,11 +1,13 @@
 """The packed fraction-free simplex against the tableaux it replaced.
 
 ``simplex.simplex_min`` pivots integer rows packed into one int each, over
-one common denominator; ``helpers.reference_integer_simplex_min`` is the
-list-of-ints tableau it replaced, and ``helpers.reference_simplex_min`` the
-Fraction tableau before that. All three take Bland's path through the same
-tableau values, so on every system they must return the same vertex, dual
-and objective, or raise the same exception.
+one common denominator, and returns ints over that denominator;
+``helpers.reference_integer_simplex_min`` is the list-of-ints tableau it
+replaced, and ``helpers.reference_simplex_min`` the Fraction tableau before
+that. All three take Bland's path through the same tableau values, so on
+every system they must return the same vertex, dual and objective, or raise
+the same exception. A rational system goes to ``simplex_min`` scaled to
+ints, and its answer is read back through ``helpers.rational_simplex_min``.
 """
 
 import random
@@ -29,7 +31,11 @@ from omniscio import (
 from omniscio.simplex import LpInfeasibleError, LpUnboundedError, feasible_point
 from omniscio.subsets import complement, full_mask
 
-from helpers import reference_integer_simplex_min, reference_simplex_min
+from helpers import (
+    rational_simplex_min,
+    reference_integer_simplex_min,
+    reference_simplex_min,
+)
 
 F = Fraction
 
@@ -42,13 +48,13 @@ def outcome(fn, matrix, rhs, costs):
 
 
 def assert_same_outcome(matrix, rhs, costs, fraction_tableau=True):
-    new = outcome(simplex.simplex_min, matrix, rhs, costs)
+    # rational_simplex_min asserts that simplex_min returns only ints and
+    # den > 0, and reads back (z / den, y / den, objective / den), with the
+    # scaling undone, for the comparison.
+    new = outcome(rational_simplex_min, matrix, rhs, costs)
     assert new == outcome(reference_integer_simplex_min, matrix, rhs, costs)
     if fraction_tableau:
         assert new == outcome(reference_simplex_min, matrix, rhs, costs)
-    if not isinstance(new, type):
-        z, y, objective = new
-        assert all(type(v) is Fraction for v in [*z, *y, objective])
     return new
 
 

@@ -6,6 +6,7 @@ forms with one row per constraint. Both are exact, so every quantity that
 does not depend on which optimal vertex is picked must agree bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -123,8 +124,12 @@ def test_alternative_optimum_is_certified(monkeypatch):
     real = simplex.simplex_min
 
     def returns_the_solution(matrix, rhs, costs):
-        z, _, objective = real(matrix, rhs, costs)
-        return z, list(sol.x), objective
+        # sol.x as the multipliers: everything over den * k, k the lcm of
+        # x's denominators, so that x * den * k is an int vector.
+        z, _, objective, den = real(matrix, rhs, costs)
+        k = math.lcm(*(v.denominator for v in sol.x))
+        multipliers = [int(v * den * k) for v in sol.x]
+        return [v * k for v in z], multipliers, objective * k, den * k
 
     monkeypatch.setattr(simplex, "simplex_min", returns_the_solution)
     with pytest.raises(InternalContractError):
@@ -137,8 +142,8 @@ def test_feasible_point_is_certified(monkeypatch):
     real = simplex.simplex_min
 
     def shifted(matrix, rhs, costs):
-        z, pi, objective = real(matrix, rhs, costs)
-        return z, [v - 1 for v in pi], objective
+        z, pi, objective, den = real(matrix, rhs, costs)
+        return z, [v - den for v in pi], objective, den
 
     monkeypatch.setattr(simplex, "simplex_min", shifted)
     with pytest.raises(InternalContractError):

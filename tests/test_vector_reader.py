@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from omniscio.errors import InvalidInputError
 from omniscio.fileio import source_from_document
 from omniscio.subsets import format_mask
 
@@ -108,8 +109,9 @@ def test_every_case_reaches_its_branch():
     assert text == "bad rational '1/0'"
     kind, text = assert_same_vector(CASES["missing several"])
     assert text == "entropy vector missing subset {3}"
-    kind, _ = assert_same_vector(CASES["null value"])
-    assert kind is TypeError
+    for name, text in (("null value", "None"), ("list value", "[1]")):
+        kind, message = assert_same_vector(CASES[name])
+        assert (kind, message) == (InvalidInputError, f"bad rational {text}")
 
 
 @pytest.mark.parametrize("m", (2, 5))
