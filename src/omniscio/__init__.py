@@ -4,7 +4,6 @@ mutual-dependence bound for discrete memoryless multiple sources."""
 __version__ = "0.1.0"
 
 from .dependence import (
-    DependenceValue,
     enumerate_admissible,
     enumerate_partitions,
     mutual_dependence_bound,
@@ -61,7 +60,6 @@ __all__ = [
     "ComputationError",
     "ConstraintFamily",
     "ConstraintSystem",
-    "DependenceValue",
     "EntropyOracle",
     "EntropyVector",
     "InternalContractError",

@@ -11,16 +11,15 @@ and the bound I(A) is the minimum over all admissible partitions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InternalContractError, InvalidInputError
-from .sources import EntropyOracle, scaled_joint_table
+from .sources import EntropyOracle
 from .subsets import check_mask, complement, full_mask
 
 # Bell-number growth makes exhaustive enumeration explode; refuse beyond
-# this many terminals unless the caller raises the cap explicitly.
+# this many terminals unless OMNISCIO_MAX_M raises the cap.
 DEFAULT_MAX_M = 12
 
 Partition = Tuple[int, ...]  # block masks, ordered by smallest element
@@ -127,17 +126,9 @@ def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
         raise InvalidInputError("block count outside [2, |A|]")
 
 
-@dataclass(frozen=True)
-class DependenceValue:
-    """Mutual dependence of one partition, cross-checked by both forms."""
-
-    partition: Partition
-    value: Fraction
-
-
 def partition_dependence(
     oracle: EntropyOracle, partition: Sequence[int]
-) -> DependenceValue:
+) -> Fraction:
     """I(C_1,...,C_k) via the entropy-sum form, cross-checked against the
     complement form h(M) - (1/(k-1)) sum_i h(C_i^c)."""
     k = len(partition)
@@ -157,14 +148,11 @@ def partition_dependence(
         raise InternalContractError(
             f"dependence forms disagree: {value} vs {alt} on {partition}"
         )
-    return DependenceValue(tuple(partition), value)
+    return value
 
 
 def mutual_dependence_bound(
-    oracle: EntropyOracle,
-    active: int,
-    *,
-    max_m: Optional[int] = None,
+    oracle: EntropyOracle, active: int
 ) -> Tuple[Fraction, List[Partition]]:
     """I(A) and every minimizing partition, in canonical order.
 
@@ -172,13 +160,13 @@ def mutual_dependence_bound(
     N = sum_i H(X_{C_i}) - H(X_M) is an int, and values N/(k-1) are
     compared by cross-multiplying, so no Fraction is built per partition.
     """
-    cap = max_m if max_m is not None else _enumeration_cap()
+    cap = _enumeration_cap()
     if oracle.m > cap:
         raise InvalidInputError(
             f"m={oracle.m} exceeds the enumeration cap {cap}; raise it "
-            "explicitly (max_m / OMNISCIO_MAX_M) to proceed"
+            "explicitly (OMNISCIO_MAX_M) to proceed"
         )
-    scale, joint, tol = scaled_joint_table(oracle)
+    scale, joint, tol = oracle.scaled_table
     # For every partition, N minus (k-1) times the complement form
     # h(M) - (1/(k-1)) sum_i h(C_i^c) is exactly (k-1) H(X_emptyset), so
     # the two forms agree within the tolerance on every partition exactly

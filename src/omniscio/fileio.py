@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError
 from .sources import (
@@ -80,7 +80,9 @@ def format_fraction_text(value: Fraction) -> str:
 
 
 def parse_bit_string(text: str, n: int) -> int:
-    if len(text) != n or any(ch not in "01" for ch in text):
+    if not isinstance(text, str) or len(text) != n or any(
+        ch not in "01" for ch in text
+    ):
         raise InvalidInputError(
             f"bit string {text!r} must be {n} characters of 0/1"
         )
@@ -98,14 +100,32 @@ def render_bit_string(mask: int, n: int) -> str:
 _JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
 
 
-def _require(doc: Dict[str, Any], key: str, kind: type = object) -> Any:
+def _is_json(value: Any, kind: type) -> bool:
+    """Whether ``value`` has JSON type ``kind``; ``true`` and ``false`` are
+    not integers."""
+    return isinstance(value, kind) and not (
+        kind is int and isinstance(value, bool)
+    )
+
+
+def _require(
+    doc: Dict[str, Any],
+    key: str,
+    kind: type = object,
+    items: Optional[type] = None,
+) -> Any:
     """``doc[key]``, which must be present and, if ``kind`` is given, of
-    that JSON type."""
+    that JSON type; if ``items`` is given, a list of elements of that
+    JSON type."""
     if key not in doc:
         raise InvalidInputError(f"missing required field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not _is_json(value, kind):
         raise InvalidInputError(f"field {key!r} must be {_JSON_TYPES[kind]}")
+    if items is not None and not all(_is_json(v, items) for v in value):
+        raise InvalidInputError(
+            f"every element of field {key!r} must be {_JSON_TYPES[items]}"
+        )
     return value
 
 
@@ -126,10 +146,14 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     The terminal count is checked before anything is sized by it. The
     ``ValueError`` of a terminal count outside its range, of a terminal out
     of range in ``active`` or in a subset key, or of a malformed key is
-    raised as an ``InvalidInputError`` with the same message.
+    raised as an ``InvalidInputError`` with the same message. Every field
+    and every element of its lists is checked for its JSON type before it
+    is read (a bit string by ``parse_bit_string``, a rational by
+    ``parse_fraction``), so a wrong type raises ``InvalidInputError``, not
+    a ``TypeError``, and ``true`` is not read as 1.
     """
     m = _require(doc, "m", int)
-    active_list = _require(doc, "active", list)
+    active_list = _require(doc, "active", list, int)
     try:
         check_terminal_count(m)
         active = mask_from_terminals(active_list, m)
@@ -140,7 +164,7 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
 
     if kind == "linear_gf2":
         n = _require(spec, "base_bits", int)
-        terminals = _require(spec, "terminals", list)
+        terminals = _require(spec, "terminals", list, list)
         if len(terminals) != m:
             raise InvalidInputError(f"expected {m} terminal row lists")
         rows = tuple(
@@ -180,10 +204,10 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
         return EntropyVector(m, tuple(values)), active
 
     if kind == "tabular":
-        alphabets = tuple(_require(spec, "alphabets", list))
+        alphabets = tuple(_require(spec, "alphabets", list, int))
         entries = []
-        for entry in _require(spec, "pmf", list):
-            symbols = tuple(_require(entry, "symbols", list))
+        for entry in _require(spec, "pmf", list, dict):
+            symbols = tuple(_require(entry, "symbols", list, int))
             prob = parse_fraction(_require(entry, "prob"))
             entries.append((symbols, prob))
         return TabularSource(m, alphabets, tuple(entries)), active

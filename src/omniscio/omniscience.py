@@ -20,7 +20,7 @@ from .simplex import (
     solve,
     uniqueness_test,
 )
-from .sources import EntropyOracle, scaled_joint_table
+from .sources import EntropyOracle
 from .subsets import check_mask, full_mask
 
 RateVector = Tuple[Fraction, ...]
@@ -46,7 +46,7 @@ class ConstraintFamily:
         """
         if oracle.m != self.m:
             raise InvalidInputError("oracle terminal count mismatch")
-        scale, joint, _ = scaled_joint_table(oracle)
+        scale, joint, _ = oracle.scaled_table
         total, full = joint[-1], full_mask(self.m)
         b = tuple(total - joint[full ^ mask] for mask in self.masks)
         return ConstraintSystem(self.m, self.masks, b, scale, (1,) * self.m, 1)
@@ -94,8 +94,6 @@ def region_contains(
 class CapacityReport:
     """Everything the rate LP yields for one (source, active set) instance."""
 
-    m: int
-    active: int
     r_co: Fraction
     c_sk: Fraction
     rates: RateVector
@@ -114,8 +112,6 @@ def r_co(oracle: EntropyOracle, active: int) -> CapacityReport:
     cert = uniqueness_test(system, solution)
     tight = tuple(family.masks[i] for i in solution.tight_rows)
     return CapacityReport(
-        m=oracle.m,
-        active=active,
         r_co=solution.objective,
         c_sk=oracle.total_entropy() - solution.objective,
         rates=solution.x,

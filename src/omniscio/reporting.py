@@ -31,28 +31,20 @@ from .sources import (
 from .subsets import mask_from_terminals, terminals_of
 from .tightness import TightnessVerdict, check_bound, witness_by_partition_search
 
-def _frac(value: Fraction) -> str:
-    return format_fraction(value)
-
-
-def _subset(mask: int) -> List[int]:
-    return terminals_of(mask)
-
-
 def _partition(blocks: Sequence[int]) -> List[List[int]]:
     return [terminals_of(b) for b in blocks]
 
 
 def _capacity_fields(report: CapacityReport) -> Dict[str, Any]:
     return {
-        "r_co": _frac(report.r_co),
-        "c_sk": _frac(report.c_sk),
-        "rates": [_frac(v) for v in report.rates],
-        "dual": [_frac(v) for v in report.dual],
-        "tight_constraints": [_subset(mask) for mask in report.tight_masks],
+        "r_co": format_fraction(report.r_co),
+        "c_sk": format_fraction(report.c_sk),
+        "rates": [format_fraction(v) for v in report.rates],
+        "dual": [format_fraction(v) for v in report.dual],
+        "tight_constraints": [terminals_of(mask) for mask in report.tight_masks],
         "uniqueness": {
             "verdict": report.uniqueness.verdict,
-            "auxiliary_value": _frac(report.uniqueness.auxiliary_value),
+            "auxiliary_value": format_fraction(report.uniqueness.auxiliary_value),
         },
     }
 
@@ -67,8 +59,8 @@ def solve_report(
     report = r_co(oracle, active)
     out = _header("solve", input_echo)
     out["m"] = oracle.m
-    out["active"] = _subset(active)
-    out["total_entropy"] = _frac(oracle.total_entropy())
+    out["active"] = terminals_of(active)
+    out["total_entropy"] = format_fraction(oracle.total_entropy())
     out["exact"] = oracle.exact
     out.update(_capacity_fields(report))
     return out
@@ -80,8 +72,8 @@ def mdb_report(
     bound, minimizers = mutual_dependence_bound(oracle, active)
     out = _header("mdb", input_echo)
     out["m"] = oracle.m
-    out["active"] = _subset(active)
-    out["mutual_dependence_bound"] = _frac(bound)
+    out["active"] = terminals_of(active)
+    out["mutual_dependence_bound"] = format_fraction(bound)
     out["minimizers"] = [_partition(p) for p in minimizers]
     return out
 
@@ -89,15 +81,15 @@ def mdb_report(
 def _verdict_fields(verdict: TightnessVerdict) -> Dict[str, Any]:
     fields: Dict[str, Any] = {
         "tight": verdict.tight,
-        "c_sk": _frac(verdict.c_sk),
-        "mutual_dependence_bound": _frac(verdict.bound),
-        "gap": _frac(verdict.gap),
+        "c_sk": format_fraction(verdict.c_sk),
+        "mutual_dependence_bound": format_fraction(verdict.bound),
+        "gap": format_fraction(verdict.gap),
     }
     if verdict.witness is not None:
         partition, rates = verdict.witness
         fields["witness"] = {
             "partition": _partition(partition),
-            "rates": [_frac(v) for v in rates],
+            "rates": [format_fraction(v) for v in rates],
         }
     else:
         fields["witness"] = None
@@ -118,7 +110,7 @@ def tight_report(
         verdict = check_bound(oracle, active, report=report)
     out = _header("tight", input_echo)
     out["m"] = oracle.m
-    out["active"] = _subset(active)
+    out["active"] = terminals_of(active)
     out["method"] = "constructive" if constructive else "direct"
     out.update(_verdict_fields(verdict))
     return out
@@ -133,15 +125,15 @@ def validate_report(
     out["valid"] = report.ok
     out["normalized"] = report.normalized
     out["monotonicity_violations"] = [
-        {"subset": _subset(b1), "superset": _subset(b2)}
+        {"subset": terminals_of(b1), "superset": terminals_of(b2)}
         for b1, b2 in report.monotonicity_violations
     ]
     out["supermodularity_violations"] = [
         {
-            "b1": _subset(b1),
-            "b2": _subset(b2),
-            "lhs": _frac(lhs),
-            "rhs": _frac(rhs),
+            "b1": terminals_of(b1),
+            "b2": terminals_of(b2),
+            "lhs": format_fraction(lhs),
+            "rhs": format_fraction(rhs),
         }
         for b1, b2, lhs, rhs in report.supermodularity_violations
     ]
@@ -167,12 +159,12 @@ def counterexample_report(mode: str) -> Dict[str, Any]:
 
     out = _header("counterexample", {"builtin": mode})
     out["m"] = oracle.m
-    out["active"] = _subset(active)
-    out["total_entropy"] = _frac(oracle.total_entropy())
+    out["active"] = terminals_of(active)
+    out["total_entropy"] = format_fraction(oracle.total_entropy())
     out.update(_capacity_fields(report))
-    out["mutual_dependence_bound"] = _frac(bound)
+    out["mutual_dependence_bound"] = format_fraction(bound)
     out["minimizers"] = [_partition(p) for p in minimizers]
-    out["gap"] = _frac(bound - report.c_sk)
+    out["gap"] = format_fraction(bound - report.c_sk)
     out["strict_gap"] = bound > report.c_sk
 
     if mode == "paper-h":
@@ -228,17 +220,17 @@ def audit_report() -> Dict[str, Any]:
         h_gen = gen_oracle.cond_entropy(mask)
         table.append(
             {
-                "subset": _subset(mask),
-                "h_paper": _frac(h_paper),
-                "h_generative": _frac(h_gen),
+                "subset": terminals_of(mask),
+                "h_paper": format_fraction(h_paper),
+                "h_generative": format_fraction(h_gen),
                 "equal": h_paper == h_gen,
             }
         )
     table.append(
         {
-            "subset": _subset((1 << 6) - 1),
-            "h_paper": _frac(paper_oracle.total_entropy()),
-            "h_generative": _frac(gen_oracle.total_entropy()),
+            "subset": terminals_of((1 << 6) - 1),
+            "h_paper": format_fraction(paper_oracle.total_entropy()),
+            "h_generative": format_fraction(gen_oracle.total_entropy()),
             "equal": paper_oracle.total_entropy() == gen_oracle.total_entropy(),
         }
     )
@@ -252,10 +244,10 @@ def audit_report() -> Dict[str, Any]:
         if report.supermodularity_violations:
             b1, b2, lhs, rhs = report.supermodularity_violations[0]
             fields["first_violation"] = {
-                "b1": _subset(b1),
-                "b2": _subset(b2),
-                "lhs": _frac(lhs),
-                "rhs": _frac(rhs),
+                "b1": terminals_of(b1),
+                "b2": terminals_of(b2),
+                "lhs": format_fraction(lhs),
+                "rhs": format_fraction(rhs),
             }
         return fields
 
@@ -279,8 +271,12 @@ def _text_fraction(text: str) -> str:
     return format_fraction_text(Fraction(text))
 
 
+def _set_text(terminals: List[int]) -> str:
+    return "{" + ",".join(map(str, terminals)) + "}"
+
+
 def _partition_text(blocks: List[List[int]]) -> str:
-    return " | ".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
+    return " | ".join(map(_set_text, blocks))
 
 
 def render_text(report: Dict[str, Any]) -> str:
@@ -288,7 +284,7 @@ def render_text(report: Dict[str, Any]) -> str:
     echo = report["input"]
     lines.append("input: " + ", ".join(f"{k}={v}" for k, v in echo.items()))
     if "m" in report:
-        lines.append(f"m = {report['m']}, A = {{{','.join(map(str, report.get('active', [])))}}}")
+        lines.append(f"m = {report['m']}, A = {_set_text(report.get('active', []))}")
 
     def emit(label: str, key: str) -> None:
         if key in report:
@@ -304,7 +300,7 @@ def render_text(report: Dict[str, Any]) -> str:
             "rates: (" + ", ".join(_text_fraction(v) for v in report["rates"]) + ")"
         )
     if "tight_constraints" in report:
-        rendered = ["{" + ",".join(map(str, s)) + "}" for s in report["tight_constraints"]]
+        rendered = [_set_text(s) for s in report["tight_constraints"]]
         lines.append(f"tight constraints ({len(rendered)}): " + " ".join(rendered))
     if "uniqueness" in report:
         lines.append(f"optimum uniqueness: {report['uniqueness']['verdict']}")
@@ -327,16 +323,16 @@ def render_text(report: Dict[str, Any]) -> str:
         lines.append(f"valid entropy function: {'yes' if report['valid'] else 'no'}")
         for item in report.get("supermodularity_violations", []):
             lines.append(
-                f"  supermodularity violated: B1={{{','.join(map(str, item['b1']))}}}"
-                f" B2={{{','.join(map(str, item['b2']))}}}"
+                f"  supermodularity violated: B1={_set_text(item['b1'])}"
+                f" B2={_set_text(item['b2'])}"
                 f" ({_text_fraction(item['lhs'])} > {_text_fraction(item['rhs'])})"
             )
         for item in report.get("monotonicity_violations", []):
             lines.append(
-                f"  monotonicity violated: {{{','.join(map(str, item['subset']))}}}"
-                f" vs {{{','.join(map(str, item['superset']))}}}"
+                f"  monotonicity violated: {_set_text(item['subset'])}"
+                f" vs {_set_text(item['superset'])}"
             )
-    if report["command"] == "counterexample":
+    if "strict_gap" in report:
         lines.append(
             "strict gap: " + ("yes" if report["strict_gap"] else "no")
         )
@@ -358,8 +354,8 @@ def render_text(report: Dict[str, Any]) -> str:
             if "first_violation" in entry:
                 v = entry["first_violation"]
                 lines.append(
-                    f"  first violation: B1={{{','.join(map(str, v['b1']))}}}"
-                    f" B2={{{','.join(map(str, v['b2']))}}}"
+                    f"  first violation: B1={_set_text(v['b1'])}"
+                    f" B2={_set_text(v['b2'])}"
                 )
         lines.append("")
         lines.append(f"h discrepancy table ({report['differing_subsets']} differing):")
@@ -367,7 +363,7 @@ def render_text(report: Dict[str, Any]) -> str:
         for row in report["discrepancies"]:
             flag = "" if row["equal"] else "  <- differs"
             lines.append(
-                f"  {{{','.join(map(str, row['subset']))}}} | "
+                f"  {_set_text(row['subset'])} | "
                 f"{row['h_paper']} | {row['h_generative']}{flag}"
             )
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InvalidInputError, ValidationError
 from .gf2 import gf2_rank
@@ -156,10 +156,8 @@ class EntropyOracle:
     """
 
     m: int
-    variant: str
     exact: bool
     joint: Tuple[Fraction, ...]
-    source: Optional[SourceLike] = None
     tolerance: float = 0.0
 
     def joint_entropy(self, subset: int) -> Fraction:
@@ -181,11 +179,16 @@ class EntropyOracle:
         return abs(a - b) <= self.tolerance
 
     @cached_property
-    def _scaled_table(self) -> Tuple[int, Tuple[int, ...], int]:
-        """``(scale, joint, tol)``: see ``scaled_joint_table``.
+    def scaled_table(self) -> Tuple[int, Tuple[int, ...], int]:
+        """The joint entropies over one common denominator, as exact ints.
 
-        Computed on first use and kept in the instance ``__dict__``; it is
-        not a dataclass field, so equality, hashing and repr ignore it.
+        ``(scale, joint, tol)`` with ``joint[S] = H(X_S) * scale`` and
+        ``tol = tolerance * scale``, where ``scale`` is the lcm of the
+        denominators of every joint value and of the tolerance (0 for exact
+        oracles). Comparisons of sums of table entries then need no
+        Fraction. Computed on first use and kept in the instance
+        ``__dict__``, so every read returns the same tuple; it is not a
+        dataclass field, so equality, hashing and repr ignore it.
         """
         values = [
             v if isinstance(v, (int, Fraction)) else Fraction(v)
@@ -200,41 +203,26 @@ class EntropyOracle:
         return scale, joint, tol
 
 
-def _tabular_joint_table(
-    source: TabularSource, tolerance: float
-) -> Tuple[Fraction, ...]:
-    if tolerance < 1e-12:
-        raise InvalidInputError(
-            f"tabular entropies are double precision; tolerance {tolerance} "
-            "is unachievable (minimum 1e-12)"
-        )
-    return tuple(
-        Fraction(source.joint_entropy(s)) for s in range(1 << source.m)
-    )
-
-
-def make_oracle(
-    source: SourceLike,
-    *,
-    validate: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> EntropyOracle:
+def make_oracle(source: SourceLike, *, validate: bool = True) -> EntropyOracle:
     """Build the entropy oracle for any source representation.
 
     EntropyVector inputs are validated (normalization, monotonicity,
     supermodularity) unless ``validate`` is False; the other variants are
-    genuine entropy functions by construction.
+    genuine entropy functions by construction. Tabular entropies are double
+    precision, so their oracle compares at ``DEFAULT_TOLERANCE``.
     """
     if isinstance(source, LinearGF2Source):
         table = tuple(source.joint_entropy(s) for s in range(1 << source.m))
-        oracle = EntropyOracle(source.m, "linear", True, table, source)
+        oracle = EntropyOracle(source.m, True, table)
     elif isinstance(source, TabularSource):
-        table = _tabular_joint_table(source, tolerance)
+        table = tuple(
+            Fraction(source.joint_entropy(s)) for s in range(1 << source.m)
+        )
         oracle = EntropyOracle(
-            source.m, "tabular", False, table, source, tolerance=tolerance
+            source.m, False, table, tolerance=DEFAULT_TOLERANCE
         )
     elif isinstance(source, EntropyVector):
-        oracle = EntropyOracle(source.m, "vector", True, source.values, source)
+        oracle = EntropyOracle(source.m, True, source.values)
     else:
         raise InvalidInputError(f"unsupported source type {type(source).__name__}")
     if validate and isinstance(source, EntropyVector):
@@ -248,7 +236,6 @@ def make_oracle(
 class ValidityReport:
     """Outcome of the entropy-function sanity scan (report-only)."""
 
-    m: int
     normalized: bool
     monotonicity_violations: Tuple[Tuple[int, int], ...]
     supermodularity_violations: Tuple[Tuple[int, int, Fraction, Fraction], ...]
@@ -279,21 +266,6 @@ class ValidityReport:
             f"monotonicity violated: h({{{format_mask(b1)}}}) > "
             f"h({{{format_mask(b2)}}})"
         )
-
-
-def scaled_joint_table(
-    oracle: EntropyOracle,
-) -> Tuple[int, Tuple[int, ...], int]:
-    """The joint entropies over one common denominator, as exact ints.
-
-    Returns ``(scale, joint, tol)`` with ``joint[S] = H(X_S) * scale`` and
-    ``tol = tolerance * scale``, where ``scale`` is the lcm of the
-    denominators of every joint value and of the tolerance (0 for exact
-    oracles). Comparisons of sums of table entries then need no Fraction.
-    The table is built once per oracle and the same tuple is returned on
-    every call.
-    """
-    return oracle._scaled_table
 
 
 def check_validity(oracle: EntropyOracle) -> ValidityReport:
@@ -331,7 +303,7 @@ def check_validity(oracle: EntropyOracle) -> ValidityReport:
     """
     m = oracle.m
     n = 1 << m
-    scale, joint, tol = scaled_joint_table(oracle)
+    scale, joint, tol = oracle.scaled_table
     normalized = abs(joint[0]) <= tol
     top = max(joint)
     w = (2 * (top - min(joint)) + tol).bit_length() + 1
@@ -385,7 +357,7 @@ def check_validity(oracle: EntropyOracle) -> ValidityReport:
         for b1, b2 in pairs
     )
 
-    return ValidityReport(m, normalized, tuple(mono), supra)
+    return ValidityReport(normalized, tuple(mono), supra)
 
 
 def _field_indices(bits: int, w: int) -> List[int]:

@@ -40,7 +40,7 @@ from .omniscience import (
     sw_gap,
 )
 from .simplex import LpSolution, feasible_point
-from .sources import EntropyOracle, scaled_joint_table
+from .sources import EntropyOracle
 from .subsets import complement, format_mask, full_mask
 
 
@@ -98,7 +98,7 @@ def witness_by_partition_search(
     if bound == report.c_sk:
         family = report.family
         m = oracle.m
-        scale, joint, _ = scaled_joint_table(oracle)
+        scale, joint, _ = oracle.scaled_table
         total, full = joint[-1], full_mask(m)
         b = [total - joint[full ^ mask] for mask in family.masks]
         for partition in minimizers:
@@ -244,5 +244,4 @@ def dependence_of_constructed(
 ) -> Tuple[Partition, Fraction]:
     """Convenience: constructed partition and its dependence value."""
     partition = construct_partition_from_dual(report.solution, report.family, oracle)
-    value = partition_dependence(oracle, partition).value
-    return partition, value
+    return partition, partition_dependence(oracle, partition)

@@ -52,7 +52,6 @@ from omniscio.sources import (
     EntropyVector,
     LinearGF2Source,
     ValidityReport,
-    scaled_joint_table,
 )
 from omniscio.subsets import (
     check_mask,
@@ -637,7 +636,7 @@ def reference_check_validity(oracle: EntropyOracle) -> ValidityReport:
             if lhs - rhs > slack:
                 supra.append((b1, b2, lhs, rhs))
 
-    return ValidityReport(m, normalized, tuple(mono), tuple(supra))
+    return ValidityReport(normalized, tuple(mono), tuple(supra))
 
 
 # Reference integer scan: the list-of-ints validity scan that preceded the
@@ -687,7 +686,7 @@ def reference_integer_check_validity(oracle: EntropyOracle) -> ValidityReport:
     """
     m = oracle.m
     n = 1 << m
-    scale, joint, tol = scaled_joint_table(oracle)
+    scale, joint, tol = oracle.scaled_table
     total = joint[-1]
     h = [total - v for v in reversed(joint)]  # h(S) = H(M) - H(M - S)
     normalized = abs(joint[0]) <= tol
@@ -720,7 +719,7 @@ def reference_integer_check_validity(oracle: EntropyOracle) -> ValidityReport:
         for b1, b2 in pairs
     )
 
-    return ValidityReport(m, normalized, tuple(mono), supra)
+    return ValidityReport(normalized, tuple(mono), supra)
 
 
 def reference_mutual_dependence_bound(
@@ -730,7 +729,7 @@ def reference_mutual_dependence_bound(
     best: Optional[Fraction] = None
     argmin: List[Partition] = []
     for partition in enumerate_admissible(oracle.m, active):
-        value = partition_dependence(oracle, partition).value
+        value = partition_dependence(oracle, partition)
         if best is None or value < best:
             best = value
             argmin = [partition]

@@ -147,7 +147,7 @@ def test_criterion_03_all_active_tightness_and_construction():
         for block in partition:
             assert block & active
             assert sw_gap(report.rates, complement(block, m), oracle) == 0
-        assert partition_dependence(oracle, partition).value == bound
+        assert partition_dependence(oracle, partition) == bound
         assert partition in minimizers
         count += 1
     assert count >= 200
@@ -287,10 +287,10 @@ def test_criterion_09_sunflower_identity():
                 assert minimizers == admissible
 
                 for partition in admissible:
-                    value = partition_dependence(oracle, partition).value
+                    value = partition_dependence(oracle, partition)
                     merged = make_oracle(merge_terminals(source, partition))
                     k = len(partition)
                     singletons = tuple(1 << i for i in range(k))
-                    assert partition_dependence(merged, singletons).value == value
+                    assert partition_dependence(merged, singletons) == value
                     merged_bound, _ = mutual_dependence_bound(merged, full_mask(k))
                     assert merged_bound == core

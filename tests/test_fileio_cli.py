@@ -323,6 +323,48 @@ class TestCli:
             assert out == ""
             assert err == f"omniscio: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "active,source,message",
+        [
+            ([1, 2], {"type": "linear_gf2", "base_bits": 2, "terminals": [5, 6]},
+             "every element of field 'terminals' must be a list"),
+            ([1, 2], {"type": "linear_gf2", "base_bits": 2,
+                      "terminals": [["10"], [5]]},
+             "bit string 5 must be 2 characters of 0/1"),
+            ([1, 2], {"type": "tabular", "alphabets": [2, 2], "pmf": [5]},
+             "every element of field 'pmf' must be an object"),
+            (["1", 2], vector_source({}),
+             "every element of field 'active' must be an integer"),
+            ([1, 2], {"type": "tabular", "alphabets": ["2", 2],
+                      "pmf": [{"symbols": [0, 0], "prob": "1"}]},
+             "every element of field 'alphabets' must be an integer"),
+            ([1, 2], {"type": "tabular", "alphabets": [2, 2],
+                      "pmf": [{"symbols": ["0", 0], "prob": "1"}]},
+             "every element of field 'symbols' must be an integer"),
+            ([1.0, 2], vector_source({}),
+             "every element of field 'active' must be an integer"),
+            ([True, 2], vector_source({}),
+             "every element of field 'active' must be an integer"),
+            ([1, 2], {"type": "linear_gf2", "base_bits": True,
+                      "terminals": [["1"], ["1"]]},
+             "field 'base_bits' must be an integer"),
+        ],
+        ids=["terminals-ints", "bit-string-int", "pmf-int", "active-string",
+             "alphabet-string", "symbol-string", "active-float", "active-bool",
+             "base-bits-bool"],
+    )
+    def test_wrong_element_type_exits_two(
+        self, tmp_path, capsys, active, source, message
+    ):
+        # The first seven ended in a TypeError traceback; the last two were
+        # read as terminal 1 and as one base bit.
+        path = write_doc(tmp_path, {"m": 2, "active": active, "source": source})
+        for verb in ("solve", "mdb", "validate"):
+            assert main([verb, path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"omniscio: error: {message}\n"
+
     def test_validate_verb(self, tmp_path, capsys):
         doc = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])
         bad = write_doc(tmp_path, doc, "bad.json")

@@ -27,7 +27,7 @@ from omniscio import (
 )
 from omniscio.errors import InternalContractError
 from omniscio.simplex import ConstraintSystem, feasible_point
-from omniscio.sources import TabularSource, scaled_joint_table
+from omniscio.sources import TabularSource
 from omniscio.subsets import complement, full_mask
 
 from helpers import (
@@ -231,7 +231,7 @@ def test_table_scale_gives_the_fraction_system_results(index):
     sol = solve(system)
     assert uniqueness_test(system, sol) == uniqueness_test(fractions, sol)
     m = oracle.m
-    scale, joint, _ = scaled_joint_table(oracle)
+    scale, joint, _ = oracle.scaled_table
     assert system.b_den == scale
     partitions = list(enumerate_admissible(m, family.active))[:12]
     for partition in partitions:

@@ -105,8 +105,7 @@ class TestValidityMatchesReference:
     def test_inexact_oracle_with_violations(self):
         vector = perturbed_vector(5, 0)
         for tolerance in (0.25, 0.5):
-            oracle = EntropyOracle(5, "tabular", False, vector.values, vector,
-                                   tolerance=tolerance)
+            oracle = EntropyOracle(5, False, vector.values, tolerance=tolerance)
             assert_same_report(oracle)
 
     def test_plain_int_values(self):
@@ -129,9 +128,9 @@ class TestValidityMatchesReference:
     def test_small_integer_tables(self, values, tolerance):
         m = len(values).bit_length() - 1
         if tolerance is None:
-            oracle = EntropyOracle(m, "vector", True, tuple(values))
+            oracle = EntropyOracle(m, True, tuple(values))
         else:
-            oracle = EntropyOracle(m, "tabular", False, tuple(values),
+            oracle = EntropyOracle(m, False, tuple(values),
                                    tolerance=tolerance)
         assert_same_report(oracle)
 
@@ -170,6 +169,6 @@ class TestUnnormalisedTable:
 
     def test_empty_entropy_within_tolerance_is_accepted(self):
         values = (F(1, 8), F(1), F(1), F(2))
-        oracle = EntropyOracle(2, "tabular", False, values, tolerance=0.25)
+        oracle = EntropyOracle(2, False, values, tolerance=0.25)
         bound, _ = mutual_dependence_bound(oracle, 0b11)
         assert bound == reference_mutual_dependence_bound(oracle, 0b11)[0]

@@ -30,7 +30,7 @@ from omniscio.errors import InvalidInputError
 from omniscio.fileio import parse_fraction
 from omniscio.simplex import make_system
 from omniscio import sources
-from omniscio.sources import EntropyOracle, check_validity, scaled_joint_table
+from omniscio.sources import EntropyOracle, check_validity
 from omniscio.subsets import full_mask
 
 from helpers import (
@@ -121,8 +121,8 @@ class TestOracleTable:
     @pytest.mark.parametrize("index", range(4))
     def test_table_is_built_once(self, index):
         oracle = oracles()[index]
-        table = scaled_joint_table(oracle)
-        assert scaled_joint_table(oracle) is table
+        table = oracle.scaled_table
+        assert oracle.scaled_table is table
         scale, joint, tol = table
         assert isinstance(joint, tuple)
         assert [F(v, scale) for v in joint] == [F(v) for v in oracle.joint]
@@ -132,19 +132,19 @@ class TestOracleTable:
     def test_cache_leaves_eq_hash_repr_alone(self):
         cached = make_oracle(random_linear_source(4, 4, 2, 0))
         fresh = make_oracle(random_linear_source(4, 4, 2, 0))
-        scaled_joint_table(cached)
+        cached.scaled_table  # builds and caches the table
         assert cached == fresh
         assert hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
         assert [f.name for f in fields(EntropyOracle)] == [
-            "m", "variant", "exact", "joint", "source", "tolerance",
+            "m", "exact", "joint", "tolerance",
         ]
 
     @pytest.mark.parametrize("h_empty", (F(1, 8), F(-1, 4)))
     def test_inexact_bound_with_small_empty_entropy(self, h_empty):
         values = list(make_oracle(random_linear_source(5, 5, 2, 2)).joint)
         values[0] = h_empty
-        oracle = EntropyOracle(5, "tabular", False, tuple(values),
+        oracle = EntropyOracle(5, False, tuple(values),
                                tolerance=0.25)
         for active in (full_mask(5), 0b10110):
             assert mutual_dependence_bound(oracle, active) == (
@@ -185,7 +185,7 @@ class TestElementalSquares:
             # same verdict and the same violating pairs.
             base = [v - h[0] for v in h]
             table = tuple(base[-1] - base[(n - 1) ^ s] for s in range(n))
-            oracle = EntropyOracle(m, "vector", True, table)
+            oracle = EntropyOracle(m, True, table)
             listings.clear()
             report = check_validity(oracle)
             assert bool(listings) != supermodular, (m, h)

@@ -188,7 +188,7 @@ class TestConstructive:
         bound, minimizers = mutual_dependence_bound(oracle, full_mask(4))
         assert value == bound
         assert partition in minimizers
-        assert partition_dependence(oracle, partition).value == report.c_sk
+        assert partition_dependence(oracle, partition) == report.c_sk
 
     def test_rejects_partial_active_set(self):
         src, active = make_counterexample()

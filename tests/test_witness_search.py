@@ -158,5 +158,5 @@ def test_feasible_exactly_when_the_partition_meets_the_capacity(seed):
                 comps = [complement(block, m) for block in partition]
                 eq_b = [oracle.cond_entropy(c) for c in comps]
                 hosts = feasible_point(m, family.masks, b, comps, eq_b) is not None
-                value = partition_dependence(oracle, partition).value
+                value = partition_dependence(oracle, partition)
                 assert hosts == (value == report.c_sk), partition
