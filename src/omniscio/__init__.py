@@ -50,7 +50,6 @@ from .tightness import (
     TightnessVerdict,
     check_bound,
     construct_partition_from_dual,
-    dependence_of_constructed,
     verify_closure,
     witness_by_partition_search,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "check_bound",
     "check_validity",
     "construct_partition_from_dual",
-    "dependence_of_constructed",
     "counterexample_entropy_vector",
     "enumerate_admissible",
     "enumerate_partitions",

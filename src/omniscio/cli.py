@@ -114,14 +114,11 @@ def _dispatch(args: argparse.Namespace) -> Dict[str, Any]:
     if args.verb == "audit":
         return audit_report()
 
-    validate = not getattr(args, "no_validate", False)
-    if args.verb == "validate":
-        oracle, active, source = parse_source_file(args.file, validate=False)
-        echo = _echo(args.file, source, terminals_of(active))
-        return validate_report(oracle, echo)
-
+    validate = args.verb != "validate" and not args.no_validate
     oracle, active, source = parse_source_file(args.file, validate=validate)
     echo = _echo(args.file, source, terminals_of(active))
+    if args.verb == "validate":
+        return validate_report(oracle, echo)
     if args.verb == "solve":
         return solve_report(oracle, active, echo)
     if args.verb == "mdb":

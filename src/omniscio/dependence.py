@@ -16,7 +16,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InternalContractError, InvalidInputError
 from .sources import EntropyOracle
-from .subsets import check_mask, complement, full_mask
+from .subsets import check_admissible, check_mask, complement, full_mask
 
 # Bell-number growth makes exhaustive enumeration explode; refuse beyond
 # this many terminals unless OMNISCIO_MAX_M raises the cap.
@@ -111,30 +111,14 @@ def enumerate_admissible(m: int, active: int) -> Iterator[Partition]:
         yield from enumerate_partitions(m, active, k)
 
 
-def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
-    union = 0
-    for block in partition:
-        check_mask(block, m)
-        if block == 0 or union & block:
-            raise InvalidInputError("blocks must be nonempty and disjoint")
-        if not block & active:
-            raise InvalidInputError("every block must meet the active set")
-        union |= block
-    if union != full_mask(m):
-        raise InvalidInputError("blocks must cover all terminals")
-    if not 2 <= len(partition) <= active.bit_count():
-        raise InvalidInputError("block count outside [2, |A|]")
-
-
 def partition_dependence(
     oracle: EntropyOracle, partition: Sequence[int]
 ) -> Fraction:
     """I(C_1,...,C_k) via the entropy-sum form, cross-checked against the
     complement form h(M) - (1/(k-1)) sum_i h(C_i^c)."""
-    k = len(partition)
-    if k < 2:
-        raise InvalidInputError("partition needs at least two blocks")
     m = oracle.m
+    check_admissible(partition, m, full_mask(m))
+    k = len(partition)
     entropy_sum = sum(
         (oracle.joint_entropy(block) for block in partition), Fraction(0)
     )

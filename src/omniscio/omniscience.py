@@ -21,7 +21,7 @@ from .simplex import (
     uniqueness_test,
 )
 from .sources import EntropyOracle
-from .subsets import check_mask, full_mask
+from .subsets import check_mask, full_mask, iter_bits
 
 RateVector = Tuple[Fraction, ...]
 
@@ -69,14 +69,7 @@ def build_family(m: int, active: int) -> ConstraintFamily:
 def sw_gap(rates: Sequence[Fraction], mask: int, oracle: EntropyOracle) -> Fraction:
     """Constraint slack sum_{j in B} R_j - h(B); >=0 satisfied, =0 tight."""
     check_mask(mask, oracle.m)
-    total = Fraction(0)
-    j = 0
-    b = mask
-    while b:
-        if b & 1:
-            total += rates[j]
-        b >>= 1
-        j += 1
+    total = sum((rates[j] for j in iter_bits(mask)), Fraction(0))
     return total - oracle.cond_entropy(mask)
 
 

@@ -283,8 +283,10 @@ def render_text(report: Dict[str, Any]) -> str:
     lines = [f"omniscio {report['version']} -- {report['command']}"]
     echo = report["input"]
     lines.append("input: " + ", ".join(f"{k}={v}" for k, v in echo.items()))
-    if "m" in report:
-        lines.append(f"m = {report['m']}, A = {_set_text(report.get('active', []))}")
+    if "active" in report:
+        lines.append(f"m = {report['m']}, A = {_set_text(report['active'])}")
+    elif "m" in report:
+        lines.append(f"m = {report['m']}")
 
     def emit(label: str, key: str) -> None:
         if key in report:

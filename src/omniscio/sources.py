@@ -27,6 +27,7 @@ from .errors import InvalidInputError, ValidationError
 from .gf2 import gf2_rank
 from .simplex import _pack
 from .subsets import (
+    check_admissible,
     check_mask,
     check_terminal_count,
     complement,
@@ -440,28 +441,13 @@ def _violating_pairs(
     return out
 
 
-def _check_partition_blocks(blocks: Sequence[int], m: int) -> None:
-    union = 0
-    for block in blocks:
-        check_mask(block, m)
-        if block == 0:
-            raise InvalidInputError("partition blocks must be nonempty")
-        if union & block:
-            raise InvalidInputError("partition blocks must be disjoint")
-        union |= block
-    if union != full_mask(m):
-        raise InvalidInputError("partition blocks must cover all terminals")
-
-
 def merge_terminals(source: SourceLike, blocks: Sequence[int]) -> SourceLike:
     """Conglomerate terminals: block i becomes the new terminal i.
 
     The merged terminal observes everything its block's members observe.
     """
-    m = source.m
-    _check_partition_blocks(blocks, m)
+    check_admissible(blocks, source.m, full_mask(source.m))
     k = len(blocks)
-    check_terminal_count(k)
 
     if isinstance(source, LinearGF2Source):
         merged = tuple(tuple(source.stacked_rows(block)) for block in blocks)

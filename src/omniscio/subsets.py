@@ -6,7 +6,9 @@ All functions take the terminal count m alongside the mask where it matters.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
+
+from .errors import InvalidInputError
 
 MAX_TERMINALS = 20
 
@@ -23,6 +25,23 @@ def full_mask(m: int) -> int:
 def check_mask(mask: int, m: int) -> None:
     if not 0 <= mask < (1 << m):
         raise ValueError(f"subset mask {mask:#b} out of range for m={m}")
+
+
+def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
+    """Check that the blocks partition {1, ..., m} into 2 to |A| blocks
+    that each meet the active set A."""
+    union = 0
+    for block in partition:
+        check_mask(block, m)
+        if block == 0 or union & block:
+            raise InvalidInputError("blocks must be nonempty and disjoint")
+        if not block & active:
+            raise InvalidInputError("every block must meet the active set")
+        union |= block
+    if union != full_mask(m):
+        raise InvalidInputError("blocks must cover all terminals")
+    if not 2 <= len(partition) <= active.bit_count():
+        raise InvalidInputError("block count outside [2, |A|]")
 
 
 def complement(mask: int, m: int) -> int:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-# enumerate_admissible is not called in this module; it stays bound here
-# because perfbench/tracer.py wraps it under this module's name.
+# enumerate_admissible and partition_dependence are not called in this
+# module; they stay bound here because perfbench/tracer.py wraps them under
+# this module's name.
 from .dependence import (  # noqa: F401
     Partition,
-    check_admissible,
     enumerate_admissible,
     mutual_dependence_bound,
     partition_dependence,
@@ -41,7 +41,7 @@ from .omniscience import (
 )
 from .simplex import LpSolution, feasible_point
 from .sources import EntropyOracle
-from .subsets import complement, format_mask, full_mask
+from .subsets import check_admissible, format_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def witness_by_partition_search(
     oracle: EntropyOracle, active: int, *, report: Optional[CapacityReport] = None
 ) -> TightnessVerdict:
     """Constructive form: find (partition, rates) with every block-complement
-    constraint tight, trying partitions in canonical order.
+    constraint tight, by one feasibility LP.
 
     Only the minimizers of I(A) can host a witness, and only when
     I(A) = C_SK. For an admissible P = (C_1, ..., C_k) every complement
@@ -84,30 +84,32 @@ def witness_by_partition_search(
     At an optimum sum(x) = R_CO = H(M) - C_SK, which reads I_P >= C_SK; a
     witness, with every C_i^c tight and sum(x) >= R_CO, forces I_P = C_SK.
     As I(A) is the least I_P, the partitions with I_P = C_SK are exactly
-    the minimizers of I(A) when I(A) = C_SK, and none otherwise. Nothing
-    here uses the validity of the entropy table, so this holds for every
-    oracle, exact or tabular. The search therefore runs ``feasible_point``
-    over the argmin of ``mutual_dependence_bound``, in its canonical order,
-    when the bound equals C_SK, with every right-hand side read as an int
-    from the oracle's table.
+    the minimizers of I(A) when I(A) = C_SK, and none otherwise.
+
+    The same identity makes one LP enough. For a minimizer P with
+    I_P = C_SK, a point x >= 0 of the region has every C_i^c tight exactly
+    when sum(x) = R_CO: each x(C_i^c) >= h(C_i^c), and their sum is
+    (k-1) sum(x) against (k-1) R_CO. So every minimizer has the same
+    feasibility set, and ``feasible_point`` on the first one, in canonical
+    order, answers for all of them. Nothing here uses the validity of the
+    entropy table, so this holds for every oracle, exact or tabular. The
+    right-hand sides are read as ints from the oracle's table.
     """
     if report is None:
         report = r_co(oracle, active)
     bound, minimizers = mutual_dependence_bound(oracle, active)
     witness: Optional[Tuple[Partition, RateVector]] = None
     if bound == report.c_sk:
-        family = report.family
-        m = oracle.m
-        scale, joint, _ = oracle.scaled_table
-        total, full = joint[-1], full_mask(m)
-        b = [total - joint[full ^ mask] for mask in family.masks]
-        for partition in minimizers:
-            comps = [full ^ block for block in partition]
-            eq_b = [total - joint[block] for block in partition]
-            rates = feasible_point(m, family.masks, b, comps, eq_b, scale)
-            if rates is not None:
-                witness = (partition, rates)
-                break
+        system = report.family.system(oracle)
+        _, joint, _ = oracle.scaled_table
+        partition = minimizers[0]
+        comps = [full_mask(oracle.m) ^ block for block in partition]
+        eq_b = [joint[-1] - joint[block] for block in partition]
+        rates = feasible_point(
+            oracle.m, system.row_masks, system.b_num, comps, eq_b, system.b_den
+        )
+        if rates is not None:
+            witness = (partition, rates)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
 
@@ -170,63 +172,47 @@ def construct_partition_from_dual(
     degrading silently.
     """
     m = family.m
-    if family.active != full_mask(m):
-        raise InvalidInputError("constructive extraction requires A = M")
-    retained = [i for i, w in enumerate(solution.y) if w > 0]
-    t = len(retained)
-    if t < 2:
-        raise InternalContractError(f"dual support size {t} < 2")
-    retained_masks = [family.masks[i] for i in retained]
     full = full_mask(m)
-    for mask in retained_masks:
-        if mask == 0 or mask == full:
-            raise InternalContractError("retained row is all-zero or all-one")
+    if family.active != full:
+        raise InvalidInputError("constructive extraction requires A = M")
+    rows = [mask for mask, w in zip(family.masks, solution.y) if w > 0]
+    if len(rows) < 2:
+        raise InternalContractError(f"dual support size {len(rows)} < 2")
+    if 0 in rows or full in rows:
+        raise InternalContractError("retained row is all-zero or all-one")
 
-    # Column patterns over the retained rows; identical columns share a block.
-    patterns: List[Tuple[int, ...]] = []
+    # Terminal j's column over the retained rows is an int, bit r set when
+    # row r contains j; identical columns share a block, and the blocks
+    # come in the order of their smallest terminal.
+    classes: Dict[int, int] = {}
     for j in range(m):
-        patterns.append(tuple((mask >> j) & 1 for mask in retained_masks))
-    classes: Dict[Tuple[int, ...], int] = {}
-    blocks: List[int] = []
-    for j in range(m):
-        idx = classes.setdefault(patterns[j], len(blocks))
-        if idx == len(blocks):
-            blocks.append(0)
-        blocks[idx] |= 1 << j
-    k = len(blocks)
-    if k < 2:
+        column = sum(1 << r for r, mask in enumerate(rows) if mask >> j & 1)
+        classes[column] = classes.get(column, 0) | 1 << j
+    if len(classes) < 2:
         raise InternalContractError("all retained columns identical (k < 2)")
-
-    class_patterns = {blocks[i]: patterns[(blocks[i] & -blocks[i]).bit_length() - 1]
-                      for i in range(k)}
 
     # No retained column pattern may dominate a different one: for every
     # pair of classes some retained row must contain the one block and not
     # the other, else the dual constraint y.A = 1 would be violated.
-    for i in range(k):
-        for i2 in range(k):
-            if i == i2:
-                continue
-            s_i = class_patterns[blocks[i]]
-            s_i2 = class_patterns[blocks[i2]]
-            if not any(a == 1 and b2 == 0 for a, b2 in zip(s_i, s_i2)):
+    for column, block in classes.items():
+        for other, block2 in classes.items():
+            if other != column and not column & ~other:
                 raise InternalContractError(
-                    f"column class {format_mask(blocks[i])} dominated by "
-                    f"{format_mask(blocks[i2])}"
+                    f"column class {format_mask(block)} dominated by "
+                    f"{format_mask(block2)}"
                 )
 
     # Each block complement must be the union of the retained rows that
     # miss the block, and tight at the primal optimum.
-    for i in range(k):
-        s_i = class_patterns[blocks[i]]
+    for column, block in classes.items():
         union = 0
-        for r, bit in enumerate(s_i):
-            if bit == 0:
-                union |= retained_masks[r]
-        comp = complement(blocks[i], m)
+        for r, mask in enumerate(rows):
+            if not column >> r & 1:
+                union |= mask
+        comp = full ^ block
         if union != comp:
             raise InternalContractError(
-                f"complement of block {format_mask(blocks[i])} is not a "
+                f"complement of block {format_mask(block)} is not a "
                 "union of retained tight rows"
             )
         if sw_gap(solution.x, comp, oracle) != 0:
@@ -234,14 +220,6 @@ def construct_partition_from_dual(
                 f"block-complement constraint {format_mask(comp)} not tight"
             )
 
-    partition = tuple(blocks)
+    partition = tuple(classes.values())
     check_admissible(partition, m, full)
     return partition
-
-
-def dependence_of_constructed(
-    oracle: EntropyOracle, report: CapacityReport
-) -> Tuple[Partition, Fraction]:
-    """Convenience: constructed partition and its dependence value."""
-    partition = construct_partition_from_dual(report.solution, report.family, oracle)
-    return partition, partition_dependence(oracle, partition)

@@ -117,6 +117,24 @@ class TestPartitionDependence:
         assert abs(float(value) - divergence) < 1e-9
 
 
+class TestPartitionChecks:
+    SOURCE = random_linear_source(3, 3, 2, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: partition_dependence(make_oracle(s), (0b001, 0b001)),
+            lambda s: partition_dependence(make_oracle(s), (0b001, 0b010)),
+            lambda s: partition_dependence(make_oracle(s), (0b011, 0b110, 0b100)),
+            lambda s: merge_terminals(s, (0b111,)),
+        ],
+        ids=["overlap-and-gap", "gap", "overlap", "one-block-merge"],
+    )
+    def test_non_partition_rejected(self, call):
+        with pytest.raises(InvalidInputError):
+            call(self.SOURCE)
+
+
 class TestBound:
     def test_published_table_bound_is_two(self):
         oracle = make_oracle(counterexample_entropy_vector(), validate=False)

@@ -179,3 +179,19 @@ class TestUniqueness:
         fake = type(sol)(sol.objective + 1, sol.x, sol.y, sol.tight_rows)
         with pytest.raises(InvalidInputError):
             uniqueness_test(system, fake)
+
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            ((F(-1), F(3)), "requires a nonnegative optimum"),
+            ((F(1, 2), F(3, 2)), "not feasible for the system"),
+        ],
+        ids=["negative", "outside-region"],
+    )
+    def test_rejects_point_off_the_region(self, x, message):
+        # Both points keep the optimal total 2, so only the named check fails.
+        system = make_system(2, [0b01, 0b10], [F(1), F(1)])
+        sol = solve(system)
+        fake = type(sol)(sol.objective, x, sol.y, sol.tight_rows)
+        with pytest.raises(InvalidInputError, match=message):
+            uniqueness_test(system, fake)

@@ -8,7 +8,6 @@ from omniscio import (
     check_bound,
     construct_partition_from_dual,
     counterexample_entropy_vector,
-    dependence_of_constructed,
     make_counterexample,
     make_oracle,
     make_sunflower,
@@ -21,7 +20,9 @@ from omniscio import (
     verify_closure,
     witness_by_partition_search,
 )
-from omniscio.errors import InvalidInputError
+from omniscio.errors import InternalContractError, InvalidInputError
+from omniscio.omniscience import ConstraintFamily
+from omniscio.simplex import LpSolution
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import complement, full_mask, mask_from_terminals
 
@@ -167,14 +168,20 @@ class TestConstructive:
     def test_shared_bit(self):
         oracle = make_oracle(shared_bit_source(3))
         report = r_co(oracle, 0b111)
-        partition, value = dependence_of_constructed(oracle, report)
+        partition = construct_partition_from_dual(
+            report.solution, report.family, oracle
+        )
+        value = partition_dependence(oracle, partition)
         assert value == 1
         assert value == report.c_sk
 
     def test_sunflower_achieves_bound(self):
         oracle = make_oracle(make_sunflower(3, 1, 1))
         report = r_co(oracle, 0b111)
-        partition, value = dependence_of_constructed(oracle, report)
+        partition = construct_partition_from_dual(
+            report.solution, report.family, oracle
+        )
+        value = partition_dependence(oracle, partition)
         bound, minimizers = mutual_dependence_bound(oracle, 0b111)
         assert value == bound == report.c_sk == 1
         assert partition in minimizers
@@ -184,7 +191,10 @@ class TestConstructive:
         src = random_linear_source(4, 4, 2, seed)
         oracle = make_oracle(src)
         report = r_co(oracle, full_mask(4))
-        partition, value = dependence_of_constructed(oracle, report)
+        partition = construct_partition_from_dual(
+            report.solution, report.family, oracle
+        )
+        value = partition_dependence(oracle, partition)
         bound, minimizers = mutual_dependence_bound(oracle, full_mask(4))
         assert value == bound
         assert partition in minimizers
@@ -196,3 +206,59 @@ class TestConstructive:
         report = r_co(oracle, active)
         with pytest.raises(InvalidInputError):
             construct_partition_from_dual(report.solution, report.family, oracle)
+
+
+def crafted(masks, y, x=(F(0), F(0), F(0)), m=3):
+    """A dual solution with weights y on the rows masks of an A = M family;
+    objective and tight rows are not read by the extraction."""
+    return LpSolution(sum(x), tuple(x), tuple(map(F, y)), ()), ConstraintFamily(
+        m, full_mask(m), tuple(masks)
+    )
+
+
+class TestConstructiveContract:
+    """Each machine-checked step of the extraction, broken on purpose.
+
+    build_family never yields an empty, full or out-of-range row, and once
+    no column class is dominated every complement is a union of retained
+    rows, so three of these need a hand-made family: a row with a bit past
+    terminal m stands for a corrupted one.
+    """
+
+    ORACLE = make_oracle(random_linear_source(3, 3, 2, 0))
+
+    @pytest.mark.parametrize(
+        "masks,y,message",
+        [
+            ((0b001, 0b010), (1, 0), "dual support size 1 < 2"),
+            ((0b000, 0b010), (1, 1), "retained row is all-zero or all-one"),
+            ((0b111, 0b010), (1, 1), "retained row is all-zero or all-one"),
+            ((0b1000, 0b10000), (1, 1), r"all retained columns identical \(k < 2\)"),
+            ((0b011, 0b010), (1, 1), "column class 1 dominated by 2"),
+            (
+                (0b1001, 0b1010, 0b1100),
+                (1, 1, 1),
+                "complement of block 1 is not a union of retained tight rows",
+            ),
+            (
+                (0b001, 0b010, 0b100),
+                (1, 1, 1),
+                "block-complement constraint 2,3 not tight",
+            ),
+        ],
+        ids=[
+            "support", "empty-row", "full-row", "identical", "dominated",
+            "not-union", "not-tight",
+        ],
+    )
+    def test_broken_step_raises(self, masks, y, message):
+        solution, family = crafted(masks, y)
+        with pytest.raises(InternalContractError, match=message):
+            construct_partition_from_dual(solution, family, self.ORACLE)
+
+    def test_every_domination_check_comes_first(self):
+        # No row misses block {1}, so its complement check would fail, but
+        # class {2} is dominated by {1}, and that check must fire first.
+        solution, family = crafted((0b101, 0b011), (1, 1))
+        with pytest.raises(InternalContractError, match="column class 2 dominated by 1"):
+            construct_partition_from_dual(solution, family, self.ORACLE)

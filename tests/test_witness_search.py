@@ -20,6 +20,7 @@ from omniscio import (
     enumerate_admissible,
     make_counterexample,
     make_oracle,
+    mutual_dependence_bound,
     partition_dependence,
     r_co,
     random_linear_source,
@@ -86,16 +87,13 @@ def non_monotone_cases():
 CASES = [*linear_cases(), *tabular_cases(), *non_monotone_cases()]
 
 
-def recorded(monkeypatch, refuse=0):
+def recorded(monkeypatch):
     """Patch both searches' feasible_point to record the partitions it is
-    asked about, by their block complements; the first ``refuse`` calls
-    answer None."""
+    asked about, by their block complements."""
     calls = []
 
     def wrapper(m, masks, b, comps, eq_b, *scale):
         calls.append(tuple(comps))
-        if len(calls) <= refuse:
-            return None
         return feasible_point(m, masks, b, comps, eq_b, *scale)
 
     monkeypatch.setattr(tightness, "feasible_point", wrapper)
@@ -125,23 +123,34 @@ def test_same_verdict_witness_and_calls_as_the_full_scan(
     assert all(type(v) is Fraction for v in (new.witness or ((), ()))[1])
 
 
-@pytest.mark.parametrize("refuse", [1, 3, 20])
-@pytest.mark.parametrize("name", ["m4-a1111-s2", "m5-a111-s2", "m6-a111-s0"])
-def test_refused_candidates_fall_through_in_order(name, refuse, monkeypatch):
-    # With the rate LP's own report every candidate is feasible: the
-    # singleton rows give every point of the region x >= 0, and an optimum
-    # of the rate LP makes every candidate's complements tight. So the
-    # fall-through to later minimizers (7, 17 and 8 of them here) is
-    # exercised by refusing the first candidates, or all of them.
-    oracle, active = next((o, a) for n, o, a in CASES if n == name)
-    report = r_co(oracle, active)
-    calls = recorded(monkeypatch, refuse)
-    new = witness_by_partition_search(oracle, active, report=report)
-    new_calls = list(calls)
-    calls.clear()
-    old = reference_witness_by_partition_search(oracle, active, report=report)
-    assert new == old
-    assert new_calls == calls
+def bound_meets_capacity(oracle, active):
+    try:
+        return r_co(oracle, active).c_sk == mutual_dependence_bound(oracle, active)[0]
+    except OmniscioError:  # a table the rate LP or the bound rejects
+        return False
+
+
+TIGHT_CASES = [case for case in CASES if bound_meets_capacity(*case[1:])]
+
+
+@pytest.mark.parametrize(
+    "name,oracle,active", TIGHT_CASES, ids=[case[0] for case in TIGHT_CASES]
+)
+def test_every_minimizer_hosts_a_witness(name, oracle, active):
+    # When I(A) = C_SK every minimizer's feasibility set is the set of
+    # points x >= 0 of the region with sum(x) = R_CO, so feasible_point
+    # answers alike on all of them; the search asks only the first. The
+    # rate LP's optimum lies in that set, so the answer is a point.
+    m = oracle.m
+    family = build_family(m, active)
+    b = [oracle.cond_entropy(mask) for mask in family.masks]
+    _, minimizers = mutual_dependence_bound(oracle, active)
+    hosts = set()
+    for partition in minimizers:
+        comps = [complement(block, m) for block in partition]
+        eq_b = [oracle.cond_entropy(c) for c in comps]
+        hosts.add(feasible_point(m, family.masks, b, comps, eq_b) is not None)
+    assert hosts == {True}, name
 
 
 @pytest.mark.parametrize("seed", range(40))
