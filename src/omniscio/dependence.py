@@ -144,13 +144,15 @@ def mutual_dependence_bound(
     N = sum_i H(X_{C_i}) - H(X_M) is an int, and values N/(k-1) are
     compared by cross-multiplying, so no Fraction is built per partition.
     """
+    if active.bit_count() < 2:
+        raise InvalidInputError("active set must have at least two terminals")
     cap = _enumeration_cap()
     if oracle.m > cap:
         raise InvalidInputError(
             f"m={oracle.m} exceeds the enumeration cap {cap}; raise it "
             "explicitly (OMNISCIO_MAX_M) to proceed"
         )
-    scale, joint, tol = oracle.scaled_table
+    scale, joint, tol = oracle.scale, oracle.joint, oracle.tol
     # For every partition, N minus (k-1) times the complement form
     # h(M) - (1/(k-1)) sum_i h(C_i^c) is exactly (k-1) H(X_emptyset), so
     # the two forms agree within the tolerance on every partition exactly

@@ -46,7 +46,7 @@ class ConstraintFamily:
         """
         if oracle.m != self.m:
             raise InvalidInputError("oracle terminal count mismatch")
-        scale, joint, _ = oracle.scaled_table
+        scale, joint = oracle.scale, oracle.joint
         total, full = joint[-1], full_mask(self.m)
         b = tuple(total - joint[full ^ mask] for mask in self.masks)
         return ConstraintSystem(self.m, self.masks, b, scale, (1,) * self.m, 1)

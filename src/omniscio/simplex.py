@@ -115,32 +115,20 @@ def make_system(
     b: Sequence[Rational],
     c: Optional[Sequence[Rational]] = None,
 ) -> ConstraintSystem:
-    """The system of rows (row_masks, b) and objective c (all ones if None).
-
-    ``b`` and ``c`` keep the caller's values, as Fractions.
-    """
-    b_values = _fractions(b)
-    c_values = _fractions([1] * m if c is None else c)
-    system = ConstraintSystem(
-        m, tuple(row_masks), *_over_common_denominator(b_values),
-        *_over_common_denominator(c_values),
+    """The system of rows (row_masks, b) and objective c (all ones if None)."""
+    return ConstraintSystem(
+        m, tuple(row_masks), *_over_common_denominator(b),
+        *_over_common_denominator([1] * m if c is None else c),
     )
-    # Fill the cached properties with the caller's own Fraction objects.
-    object.__setattr__(system, "b", b_values)
-    object.__setattr__(system, "c", c_values)
-    return system
-
-
-def _fractions(values: Sequence[Rational]) -> Tuple[Fraction, ...]:
-    """``values`` as Fractions, keeping those that already are."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def _over_common_denominator(
     values: Sequence[Rational],
 ) -> Tuple[Tuple[int, ...], int]:
     """``(nums, den)`` with den > 0 the lcm of the denominators and
-    values[i] == nums[i] / den."""
+    values[i] == nums[i] / den. A value that is neither an int nor a
+    Fraction is read as ``Fraction(value)``."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 

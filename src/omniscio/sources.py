@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InvalidInputError, ValidationError
 from .gf2 import gf2_rank
-from .simplex import _pack
+from .simplex import _over_common_denominator, _pack
 from .subsets import (
     check_admissible,
     check_mask,
@@ -73,11 +72,6 @@ class LinearGF2Source:
         for j in iter_bits(subset):
             out.extend(self.rows[j])
         return out
-
-    def joint_entropy(self, subset: int) -> Fraction:
-        """H(X_S) = GF(2) rank of the stacked coefficient rows, in bits."""
-        check_mask(subset, self.m)
-        return Fraction(gf2_rank(self.stacked_rows(subset)))
 
 
 @dataclass(frozen=True)
@@ -150,83 +144,64 @@ class EntropyVector:
 
 @dataclass(frozen=True)
 class EntropyOracle:
-    """Precomputed map S -> H(X_S) with conditional-entropy reads.
+    """The joint entropies of every subset, as one integer table.
 
-    Immutable after construction; ``joint`` holds all 2^m values so reads
-    are table lookups.
+    ``joint[S] = H(X_S) * scale`` for all 2^m masks S, and ``tol`` is the
+    comparison tolerance times ``scale``: 0 for an exact oracle. Every
+    layer that compares sums of entropies reads these ints; the Fraction
+    reads below build their value when called.
     """
 
     m: int
-    exact: bool
-    joint: Tuple[Fraction, ...]
-    tolerance: float = 0.0
+    scale: int
+    joint: Tuple[int, ...]
+    tol: int
+
+    @property
+    def exact(self) -> bool:
+        return self.tol == 0
 
     def joint_entropy(self, subset: int) -> Fraction:
         """H(X_S)."""
         check_mask(subset, self.m)
-        return self.joint[subset]
+        return Fraction(self.joint[subset], self.scale)
 
     def cond_entropy(self, subset: int) -> Fraction:
         """h(B) = H(X_B | X_{B^c}) = H(X_M) - H(X_{B^c})."""
         check_mask(subset, self.m)
-        return self.joint[-1] - self.joint[complement(subset, self.m)]
+        joint = self.joint
+        return Fraction(joint[-1] - joint[complement(subset, self.m)], self.scale)
 
     def total_entropy(self) -> Fraction:
-        return self.joint[-1]
+        return Fraction(self.joint[-1], self.scale)
 
     def isclose(self, a: Fraction, b: Fraction) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= self.tolerance
-
-    @cached_property
-    def scaled_table(self) -> Tuple[int, Tuple[int, ...], int]:
-        """The joint entropies over one common denominator, as exact ints.
-
-        ``(scale, joint, tol)`` with ``joint[S] = H(X_S) * scale`` and
-        ``tol = tolerance * scale``, where ``scale`` is the lcm of the
-        denominators of every joint value and of the tolerance (0 for exact
-        oracles). Comparisons of sums of table entries then need no
-        Fraction. Computed on first use and kept in the instance
-        ``__dict__``, so every read returns the same tuple; it is not a
-        dataclass field, so equality, hashing and repr ignore it.
-        """
-        values = [
-            v if isinstance(v, (int, Fraction)) else Fraction(v)
-            for v in self.joint
-        ]
-        tolerance = Fraction(0) if self.exact else Fraction(self.tolerance)
-        scale = math.lcm(
-            tolerance.denominator, *{v.denominator for v in values}
-        )
-        joint = tuple(v.numerator * (scale // v.denominator) for v in values)
-        tol = tolerance.numerator * (scale // tolerance.denominator)
-        return scale, joint, tol
+        return abs(a - b) * self.scale <= self.tol
 
 
 def make_oracle(source: SourceLike, *, validate: bool = True) -> EntropyOracle:
     """Build the entropy oracle for any source representation.
 
-    EntropyVector inputs are validated (normalization, monotonicity,
-    supermodularity) unless ``validate`` is False; the other variants are
-    genuine entropy functions by construction. Tabular entropies are double
-    precision, so their oracle compares at ``DEFAULT_TOLERANCE``.
+    Linear sources store their GF(2) ranks as they are, over scale 1.
+    Tabular entropies are double precision, so their oracle compares at
+    ``DEFAULT_TOLERANCE``; the table and the tolerance go over one common
+    denominator. EntropyVector inputs are validated (normalization,
+    monotonicity, supermodularity) unless ``validate`` is False; the other
+    variants are genuine entropy functions by construction.
     """
-    if isinstance(source, LinearGF2Source):
-        table = tuple(source.joint_entropy(s) for s in range(1 << source.m))
-        oracle = EntropyOracle(source.m, True, table)
-    elif isinstance(source, TabularSource):
-        table = tuple(
-            Fraction(source.joint_entropy(s)) for s in range(1 << source.m)
-        )
-        oracle = EntropyOracle(
-            source.m, False, table, tolerance=DEFAULT_TOLERANCE
-        )
-    elif isinstance(source, EntropyVector):
-        oracle = EntropyOracle(source.m, True, source.values)
-    else:
+    if not isinstance(source, (LinearGF2Source, TabularSource, EntropyVector)):
         raise InvalidInputError(f"unsupported source type {type(source).__name__}")
-    if validate and isinstance(source, EntropyVector):
+    m = source.m
+    if isinstance(source, LinearGF2Source):
+        ranks = tuple(gf2_rank(source.stacked_rows(s)) for s in range(1 << m))
+        return EntropyOracle(m, 1, ranks, 0)
+    if isinstance(source, TabularSource):
+        entropies = [source.joint_entropy(s) for s in range(1 << m)]
+        nums, scale = _over_common_denominator([*entropies, DEFAULT_TOLERANCE])
+        return EntropyOracle(m, scale, nums[:-1], nums[-1])
+    joint, scale = _over_common_denominator(source.values)
+    oracle = EntropyOracle(m, scale, joint, 0)
+    if validate:
         report = check_validity(oracle)
         if not report.ok:
             raise ValidationError(report.describe_first())
@@ -304,7 +279,7 @@ def check_validity(oracle: EntropyOracle) -> ValidityReport:
     """
     m = oracle.m
     n = 1 << m
-    scale, joint, tol = oracle.scaled_table
+    scale, joint, tol = oracle.scale, oracle.joint, oracle.tol
     normalized = abs(joint[0]) <= tol
     top = max(joint)
     w = (2 * (top - min(joint)) + tol).bit_length() + 1

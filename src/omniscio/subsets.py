@@ -32,7 +32,8 @@ def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
     that each meet the active set A."""
     union = 0
     for block in partition:
-        check_mask(block, m)
+        if not 0 <= block < 1 << m:
+            raise InvalidInputError(f"block mask {block:#b} out of range for m={m}")
         if block == 0 or union & block:
             raise InvalidInputError("blocks must be nonempty and disjoint")
         if not block & active:

@@ -65,7 +65,7 @@ def check_bound(
         raise ComputationError(
             f"mutual-dependence bound {bound} below capacity {report.c_sk}"
         )
-    tight = gap == 0 if oracle.exact else oracle.isclose(bound, report.c_sk)
+    tight = oracle.isclose(bound, report.c_sk)
     return TightnessVerdict(tight, gap, report.c_sk, bound)
 
 
@@ -101,7 +101,7 @@ def witness_by_partition_search(
     witness: Optional[Tuple[Partition, RateVector]] = None
     if bound == report.c_sk:
         system = report.family.system(oracle)
-        _, joint, _ = oracle.scaled_table
+        joint = oracle.joint
         partition = minimizers[0]
         comps = [full_mask(oracle.m) ^ block for block in partition]
         eq_b = [joint[-1] - joint[block] for block in partition]

@@ -143,6 +143,16 @@ def brute_force_partitions(m: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def oracle_from_table(
+    m: int, values: Sequence[Rational], tolerance: Rational = 0
+) -> EntropyOracle:
+    """The oracle of the joint-entropy table ``values``, compared at
+    ``tolerance``, with no validation: the table and the tolerance go over
+    one common denominator."""
+    nums, scale = _over_common_denominator([*values, tolerance])
+    return EntropyOracle(m, scale, nums[:-1], nums[-1])
+
+
 # Reference enumerator: the recursive generator (one frame per assigned
 # terminal) that the library ran before it walked restricted-growth strings
 # in one frame; the library enumerator must yield the same sequence.
@@ -617,8 +627,8 @@ def reference_check_validity(oracle: EntropyOracle) -> ValidityReport:
     """Every pair of subsets scanned in Fraction arithmetic."""
     m = oracle.m
     h = [oracle.cond_entropy(s) for s in range(1 << m)]
-    slack = Fraction(0) if oracle.exact else Fraction(oracle.tolerance)
-    normalized = abs(oracle.joint[0]) <= slack
+    slack = Fraction(oracle.tol, oracle.scale)
+    normalized = abs(oracle.joint_entropy(0)) <= slack
 
     mono: List[Tuple[int, int]] = []
     for b in range(1 << m):
@@ -686,7 +696,7 @@ def reference_integer_check_validity(oracle: EntropyOracle) -> ValidityReport:
     """
     m = oracle.m
     n = 1 << m
-    scale, joint, tol = oracle.scaled_table
+    scale, joint, tol = oracle.scale, oracle.joint, oracle.tol
     total = joint[-1]
     h = [total - v for v in reversed(joint)]  # h(S) = H(M) - H(M - S)
     normalized = abs(joint[0]) <= tol

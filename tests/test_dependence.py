@@ -134,6 +134,18 @@ class TestPartitionChecks:
         with pytest.raises(InvalidInputError):
             call(self.SOURCE)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: partition_dependence(make_oracle(s), (0b1000, 0b111)),
+            lambda s: merge_terminals(s, (-1, 0b111)),
+        ],
+        ids=["above-m", "negative"],
+    )
+    def test_block_mask_out_of_range_is_invalid_input(self, call):
+        with pytest.raises(InvalidInputError, match="out of range for m=3"):
+            call(self.SOURCE)
+
 
 class TestBound:
     def test_published_table_bound_is_two(self):
@@ -160,6 +172,14 @@ class TestBound:
         bound, minimizers = mutual_dependence_bound(oracle, 0b111)
         assert bound == 1
         assert len(minimizers) == BELL[3] - 1
+
+    @pytest.mark.parametrize("active", (0b0, 0b1, 0b1000))
+    def test_fewer_than_two_active_terminals(self, active):
+        oracle = make_oracle(shared_bit_source(3))
+        with pytest.raises(
+            InvalidInputError, match="active set must have at least two"
+        ):
+            mutual_dependence_bound(oracle, active)
 
     def test_enumeration_cap(self, monkeypatch):
         oracle = make_oracle(shared_bit_source(3))

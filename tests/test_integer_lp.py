@@ -231,7 +231,7 @@ def test_table_scale_gives_the_fraction_system_results(index):
     sol = solve(system)
     assert uniqueness_test(system, sol) == uniqueness_test(fractions, sol)
     m = oracle.m
-    scale, joint, _ = oracle.scaled_table
+    scale, joint = oracle.scale, oracle.joint
     assert system.b_den == scale
     partitions = list(enumerate_admissible(m, family.active))[:12]
     for partition in partitions:

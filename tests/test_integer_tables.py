@@ -25,10 +25,14 @@ from omniscio import (
     random_linear_source,
 )
 from omniscio.errors import InvalidInputError
-from omniscio.sources import EntropyOracle, EntropyVector, TabularSource
+from omniscio.sources import EntropyVector, TabularSource
 from omniscio.subsets import full_mask
 
-from helpers import reference_check_validity, reference_mutual_dependence_bound
+from helpers import (
+    oracle_from_table,
+    reference_check_validity,
+    reference_mutual_dependence_bound,
+)
 
 F = Fraction
 
@@ -105,7 +109,7 @@ class TestValidityMatchesReference:
     def test_inexact_oracle_with_violations(self):
         vector = perturbed_vector(5, 0)
         for tolerance in (0.25, 0.5):
-            oracle = EntropyOracle(5, False, vector.values, tolerance=tolerance)
+            oracle = oracle_from_table(5, vector.values, tolerance)
             assert_same_report(oracle)
 
     def test_plain_int_values(self):
@@ -127,11 +131,7 @@ class TestValidityMatchesReference:
     )
     def test_small_integer_tables(self, values, tolerance):
         m = len(values).bit_length() - 1
-        if tolerance is None:
-            oracle = EntropyOracle(m, True, tuple(values))
-        else:
-            oracle = EntropyOracle(m, False, tuple(values),
-                                   tolerance=tolerance)
+        oracle = oracle_from_table(m, values, tolerance or 0)
         assert_same_report(oracle)
 
 
@@ -169,6 +169,6 @@ class TestUnnormalisedTable:
 
     def test_empty_entropy_within_tolerance_is_accepted(self):
         values = (F(1, 8), F(1), F(1), F(2))
-        oracle = EntropyOracle(2, False, values, tolerance=0.25)
+        oracle = oracle_from_table(2, values, 0.25)
         bound, _ = mutual_dependence_bound(oracle, 0b11)
         assert bound == reference_mutual_dependence_bound(oracle, 0b11)[0]

@@ -18,9 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omniscio import check_validity, counterexample_entropy_vector, make_oracle
-from omniscio.sources import EntropyOracle, EntropyVector
+from omniscio.sources import EntropyVector
 
-from helpers import reference_check_validity, reference_integer_check_validity
+from helpers import (
+    oracle_from_table,
+    reference_check_validity,
+    reference_integer_check_validity,
+)
 from test_integer_tables import linear_joint, perturbed_vector, tabular_source
 
 F = Fraction
@@ -51,11 +55,7 @@ def vector_oracle(values):
 )
 def test_integer_tables(values, tolerance):
     m = len(values).bit_length() - 1
-    if tolerance is None:
-        oracle = EntropyOracle(m, True, tuple(values))
-    else:
-        oracle = EntropyOracle(m, False, tuple(values),
-                               tolerance=tolerance)
+    oracle = oracle_from_table(m, values, tolerance or 0)
     assert_same_report(oracle)
 
 
@@ -108,13 +108,11 @@ def edge_cases():
     # m = 2, H(1) = H(2) = R and H(12) = 0: u = h - min h is (R, 0, 0, R),
     # so the pair ({1}, {2}) has v = -2R, the square v = 2R and every
     # one-step gain -R or R.
-    yield "exact", EntropyOracle(2, True, (0, 3, 3, 0)), 3, 0
-    yield "tolerance", EntropyOracle(2, False, (0, 3, 3, 0),
-                                     tolerance=1.0), 3, 1
+    yield "exact", oracle_from_table(2, (0, 3, 3, 0)), 3, 0
+    yield "tolerance", oracle_from_table(2, (0, 3, 3, 0), 1.0), 3, 1
     # m = 3 with a range of 31 and a tolerance of 1: 2R + t = 63.
     values = (0, 31, 31, 0, 31, 0, 0, 31)
-    yield "m3", EntropyOracle(3, False, values,
-                              tolerance=1.0), 31, 1
+    yield "m3", oracle_from_table(3, values, 1.0), 31, 1
 
 
 @pytest.mark.parametrize(
@@ -122,7 +120,7 @@ def edge_cases():
     ids=[case[0] for case in edge_cases()],
 )
 def test_width_edge_tables(name, oracle, span, tol):
-    _, joint, t = oracle.scaled_table
+    joint, t = oracle.joint, oracle.tol
     assert (max(joint) - min(joint), t) == (span, tol)
     assert_at_width_edge(span, tol)
     assert not assert_same_report(oracle).ok
@@ -132,7 +130,7 @@ def test_scaled_edge_table():
     # Halves scale the table by 2, so the range is 7 only after scaling.
     values = (F(0), F(7, 2), F(7, 2), F(0))
     oracle = vector_oracle(values)
-    scale, joint, _ = oracle.scaled_table
+    scale, joint = oracle.scale, oracle.joint
     assert (scale, max(joint) - min(joint)) == (2, 7)
     assert_at_width_edge(7, 0)
     assert not assert_same_report(oracle).ok

@@ -6,9 +6,11 @@ frame and must yield exactly what the recursive reference enumerator in
 exact table skip the pair listing are checked on the packed table and must
 decide supermodularity as every pair does. ``parse_fraction`` reads plain
 ASCII ``p`` and ``p/q`` with ``int`` and must agree with ``Fraction`` on
-everything else. The oracle builds its integer table once; caching it must
-leave equality, hashing and repr alone, and every reader of it (the rate
-LP's right-hand side, I(A)) must see the values the Fraction reads give.
+everything else. The oracle's data is one integer table over one scale:
+its Fraction reads must be built from that table, a linear source and its
+own table loaded as an entropy vector must give the same oracle, and every
+reader of the table (the rate LP's right-hand side, I(A)) must see the
+values the Fraction reads give.
 """
 
 import random
@@ -30,10 +32,17 @@ from omniscio.errors import InvalidInputError
 from omniscio.fileio import parse_fraction
 from omniscio.simplex import make_system
 from omniscio import sources
-from omniscio.sources import EntropyOracle, check_validity
+from omniscio.sources import (
+    DEFAULT_TOLERANCE,
+    EntropyOracle,
+    EntropyVector,
+    check_validity,
+)
 from omniscio.subsets import full_mask
 
 from helpers import (
+    brute_force_joint_entropy,
+    oracle_from_table,
     reference_enumerate_partitions,
     reference_mutual_dependence_bound,
 )
@@ -119,33 +128,54 @@ def oracles():
 
 class TestOracleTable:
     @pytest.mark.parametrize("index", range(4))
-    def test_table_is_built_once(self, index):
+    def test_fraction_reads_come_from_the_table(self, index):
         oracle = oracles()[index]
-        table = oracle.scaled_table
-        assert oracle.scaled_table is table
-        scale, joint, tol = table
-        assert isinstance(joint, tuple)
-        assert [F(v, scale) for v in joint] == [F(v) for v in oracle.joint]
-        expected_tol = 0 if oracle.exact else F(oracle.tolerance)
-        assert F(tol, scale) == expected_tol
+        scale, joint, full = oracle.scale, oracle.joint, full_mask(oracle.m)
+        assert isinstance(joint, tuple) and len(joint) == 1 << oracle.m
+        assert all(type(v) is int for v in joint)
+        assert isinstance(scale, int) and scale > 0
+        for s in range(1 << oracle.m):
+            assert oracle.joint_entropy(s) == F(joint[s], scale)
+            assert oracle.cond_entropy(s) == F(joint[-1] - joint[full ^ s], scale)
+        assert oracle.total_entropy() == F(joint[-1], scale)
+        assert oracle.exact == (oracle.tol == 0)
 
-    def test_cache_leaves_eq_hash_repr_alone(self):
-        cached = make_oracle(random_linear_source(4, 4, 2, 0))
-        fresh = make_oracle(random_linear_source(4, 4, 2, 0))
-        cached.scaled_table  # builds and caches the table
-        assert cached == fresh
-        assert hash(cached) == hash(fresh)
-        assert repr(cached) == repr(fresh)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_oracle_holds_ranks(self, seed):
+        source = random_linear_source(4, 5, 2, seed)
+        oracle = make_oracle(source)
+        assert (oracle.scale, oracle.tol) == (1, 0) and oracle.exact
+        assert all(type(v) is int for v in oracle.joint)
+        assert list(oracle.joint) == [
+            brute_force_joint_entropy(source, s) for s in range(16)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_source_and_its_table_give_one_oracle(self, seed):
+        source = random_linear_source(5, 5, 2, seed)
+        oracle = make_oracle(source)
+        vector = EntropyVector(5, tuple(F(v) for v in oracle.joint))
+        loaded = make_oracle(vector)
+        assert loaded == oracle
+        assert hash(loaded) == hash(oracle)
+        assert repr(loaded) == repr(oracle)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tabular_oracle_carries_the_default_tolerance(self, seed):
+        oracle = make_oracle(tabular_source(3, seed))
+        assert F(oracle.tol, oracle.scale) == F(DEFAULT_TOLERANCE)
+        assert not oracle.exact
+
+    def test_fields(self):
         assert [f.name for f in fields(EntropyOracle)] == [
-            "m", "exact", "joint", "tolerance",
+            "m", "scale", "joint", "tol",
         ]
 
     @pytest.mark.parametrize("h_empty", (F(1, 8), F(-1, 4)))
     def test_inexact_bound_with_small_empty_entropy(self, h_empty):
         values = list(make_oracle(random_linear_source(5, 5, 2, 2)).joint)
         values[0] = h_empty
-        oracle = EntropyOracle(5, False, tuple(values),
-                               tolerance=0.25)
+        oracle = oracle_from_table(5, values, 0.25)
         for active in (full_mask(5), 0b10110):
             assert mutual_dependence_bound(oracle, active) == (
                 reference_mutual_dependence_bound(oracle, active)
@@ -185,7 +215,7 @@ class TestElementalSquares:
             # same verdict and the same violating pairs.
             base = [v - h[0] for v in h]
             table = tuple(base[-1] - base[(n - 1) ^ s] for s in range(n))
-            oracle = EntropyOracle(m, True, table)
+            oracle = oracle_from_table(m, table)
             listings.clear()
             report = check_validity(oracle)
             assert bool(listings) != supermodular, (m, h)
@@ -212,6 +242,5 @@ class TestFamilyPricing:
     def test_make_system_keeps_fractions(self):
         value = F(7, 3)
         system = make_system(2, (0b01, 0b10), [value, 2])
-        assert system.b[0] is value
         assert system.b == (F(7, 3), F(2))
         assert type(system.b[1]) is Fraction
