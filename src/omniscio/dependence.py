@@ -16,7 +16,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InternalContractError, InvalidInputError
 from .sources import EntropyOracle
-from .subsets import check_admissible, check_mask, complement, full_mask
+from .subsets import check_active, check_admissible, full_mask
 
 # Bell-number growth makes exhaustive enumeration explode; refuse beyond
 # this many terminals unless OMNISCIO_MAX_M raises the cap.
@@ -40,10 +40,8 @@ def enumerate_partitions(m: int, active: int, k: int) -> Iterator[Partition]:
     The arguments are checked when this is called, not when the result is
     first iterated.
     """
-    check_mask(active, m)
+    check_active(active, m)
     size_a = active.bit_count()
-    if size_a < 2:
-        raise InvalidInputError("active set must have at least two terminals")
     if not 2 <= k <= size_a:
         raise InvalidInputError(f"k={k} outside [2, |A|={size_a}]")
     return _restricted_growth(m, active, k)
@@ -114,25 +112,30 @@ def enumerate_admissible(m: int, active: int) -> Iterator[Partition]:
 def partition_dependence(
     oracle: EntropyOracle, partition: Sequence[int]
 ) -> Fraction:
-    """I(C_1,...,C_k) via the entropy-sum form, cross-checked against the
-    complement form h(M) - (1/(k-1)) sum_i h(C_i^c)."""
+    """I(C_1,...,C_k) = (sum_i H(X_{C_i}) - H(X_M)) / (k-1), from the
+    oracle's integer table."""
     m = oracle.m
     check_admissible(partition, m, full_mask(m))
-    k = len(partition)
-    entropy_sum = sum(
-        (oracle.joint_entropy(block) for block in partition), Fraction(0)
-    )
-    value = (entropy_sum - oracle.total_entropy()) / (k - 1)
-    comp_sum = sum(
-        (oracle.cond_entropy(complement(block, m)) for block in partition),
-        Fraction(0),
-    )
-    alt = oracle.cond_entropy(full_mask(m)) - comp_sum / (k - 1)
-    if not oracle.isclose(value, alt):
-        raise InternalContractError(
-            f"dependence forms disagree: {value} vs {alt} on {partition}"
+    _check_normalised(oracle)
+    joint = oracle.joint
+    n = sum(joint[block] for block in partition) - joint[-1]
+    return Fraction(n, (len(partition) - 1) * oracle.scale)
+
+
+def _check_normalised(oracle: EntropyOracle) -> None:
+    """Refuse a table whose H(X_emptyset) is not 0 within the tolerance.
+
+    For every partition, N = sum_i H(X_{C_i}) - H(X_M) minus (k-1) times
+    the complement form h(M) - (1/(k-1)) sum_i h(C_i^c) is exactly
+    (k-1) H(X_emptyset), so the two forms of I(C_1, ..., C_k) agree within
+    the tolerance on every partition exactly when H(X_emptyset) does; that
+    is checked once, here.
+    """
+    if abs(oracle.joint[0]) > oracle.tol:
+        raise InvalidInputError(
+            f"H(X_emptyset) = {Fraction(oracle.joint[0], oracle.scale)} is "
+            "not 0; I(A) needs a normalised entropy table"
         )
-    return value
 
 
 def mutual_dependence_bound(
@@ -144,24 +147,15 @@ def mutual_dependence_bound(
     N = sum_i H(X_{C_i}) - H(X_M) is an int, and values N/(k-1) are
     compared by cross-multiplying, so no Fraction is built per partition.
     """
-    if active.bit_count() < 2:
-        raise InvalidInputError("active set must have at least two terminals")
+    check_active(active, oracle.m)
     cap = _enumeration_cap()
     if oracle.m > cap:
         raise InvalidInputError(
             f"m={oracle.m} exceeds the enumeration cap {cap}; raise it "
             "explicitly (OMNISCIO_MAX_M) to proceed"
         )
-    scale, joint, tol = oracle.scale, oracle.joint, oracle.tol
-    # For every partition, N minus (k-1) times the complement form
-    # h(M) - (1/(k-1)) sum_i h(C_i^c) is exactly (k-1) H(X_emptyset), so
-    # the two forms agree within the tolerance on every partition exactly
-    # when H(X_emptyset) does; that is checked once, here.
-    if abs(joint[0]) > tol:
-        raise InvalidInputError(
-            f"H(X_emptyset) = {Fraction(joint[0], scale)} is not 0; I(A) "
-            "needs a normalised entropy table"
-        )
+    _check_normalised(oracle)
+    scale, joint = oracle.scale, oracle.joint
     total, entropy_of = joint[-1], joint.__getitem__
     best_n = best_d = 0
     argmin: List[Partition] = []

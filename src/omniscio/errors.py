@@ -15,8 +15,12 @@ class ComputationError(OmniscioError):
     exit_code = 1
 
 
-class InvalidInputError(OmniscioError):
-    """Malformed or invalid user input (files, flags, parameters)."""
+class InvalidInputError(OmniscioError, ValueError):
+    """Malformed or invalid user input (files, flags, parameters).
+
+    Every invalid argument to the library raises this; it is a
+    ``ValueError`` too, so callers may catch either.
+    """
 
     exit_code = 2
 

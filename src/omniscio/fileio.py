@@ -36,6 +36,7 @@ from .sources import (
     make_oracle,
 )
 from .subsets import (
+    check_active,
     check_terminal_count,
     format_mask,
     mask_from_terminals,
@@ -143,22 +144,16 @@ def _canonical_masks(m: int) -> Dict[str, int]:
 def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     """Build the source object and active-set mask from a parsed document.
 
-    The terminal count is checked before anything is sized by it. The
-    ``ValueError`` of a terminal count outside its range, of a terminal out
-    of range in ``active`` or in a subset key, or of a malformed key is
-    raised as an ``InvalidInputError`` with the same message. Every field
-    and every element of its lists is checked for its JSON type before it
-    is read (a bit string by ``parse_bit_string``, a rational by
+    The terminal count is checked before anything is sized by it. Every
+    field and every element of its lists is checked for its JSON type
+    before it is read (a bit string by ``parse_bit_string``, a rational by
     ``parse_fraction``), so a wrong type raises ``InvalidInputError``, not
     a ``TypeError``, and ``true`` is not read as 1.
     """
     m = _require(doc, "m", int)
     active_list = _require(doc, "active", list, int)
-    try:
-        check_terminal_count(m)
-        active = mask_from_terminals(active_list, m)
-    except ValueError as exc:
-        raise InvalidInputError(str(exc)) from exc
+    check_terminal_count(m)
+    active = mask_from_terminals(active_list, m)
     spec = _require(doc, "source", dict)
     kind = _require(spec, "type")
 
@@ -181,21 +176,18 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
         # The tables repeat a handful of values; only strings are memoised,
         # so any other value meets parse_fraction (and its error) each time.
         parsed: Dict[str, Fraction] = {}
-        try:
-            for key, text in values_map.items():
-                mask = masks.get(key)
-                if mask is None:
-                    mask = parse_mask_spec(key, m)
-                if isinstance(text, str):
-                    value = parsed.get(text)
-                    if value is None:
-                        value = parsed[text] = parse_fraction(text)
-                else:
-                    value = parse_fraction(text)
-                values[mask] = value
-                seen[mask] = 1
-        except ValueError as exc:
-            raise InvalidInputError(str(exc)) from exc
+        for key, text in values_map.items():
+            mask = masks.get(key)
+            if mask is None:
+                mask = parse_mask_spec(key, m)
+            if isinstance(text, str):
+                value = parsed.get(text)
+                if value is None:
+                    value = parsed[text] = parse_fraction(text)
+            else:
+                value = parse_fraction(text)
+            values[mask] = value
+            seen[mask] = 1
         missing = seen.find(0, 1)
         if missing > 0:
             raise InvalidInputError(
@@ -229,7 +221,6 @@ def parse_source_file(
     if not isinstance(doc, dict):
         raise InvalidInputError("source document must be a JSON object")
     source, active = source_from_document(doc)
-    if active.bit_count() < 2:
-        raise InvalidInputError("active set must have at least two terminals")
+    check_active(active, source.m)
     oracle = make_oracle(source, validate=validate)
     return oracle, active, source

@@ -21,7 +21,7 @@ from .simplex import (
     uniqueness_test,
 )
 from .sources import EntropyOracle
-from .subsets import check_mask, full_mask, iter_bits
+from .subsets import check_active, check_mask, full_mask, iter_bits
 
 RateVector = Tuple[Fraction, ...]
 
@@ -54,9 +54,7 @@ class ConstraintFamily:
 
 def build_family(m: int, active: int) -> ConstraintFamily:
     """All B with 0 != B != M and B not containing A, by increasing mask."""
-    check_mask(active, m)
-    if active.bit_count() < 2:
-        raise InvalidInputError("active set must have at least two terminals")
+    check_active(active, m)
     full = full_mask(m)
     masks = tuple(
         b for b in range(1, full) if (b & active) != active
@@ -77,6 +75,8 @@ def region_contains(
     rates: Sequence[Fraction], family: ConstraintFamily, oracle: EntropyOracle
 ) -> Tuple[bool, Optional[int]]:
     """Membership in the rate region; on failure, the smallest violated mask."""
+    if oracle.m != family.m:
+        raise InvalidInputError("oracle terminal count mismatch")
     for mask in family.masks:
         if sw_gap(rates, mask, oracle) < 0:
             return False, mask

@@ -47,7 +47,7 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
-from .subsets import full_mask
+from .subsets import check_mask, full_mask
 
 ZERO = Fraction(0)
 
@@ -89,12 +89,10 @@ class ConstraintSystem:
             raise InvalidInputError("denominators must be positive")
         full = full_mask(self.m)
         for mask in self.row_masks:
-            if mask == 0:
-                raise InvalidInputError("all-zero constraint row not allowed")
-            if mask == full:
-                raise InvalidInputError("all-one constraint row not allowed")
-            if mask > full:
-                raise InvalidInputError(f"row mask {mask:#b} out of range")
+            if not 0 < mask < full:
+                check_mask(mask, self.m)
+                kind = "all-zero" if mask == 0 else "all-one"
+                raise InvalidInputError(f"{kind} constraint row not allowed")
 
     @cached_property
     def b(self) -> Tuple[Fraction, ...]:

@@ -15,7 +15,9 @@ MAX_TERMINALS = 20
 
 def check_terminal_count(m: int) -> None:
     if not 2 <= m <= MAX_TERMINALS:
-        raise ValueError(f"terminal count must be in [2, {MAX_TERMINALS}], got {m}")
+        raise InvalidInputError(
+            f"terminal count must be in [2, {MAX_TERMINALS}], got {m}"
+        )
 
 
 def full_mask(m: int) -> int:
@@ -24,7 +26,14 @@ def full_mask(m: int) -> int:
 
 def check_mask(mask: int, m: int) -> None:
     if not 0 <= mask < (1 << m):
-        raise ValueError(f"subset mask {mask:#b} out of range for m={m}")
+        raise InvalidInputError(f"subset mask {mask:#b} out of range for m={m}")
+
+
+def check_active(active: int, m: int) -> None:
+    """Check that the active set A has at least two terminals, all in range."""
+    if active.bit_count() < 2:
+        raise InvalidInputError("active set must have at least two terminals")
+    check_mask(active, m)
 
 
 def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
@@ -32,8 +41,7 @@ def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
     that each meet the active set A."""
     union = 0
     for block in partition:
-        if not 0 <= block < 1 << m:
-            raise InvalidInputError(f"block mask {block:#b} out of range for m={m}")
+        check_mask(block, m)
         if block == 0 or union & block:
             raise InvalidInputError("blocks must be nonempty and disjoint")
         if not block & active:
@@ -53,7 +61,7 @@ def mask_from_terminals(terminals: Iterable[int], m: int) -> int:
     mask = 0
     for j in terminals:
         if not 1 <= j <= m:
-            raise ValueError(f"terminal {j} out of range for m={m}")
+            raise InvalidInputError(f"terminal {j} out of range for m={m}")
         mask |= 1 << (j - 1)
     return mask
 
@@ -91,5 +99,5 @@ def parse_mask_spec(spec: str, m: int) -> int:
     try:
         terminals = list(map(int, spec.split(",")))
     except ValueError as exc:
-        raise ValueError(f"bad subset spec {spec!r}") from exc
+        raise InvalidInputError(f"bad subset spec {spec!r}") from exc
     return mask_from_terminals(terminals, m)
