@@ -10,9 +10,12 @@ and the bound I(A) is the minimum over all admissible partitions.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
 from .sources import EntropyOracle
@@ -44,16 +47,50 @@ def enumerate_partitions(m: int, active: int, k: int) -> Iterator[Partition]:
     size_a = active.bit_count()
     if not 2 <= k <= size_a:
         raise InvalidInputError(f"k={k} outside [2, |A|={size_a}]")
-    return _restricted_growth(m, active, k)
+    return map(itemgetter(1), _restricted_growth(m, active, k, bytes(1 << m), 1))
 
 
-def _restricted_growth(m: int, active: int, k: int) -> Iterator[Partition]:
+def enumerate_admissible(
+    m: int, active: int, joint: Optional[Sequence[int]] = None
+) -> Iterator[Any]:
+    """All admissible partitions for every k in [2, |A|], canonical order.
+
+    Given an integer entropy table ``joint`` (H(X_S) times a common
+    scale), yields ``(key, partition)`` instead, where
+    key = (sum_i joint[C_i] - joint[-1]) * (L / (k-1)) with
+    L = lcm(1, ..., |A|-1): the partition's scaled dependence times L, an
+    int, so keys compare across every k.
+    """
+    check_active(active, m)
+    size_a = active.bit_count()
+    table = bytes(1 << m) if joint is None else joint
+    lcm = _key_lcm(active)
+    scored = chain.from_iterable(
+        _restricted_growth(m, active, k, table, lcm // (k - 1))
+        for k in range(2, size_a + 1)
+    )
+    return scored if joint is not None else map(itemgetter(1), scored)
+
+
+def _restricted_growth(
+    m: int, active: int, k: int, joint: Sequence[int], weight: int
+) -> Iterator[Tuple[int, Partition]]:
+    """The admissible k-partitions, each with its key
+    (sum_i joint[C_i] - joint[-1]) * weight.
+
+    Alongside the block masks it keeps, per depth, the sum of ``joint``
+    over all k block masks (an unopened block is the empty set), so each
+    assignment costs one add and two table reads.
+    """
     blocks = [0] * k  # block masks; the first ``opened[j]`` are open
     choice = [0] * m  # block of terminal j on the current path
-    # Before terminal j: open blocks, and open blocks without an active
-    # terminal; active terminals among j..m-1.
+    # Before terminal j: open blocks, open blocks without an active
+    # terminal, and the sum of joint over the k blocks less joint[-1];
+    # active terminals among j..m-1.
     opened = [0] * m
     lacking = [0] * m
+    held = [0] * m
+    held[0] = k * joint[0] - joint[-1]
     active_left = [(active >> j).bit_count() for j in range(m + 1)]
     last = m - 1
     last_bit = 1 << last
@@ -69,14 +106,15 @@ def _restricted_growth(m: int, active: int, k: int) -> Iterator[Partition]:
                     e += 1
             elif active & bit and not blocks[c] & active:
                 e -= 1
-            blocks[c] |= bit
+            block = blocks[c] = blocks[c] | bit
             nxt = j + 1
             # Enough terminals left to open the missing blocks, and enough
             # active ones for every block still without one.
             if o + m - nxt >= k and active_left[nxt] >= e + k - o:
+                h = held[j] + joint[block] - joint[block ^ bit]
                 if nxt < last:
                     choice[j] = c
-                    opened[nxt], lacking[nxt] = o, e
+                    opened[nxt], lacking[nxt], held[nxt] = o, e, h
                     j, c = nxt, 0
                     continue
                 # That check leaves the last terminal only these blocks:
@@ -89,9 +127,13 @@ def _restricted_growth(m: int, active: int, k: int) -> Iterator[Partition]:
                 else:
                     targets = range(k)
                 for t in targets:
-                    blocks[t] |= last_bit
-                    yield tuple(blocks)
-                    blocks[t] ^= last_bit
+                    block = blocks[t]
+                    blocks[t] = block | last_bit
+                    yield (
+                        (h + joint[block | last_bit] - joint[block]) * weight,
+                        tuple(blocks),
+                    )
+                    blocks[t] = block
             blocks[c] ^= bit
             c += 1
         elif j:
@@ -101,12 +143,6 @@ def _restricted_growth(m: int, active: int, k: int) -> Iterator[Partition]:
             c += 1
         else:
             return
-
-
-def enumerate_admissible(m: int, active: int) -> Iterator[Partition]:
-    """All admissible partitions for every k in [2, |A|], canonical order."""
-    for k in range(2, active.bit_count() + 1):
-        yield from enumerate_partitions(m, active, k)
 
 
 def partition_dependence(
@@ -143,9 +179,10 @@ def mutual_dependence_bound(
 ) -> Tuple[Fraction, List[Partition]]:
     """I(A) and every minimizing partition, in canonical order.
 
-    Runs on the oracle's integer table: each partition's scaled numerator
-    N = sum_i H(X_{C_i}) - H(X_M) is an int, and values N/(k-1) are
-    compared by cross-multiplying, so no Fraction is built per partition.
+    Runs on the oracle's integer table: the walk scores each partition
+    with one int key, its scaled dependence times L = lcm(1, ..., |A|-1)
+    (see ``enumerate_admissible``), so the scan keeps the least key and
+    I(A) = key / (L * scale); no Fraction is built per partition.
     """
     check_active(active, oracle.m)
     cap = _enumeration_cap()
@@ -155,21 +192,23 @@ def mutual_dependence_bound(
             "explicitly (OMNISCIO_MAX_M) to proceed"
         )
     _check_normalised(oracle)
-    scale, joint = oracle.scale, oracle.joint
-    total, entropy_of = joint[-1], joint.__getitem__
-    best_n = best_d = 0
+    best: Union[int, float] = math.inf
     argmin: List[Partition] = []
-    for partition in enumerate_admissible(oracle.m, active):
-        d = len(partition) - 1
-        n = sum(map(entropy_of, partition)) - total
-        if not argmin or n * best_d < best_n * d:
-            best_n, best_d = n, d
-            argmin = [partition]
-        elif n * best_d == best_n * d:
-            argmin.append(partition)
+    for key, partition in enumerate_admissible(oracle.m, active, oracle.joint):
+        if key <= best:
+            if key < best:
+                best, argmin = key, [partition]
+            else:
+                argmin.append(partition)
     if not argmin:
         raise InternalContractError("no admissible partition found")
-    return Fraction(best_n, best_d * scale), argmin
+    return Fraction(best, _key_lcm(active) * oracle.scale), argmin
+
+
+def _key_lcm(active: int) -> int:
+    """L = lcm(1, ..., |A|-1): every k-1 of an admissible partition
+    divides it, so L / (k-1) scales each dependence to an int key."""
+    return math.lcm(*range(1, active.bit_count()))
 
 
 def _enumeration_cap() -> int:

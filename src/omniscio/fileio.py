@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .errors import InvalidInputError
 from .sources import (
@@ -56,9 +58,11 @@ def parse_fraction(text: str) -> Fraction:
     Anything else (signs, spaces, decimals, exponents, underscores,
     non-ASCII digits, a zero denominator, JSON numbers) goes to
     ``Fraction(text)`` itself, so the accepted inputs are those of
-    ``Fraction``; whatever it rejects, a JSON null, list or object among
-    them, raises ``InvalidInputError``.
+    ``Fraction`` except JSON ``true`` and ``false``; whatever is refused,
+    a JSON null, list or object among them, raises ``InvalidInputError``.
     """
+    if isinstance(text, bool):
+        raise InvalidInputError(f"bad rational {text!r}")
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         if num.isascii() and num.isdigit():
@@ -130,15 +134,17 @@ def _require(
     return value
 
 
-def _canonical_masks(m: int) -> Dict[str, int]:
+# A table of m terminals has 2^m spellings, so only a few sizes are kept.
+@lru_cache(maxsize=4)
+def _canonical_masks(m: int) -> Mapping[str, int]:
     """Every subset's canonical spelling ("", "1", "2", "1,2", ...) mapped
-    to its mask, built by doubling: the masks holding bit j, the highest,
-    append ",j+1" to the spellings of those below 2^j."""
+    to its mask, read-only, built by doubling: the masks holding bit j, the
+    highest, append ",j+1" to the spellings of those below 2^j."""
     names = [""]
     for j in range(m):
         tail = str(j + 1)
         names += [f"{name},{tail}" if name else tail for name in names]
-    return dict(zip(names, range(1 << m)))
+    return MappingProxyType(dict(zip(names, range(1 << m))))
 
 
 def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
@@ -177,8 +183,9 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
         # so any other value meets parse_fraction (and its error) each time.
         parsed: Dict[str, Fraction] = {}
         for key, text in values_map.items():
-            mask = masks.get(key)
-            if mask is None:
+            try:
+                mask = masks[key]
+            except KeyError:
                 mask = parse_mask_spec(key, m)
             if isinstance(text, str):
                 value = parsed.get(text)

@@ -7,8 +7,8 @@ sorted 1-based terminal lists.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence
 
 from . import __version__
@@ -256,7 +256,39 @@ def audit_report() -> Dict[str, Any]:
 
 
 def render_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """Exactly ``json.dumps(report, indent=2)`` and a newline, written
+    directly: with an indent the standard library falls back to its
+    pure-Python encoder. Values are dicts with string keys, lists,
+    strings, ints, booleans and None."""
+    return _json(report, "\n") + "\n"
+
+
+def _json(value: Any, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _text_fraction(text: str) -> str:

@@ -199,7 +199,14 @@ def make_oracle(source: SourceLike, *, validate: bool = True) -> EntropyOracle:
         entropies = [source.joint_entropy(s) for s in range(1 << m)]
         nums, scale = _over_common_denominator([*entropies, DEFAULT_TOLERANCE])
         return EntropyOracle(m, scale, nums[:-1], nums[-1])
-    joint, scale = _over_common_denominator(source.values)
+    # A table repeats a few values, and the reader hands out one object per
+    # distinct value, so each distinct object (by id; the tuple keeps every
+    # one alive) is read and scaled once.
+    ids = list(map(id, source.values))
+    distinct = dict(zip(ids, source.values))
+    nums, scale = _over_common_denominator(list(distinct.values()))
+    scaled = dict(zip(distinct, nums))
+    joint = tuple(map(scaled.__getitem__, ids))
     oracle = EntropyOracle(m, scale, joint, 0)
     if validate:
         report = check_validity(oracle)

@@ -143,6 +143,30 @@ def brute_force_partitions(m: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def brute_force_mutual_dependence_bound(
+    oracle: EntropyOracle, active: int
+) -> Tuple[Fraction, List[Partition]]:
+    """I(A) and its minimizers from the unfiltered partitions: keep the
+    admissible ones, order them by block count (within a count they come
+    in canonical order) and compare each value as a Fraction."""
+    size_a = active.bit_count()
+    admissible = sorted(
+        (
+            p
+            for p in brute_force_partitions(oracle.m)
+            if 2 <= len(p) <= size_a and all(b & active for b in p)
+        ),
+        key=len,
+    )
+    total = oracle.total_entropy()
+    values = [
+        (sum(map(oracle.joint_entropy, p)) - total) / (len(p) - 1)
+        for p in admissible
+    ]
+    best = min(values)
+    return best, [p for p, v in zip(admissible, values) if v == best]
+
+
 def oracle_from_table(
     m: int, values: Sequence[Rational], tolerance: Rational = 0
 ) -> EntropyOracle:

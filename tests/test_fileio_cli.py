@@ -307,9 +307,16 @@ class TestCli:
             ([1, 2], {"type": "linear_gf2", "base_bits": "2",
                       "terminals": [["10"], ["01"]]},
              "field 'base_bits' must be an integer"),
+            ([1, 2], {"type": "entropy_vector",
+                      "values": {"1": True, "2": True, "1,2": 2}},
+             "bad rational True"),
+            ([1, 2], {"type": "tabular", "alphabets": [2, 2],
+                      "pmf": [{"symbols": [0, 0], "prob": True}]},
+             "bad rational True"),
         ],
         ids=["value-null", "prob-null", "source-string", "values-list",
-             "terminals-int", "active-int", "base-bits-string"],
+             "terminals-int", "active-int", "base-bits-string", "value-true",
+             "prob-true"],
     )
     def test_malformed_document_exits_two(
         self, tmp_path, capsys, active, source, message
