@@ -1,8 +1,9 @@
 """Every CLI verb's exact output, text and JSON, against committed files.
 
-``tests/golden/`` holds three source documents (``*.input.json``: the
-six-terminal counterexample as a linear source, its valid entropy table and
-the published, invalid one) and, for each case below, the exact stdout of
+``tests/golden/`` holds four source documents (``*.input.json``: the
+six-terminal counterexample as a linear source, its valid entropy table,
+the published, invalid one, and a three-terminal linear source whose rate
+LP has more than one optimum) and, for each case below, the exact stdout of
 ``omniscio <argv>`` as ``<case>.txt`` and of ``omniscio <argv> --json`` as
 ``<case>.json``. The commands run from that directory, so the echoed input
 path is the bare file name.
@@ -18,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "solve": (["solve", "counterexample.input.json"], 0),
+    "solve_not_unique": (["solve", "solve_not_unique.input.json"], 0),
     "mdb": (["mdb", "counterexample.input.json"], 0),
     "tight": (["tight", "counterexample.input.json"], 0),
     "tight_constructive": (
