@@ -50,7 +50,6 @@ from .tightness import (
     TightnessVerdict,
     check_bound,
     construct_partition_from_dual,
-    verify_closure,
     witness_by_partition_search,
 )
 
@@ -92,6 +91,5 @@ __all__ = [
     "source_from_document",
     "sw_gap",
     "uniqueness_test",
-    "verify_closure",
     "witness_by_partition_search",
 ]

@@ -98,10 +98,6 @@ def parse_bit_string(text: str, n: int) -> int:
     return mask
 
 
-def render_bit_string(mask: int, n: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
-
-
 _JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
 
 

@@ -17,6 +17,7 @@ from .errors import ComputationError
 from .fileio import format_fraction, format_fraction_text
 from .omniscience import CapacityReport, build_family, r_co
 from .sources import (
+    COUNTEREXAMPLE_ACTIVE,
     PUBLISHED_BOUND,
     PUBLISHED_C_SK,
     PUBLISHED_R_CO,
@@ -28,7 +29,7 @@ from .sources import (
     make_counterexample,
     make_oracle,
 )
-from .subsets import full_mask, mask_from_terminals, terminals_of
+from .subsets import full_mask, terminals_of
 from .tightness import TightnessVerdict, check_bound, witness_by_partition_search
 
 def _partition(blocks: Sequence[int]) -> List[List[int]]:
@@ -143,9 +144,7 @@ def validate_report(
 def _counterexample_instance(mode: str):
     if mode == "paper-h":
         vector = counterexample_entropy_vector()
-        oracle = make_oracle(vector, validate=False)
-        active = mask_from_terminals([1, 2, 3], 6)
-        return oracle, active
+        return make_oracle(vector, validate=False), COUNTEREXAMPLE_ACTIVE
     if mode == "generative":
         source, active = make_counterexample()
         return make_oracle(source), active

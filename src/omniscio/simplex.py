@@ -2,26 +2,27 @@
 
 The rate LP  min c.x  s.t.  A x >= b  (x free) has a 0/1 incidence matrix A
 whose l rows are subset masks: l is about 2^m for m terminals, while x has
-only m coordinates. Every LP is therefore handed to ``simplex_min`` in its
-dual form, which has one equality row per terminal:
+only m coordinates. Every LP therefore goes through one routine,
+``_optimum``: it writes  min c.x  s.t.  A x >= b, E x = e  and, if asked,
+x >= 0  as the dual with one equality row per terminal, hands that to
+``simplex_min`` once and certifies the answer.
 
-* ``solve`` minimizes -b.y s.t. A^T y = c, y >= 0. Its optimal y is the
-  rate LP's dual, and the simplex multipliers pi of the m rows give the
-  primal optimum x = -pi.
+* ``solve`` is the rate LP itself, x free. The dual's vertex is the rate
+  LP's optimal dual y, and its simplex multipliers are -x.
 * ``uniqueness_test`` maximizes, over the optimal face, the slacks of the
-  rows tight at x plus the coordinates where x is zero, through the dual of
-  that auxiliary LP (Mangasarian, "Uniqueness of solution in linear
-  programming", 1979).
-* ``feasible_point`` decides a system of inequality and equality rows
-  through its dual, which is unbounded exactly when the system has no
+  rows tight at x plus the coordinates where x is zero (Mangasarian,
+  "Uniqueness of solution in linear programming", 1979).
+* ``feasible_point`` decides a system of inequality and equality rows with
+  objective 0: the dual is unbounded exactly when the system has no
   nonnegative point.
 
-``simplex_min`` takes ints only: the entry points hand it int matrices,
-with right-hand sides and costs put over common denominators. It returns
-ints too, the vertex, the dual and the objective as numerators over one
-denominator, and each entry point checks those exactly against every row
-in ints, through one table of the point's sums over every subset mask.
-Fractions are built only for returned values.
+``simplex_min`` takes ints only: the entry points put right-hand sides and
+costs over common denominators. It returns ints too, the vertex, the dual
+and the objective as numerators over one denominator, and ``_optimum``
+checks them exactly in ints: every primal row, y >= 0, dual feasibility,
+complementary slackness and strong duality, the row sums x(B) read from one
+table of the point's sums over every subset mask. Fractions are built only
+for returned values.
 
 ``simplex_min`` pivots a fraction-free tableau: integer cells over one
 common denominator, the determinant of the basis, updated by the exact
@@ -357,43 +358,81 @@ def _pack(values: Sequence[int], w: int) -> int:
     return runs[0] if runs else 0
 
 
-def _transposed(masks: Sequence[int], m: int) -> List[List[int]]:
-    """The transpose of the 0/1 incidence rows: m rows, one column per mask."""
-    return [[mask >> j & 1 for mask in masks] for j in range(m)]
-
-
-def _slacks(
-    x_num: Sequence[int],
-    x_den: int,
-    masks: Sequence[int],
-    b_num: Sequence[int],
-    b_den: int,
-) -> List[int]:
-    """The slacks x(B) - b_B of the rows (masks, b) for x = x_num / x_den and
-    b = b_num / b_den, each times x_den * b_den > 0: exact signs and zeros.
-
-    x(B) is read from one table of x_num's sums over every mask, built by
-    doubling: the sums of the masks holding bit j are those of the masks
-    below 2^j plus x_num[j].
-    """
+def _subset_sums(x: Sequence[int]) -> List[int]:
+    """x(B) for every subset mask B, built by doubling: the sums of the masks
+    holding bit j are those of the masks below 2^j plus x_j."""
     sums = [0]
-    for v in x_num:
+    for v in x:
         sums += [s + v for s in sums]
-    return [sums[mask] * b_den - v * x_den for mask, v in zip(masks, b_num)]
+    return sums
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
+def _optimum(
+    m: int,
+    masks: Sequence[int],
+    b: Sequence[int],
+    eq_rows: Sequence[Sequence[int]],
+    e: Sequence[int],
+    c: Sequence[int],
+    nonneg: bool,
+) -> Tuple[List[int], List[int], List[int], int]:
+    """min c.x  s.t.  x(B) >= b_B for B in masks, r.x = e_r for r in eq_rows
+    and, if nonneg, x >= 0; all data ints. Returns (x, y, slacks, d), ints
+    over one denominator d > 0: an optimal x, an optimal dual y, and the
+    slack at x of the row each column of the dual stands for.
+
+    ``simplex_min`` gets the m-row dual, whose vertex is y and whose
+    multipliers are -x:
+
+        min -b.u - e.v + e.w  s.t.  A^T u + E^T (v - w) + s = c,
+        u, v, w, s >= 0  (s only if nonneg).
+
+    Its column k, of cost a_k, stands for the row  col_k . x >= -a_k:
+    x(B) >= b_B, r.x = e_r as two rows, or x_j >= 0. The certificate checks
+    that every such row holds, y >= 0, the columns on the support of y sum
+    to c, complementary slackness and strong duality. Raises
+    LpInfeasibleError when c.x is unbounded below (the dual is infeasible)
+    and LpUnboundedError when no x is feasible (the dual is unbounded).
+    """
+    matrix = [[mask >> j & 1 for mask in masks] for j in range(m)]
+    for j, row in enumerate(matrix):
+        row += [r[j] for r in eq_rows] + [-r[j] for r in eq_rows]
+        if nonneg:
+            row += [int(k == j) for k in range(m)]
+    costs = [-v for v in b] + [-v for v in e] + [*e] + [0] * (m if nonneg else 0)
+    y, pi, _, d = simplex_min(matrix, c, costs)
+
+    x = [-v for v in pi]
+    sums = _subset_sums(x)
+    slacks = [sums[mask] - v * d for mask, v in zip(masks, b)]
+    eq_gaps = [sum(map(mul, r, x)) - v * d for r, v in zip(eq_rows, e)]
+    slacks += eq_gaps + [-v for v in eq_gaps] + (x if nonneg else [])
+    if min(slacks, default=0) < 0:
+        raise InternalContractError("primal infeasibility in solution")
+    columns = [0] * m
+    dual_value = 0
+    for k in [k for k, v in enumerate(y) if v]:
+        v = y[k]
+        if v < 0:
+            raise InternalContractError("negative dual weight")
+        if slacks[k]:
+            raise InternalContractError("complementary slackness violated")
+        dual_value -= costs[k] * v
+        for j, row in enumerate(matrix):
+            columns[j] += row[k] * v
+    if columns != [v * d for v in c]:
+        raise InternalContractError("dual feasibility y.A + s = c violated")
+    if dual_value != sum(map(mul, c, x)):
+        raise InternalContractError("strong duality violated")
+    return x, y, slacks, d
 
 
 def solve(system: ConstraintSystem) -> LpSolution:
     """Solve min c.x s.t. A x >= b (x free) exactly; verify all contracts.
 
-    The dual goes to ``simplex_min`` with b and c as the system's ints, so
-    over its denominator d its vertex is c_den * y, its multipliers are
-    -b_den * x and its objective is -b_den * c_den * R. The certificate runs
-    in ints on those numerators: primal feasibility on every row, y >= 0,
-    y.A = c, complementary slackness, strong duality and c.x = R.
+    ``_optimum`` solves and certifies it with b and c as the system's ints,
+    so over its denominator d the point is b_den * x and the dual c_den * y.
+    Raises InvalidInputError when the rows do not bound c.x from below.
     """
     m, masks = system.m, system.row_masks
     b, c = system.b_num, system.c_num
@@ -405,42 +444,21 @@ def solve(system: ConstraintSystem) -> LpSolution:
     if covered != full_mask(m):
         raise InvalidInputError("every column must be covered by some row")
 
-    matrix = _transposed(masks, m)
-    # The dual is infeasible exactly when the rate LP is unbounded, and
-    # unbounded exactly when the rate LP is infeasible.
     try:
-        z, pi, objective, d = simplex_min(matrix, c, [-v for v in b])
+        x_num, z, slacks, d = _optimum(m, masks, b, (), (), c, False)
     except LpInfeasibleError as exc:
-        raise InternalContractError("rate LP reported unbounded") from exc
+        raise InvalidInputError(
+            "the rows do not bound the objective c.x from below: "
+            "no dual weights y >= 0 have y.A = c"
+        ) from exc
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
-
-    # b_den * x = x_num / d, c_den * y_i = z_i / d, b_den * c_den * R = r / d.
-    x_num = [-v for v in pi]
-    r = -objective
-    slacks = _slacks(x_num, d, masks, b, 1)
-    support = [i for i, v in enumerate(z) if v]
-    z_num = [z[i] for i in support]
-    if _dot(c, x_num) != r:
-        raise InternalContractError("objective mismatch with primal x")
-    if _dot([b[i] for i in support], z_num) != r:
-        raise InternalContractError("strong duality violated")
-    if any(v < 0 for v in z_num):
-        raise InternalContractError("negative dual weight")
-    if any(v < 0 for v in slacks):
-        raise InternalContractError("primal infeasibility in solution")
-    if any(slacks[i] for i in support):
-        raise InternalContractError("complementary slackness violated")
-    support_masks = [masks[i] for i in support]
-    for j in range(m):
-        column = sum(w for mask, w in zip(support_masks, z_num) if mask >> j & 1)
-        if column != c[j] * d:
-            raise InternalContractError("dual feasibility y.A = c violated")
 
     x_den, y_den = d * system.b_den, d * system.c_den
     x = tuple(Fraction(v, x_den) for v in x_num)
     y = tuple(Fraction(v, y_den) if v else ZERO for v in z)
     tight = tuple(i for i, v in enumerate(slacks) if not v)
+    r = sum(map(mul, c, x_num))
     return LpSolution(Fraction(r, x_den * system.c_den), x, y, tight)
 
 
@@ -452,27 +470,25 @@ def uniqueness_test(
     Maximizes the slacks of the rows tight at x plus the coordinates where
     x is zero over {A z >= b, c.z = R, z >= 0}, R the optimal value.
     Written as d.z - K, with d = [x == 0] + A^T [row tight] and K the sum of
-    the tight rows' b, that LP is solved through its m-row dual
-
-        min -b.u + R t  s.t.  -A^T u + t c - s = d,  u, s >= 0,  t free,
-
-    whose simplex multipliers are an optimal z. A maximum of 0 certifies
-    uniqueness; otherwise z is the alternative optimum. The dual is handed
-    over in ints: t is scaled by c_den, so its columns read c_num, and every
-    cost is put over one denominator q, so the multipliers are q z over the
-    simplex's denominator.
+    the tight rows' b, that is min -d.z over those rows, which ``_optimum``
+    solves and certifies, so strong duality proves both the verdict and the
+    auxiliary value. A maximum of 0 certifies uniqueness; otherwise z is the
+    alternative optimum. The rows go over in ints: c.z = R as
+    c_num.z = R c_den, with b and R c_den over one denominator q, so the
+    point comes back as q z.
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
     x_num, x_den = _over_common_denominator(solution.x)
     if any(v < 0 for v in x_num):
         raise InvalidInputError("uniqueness test requires a nonnegative optimum")
-    slacks = _slacks(x_num, x_den, masks, b, b_den)
+    sums = _subset_sums(x_num)
+    slacks = [sums[mask] * b_den - v * x_den for mask, v in zip(masks, b)]
     if any(v < 0 for v in slacks):
         raise InvalidInputError("solution is not feasible for the system")
     objective = solution.objective
     r_num, r_den = objective.numerator, objective.denominator
-    if _dot(c, x_num) * r_den != r_num * c_den * x_den:
+    if sum(map(mul, c, x_num)) * r_den != r_num * c_den * x_den:
         raise InvalidInputError("solution objective does not match the system")
 
     tight = [i for i, v in enumerate(slacks) if not v]
@@ -481,30 +497,22 @@ def uniqueness_test(
         (not v) + sum(mask >> j & 1 for mask in tight_masks)
         for j, v in enumerate(x_num)
     ]
-    matrix = [
-        [-v for v in row] + [c[j], -c[j]] + [-1 if k == j else 0 for k in range(m)]
-        for j, row in enumerate(_transposed(masks, m))
-    ]
     # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
     q = math.lcm(b_den, r_den)
-    per_b, t_cost = q // b_den, r_num * c_den * (q // r_den)
-    costs = [-per_b * v for v in b] + [t_cost, -t_cost] + [0] * m
-    _, z_num, dual_objective, den = simplex_min(matrix, d, costs)
-    # aux = dual_objective / (q den) - (sum of the tight rows' b_num) / b_den.
+    z_num, _, _, den = _optimum(
+        m, masks, [q // b_den * v for v in b],
+        [c], [r_num * c_den * (q // r_den)], [-v for v in d], True,
+    )
+    # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
     z_den = q * den
+    d_z = sum(map(mul, d, z_num))
     tight_b = sum(b[i] for i in tight)
-    if dual_objective * b_den == z_den * tight_b:
+    if d_z * b_den == z_den * tight_b:
         return UniquenessCertificate(True, ZERO)
-    aux = Fraction(dual_objective, z_den) - Fraction(tight_b, b_den)
-    alternative = tuple(Fraction(v, z_den) for v in z_num)
-    if (
-        any(v < 0 for v in z_num)
-        or any(v < 0 for v in _slacks(z_num, z_den, masks, b, b_den))
-        or _dot(c, z_num) * r_den != r_num * c_den * z_den
-        or alternative == solution.x
-    ):
-        raise InternalContractError("alternative optimum fails its certificate")
-    return UniquenessCertificate(False, aux, alternative)
+    aux = Fraction(d_z, z_den) - Fraction(tight_b, b_den)
+    return UniquenessCertificate(
+        False, aux, tuple(Fraction(v, z_den) for v in z_num)
+    )
 
 
 def feasible_point(
@@ -519,35 +527,22 @@ def feasible_point(
 
     The right-hand sides are ``ineq_b`` and ``eq_b`` divided by ``scale``
     (a positive int), so ints over an oracle's integer table can be passed
-    as they are. Solved through the m-row dual  min -(b.u + e.v)  s.t.
-    A^T u + E^T v + w = 0  with u, w >= 0 and v free: that dual is unbounded
-    exactly when no point exists, and otherwise its simplex multipliers pi
-    give the point x = -pi. The costs go over as ints: the right-hand sides
-    times den * scale, den the lcm of their denominators, so the multipliers
-    are -den * scale * x. Nonnegativity is harmless for rate regions:
-    singleton constraints force x_j >= h({j}) >= 0 anyway.
+    as they are. ``_optimum`` solves it with objective 0 and the right-hand
+    sides times den, the lcm of their denominators, so the point comes back
+    as den * scale * x; its dual is unbounded exactly when no point exists.
+    Nonnegativity is harmless for rate regions: singleton constraints force
+    x_j >= h({j}) >= 0 anyway.
     """
+    if type(scale) is not int or scale < 1:
+        raise InvalidInputError(f"scale must be a positive int, got {scale!r}")
     n_ineq = len(ineq_masks)
     b, den = _over_common_denominator([*ineq_b, *eq_b])
-    ineq_cols = _transposed(ineq_masks, m)
-    eq_cols = _transposed(eq_masks, m)
-    matrix = [
-        ineq_cols[j] + eq_cols[j] + [-v for v in eq_cols[j]]
-        + [1 if k == j else 0 for k in range(m)]
-        for j in range(m)
-    ]
-    costs = [-v for v in b] + list(b[n_ineq:]) + [0] * m
+    eq_rows = [[mask >> j & 1 for j in range(m)] for mask in eq_masks]
     try:
-        _, pi, _, x_den = simplex_min(matrix, [0] * m, costs)
+        x_num, _, _, x_den = _optimum(
+            m, ineq_masks, b[:n_ineq], eq_rows, b[n_ineq:], [0] * m, True
+        )
     except LpUnboundedError:
         return None
-    x_num = [-v for v in pi]
-    slacks = _slacks(x_num, x_den, [*ineq_masks, *eq_masks], b, 1)
-    if (
-        any(v < 0 for v in x_num)
-        or any(v < 0 for v in slacks[:n_ineq])
-        or any(slacks[n_ineq:])
-    ):
-        raise InternalContractError("feasible point fails its certificate")
     x_den *= den * scale
     return tuple(Fraction(v, x_den) for v in x_num)

@@ -465,6 +465,11 @@ def merge_terminals(source: SourceLike, blocks: Sequence[int]) -> SourceLike:
     raise InvalidInputError(f"unsupported source type {type(source).__name__}")
 
 
+# {1,2,3}: the active set of the paper's six-terminal example, for its
+# generative source and its published h table alike.
+COUNTEREXAMPLE_ACTIVE = 0b000111
+
+
 def make_counterexample() -> Tuple[LinearGF2Source, int]:
     """The six-terminal source of pairwise XORs of four uniform bits.
 
@@ -480,7 +485,7 @@ def make_counterexample() -> Tuple[LinearGF2Source, int]:
         (y[1] | y[3],),
         (y[0] | y[1],),
     )
-    return LinearGF2Source(6, 4, rows), 0b000111
+    return LinearGF2Source(6, 4, rows), COUNTEREXAMPLE_ACTIVE
 
 
 def counterexample_entropy_vector() -> EntropyVector:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 # enumerate_admissible and partition_dependence are not called in this
 # module; they stay bound here because perfbench/tracer.py wraps them under
@@ -30,15 +30,7 @@ from .dependence import (  # noqa: F401
     partition_dependence,
 )
 from .errors import ComputationError, InternalContractError, InvalidInputError
-from .omniscience import (
-    CapacityReport,
-    ConstraintFamily,
-    RateVector,
-    build_family,
-    r_co,
-    region_contains,
-    sw_gap,
-)
+from .omniscience import CapacityReport, ConstraintFamily, RateVector, r_co, sw_gap
 from .simplex import LpSolution, feasible_point
 from .sources import EntropyOracle
 from .subsets import check_admissible, format_mask, full_mask
@@ -112,50 +104,6 @@ def witness_by_partition_search(
             witness = (partition, rates)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
-
-
-@dataclass(frozen=True)
-class ClosureVerdict:
-    """Gaps of B1, B2, their union, and intersection at a rate vector."""
-
-    preconditions_ok: bool
-    holds: bool
-    gap_b1: Fraction
-    gap_b2: Fraction
-    gap_union: Fraction
-    gap_intersection: Optional[Fraction]  # None when B1 & B2 is empty
-
-
-def verify_closure(
-    oracle: EntropyOracle,
-    active: int,
-    rates: Sequence[Fraction],
-    b1: int,
-    b2: int,
-) -> ClosureVerdict:
-    """Check that union/intersection of two tight constraints stay tight.
-
-    Report-only: with an invalid (non-supermodular) entropy table the
-    closure can genuinely fail, and the verdict carries the gaps instead of
-    asserting.
-    """
-    m = oracle.m
-    family = build_family(m, active)
-    gap1 = sw_gap(rates, b1, oracle)
-    gap2 = sw_gap(rates, b2, oracle)
-    union = b1 | b2
-    inter = b1 & b2
-    in_region, _ = region_contains(rates, family, oracle)
-    pre = (
-        in_region
-        and gap1 == 0
-        and gap2 == 0
-        and union in set(family.masks)
-    )
-    gap_union = sw_gap(rates, union, oracle)
-    gap_inter = sw_gap(rates, inter, oracle) if inter else None
-    holds = gap_union == 0 and (gap_inter is None or gap_inter == 0)
-    return ClosureVerdict(pre, holds, gap1, gap2, gap_union, gap_inter)
 
 
 def construct_partition_from_dual(

@@ -16,12 +16,16 @@ admissible partition with a Fraction arithmetic filter. The integer
 validity scan that preceded the packed one, and the entropy-vector reader's
 earlier per-entry loop, are kept as references too. ``rational_simplex_min``
 hands a rational system to the library's int-only simplex, scaled to ints,
-and reads the answer back in the system's own terms.
+and reads the answer back in the system's own terms. Last come two pieces
+that only tests read: ``verify_closure``, the paper's closure lemma for two
+tight constraints as a report-only check, and ``render_bit_string``, the
+inverse of the source reader's bit-string parser.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import le
@@ -45,7 +49,14 @@ from omniscio.dependence import (
     mutual_dependence_bound,
     partition_dependence,
 )
-from omniscio.omniscience import CapacityReport, RateVector, r_co
+from omniscio.omniscience import (
+    CapacityReport,
+    RateVector,
+    build_family,
+    r_co,
+    region_contains,
+    sw_gap,
+)
 from omniscio.fileio import parse_fraction
 from omniscio.sources import (
     EntropyOracle,
@@ -834,3 +845,51 @@ def reference_witness_by_partition_search(
     bound, _ = mutual_dependence_bound(oracle, active)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
+
+
+@dataclass(frozen=True)
+class ClosureVerdict:
+    """Gaps of B1, B2, their union, and intersection at a rate vector."""
+
+    preconditions_ok: bool
+    holds: bool
+    gap_b1: Fraction
+    gap_b2: Fraction
+    gap_union: Fraction
+    gap_intersection: Optional[Fraction]  # None when B1 & B2 is empty
+
+
+def verify_closure(
+    oracle: EntropyOracle,
+    active: int,
+    rates: Sequence[Fraction],
+    b1: int,
+    b2: int,
+) -> ClosureVerdict:
+    """Check that union/intersection of two tight constraints stay tight.
+
+    Report-only: with an invalid (non-supermodular) entropy table the
+    closure can genuinely fail, and the verdict carries the gaps instead of
+    asserting.
+    """
+    m = oracle.m
+    family = build_family(m, active)
+    gap1 = sw_gap(rates, b1, oracle)
+    gap2 = sw_gap(rates, b2, oracle)
+    union = b1 | b2
+    inter = b1 & b2
+    in_region, _ = region_contains(rates, family, oracle)
+    pre = (
+        in_region
+        and gap1 == 0
+        and gap2 == 0
+        and union in set(family.masks)
+    )
+    gap_union = sw_gap(rates, union, oracle)
+    gap_inter = sw_gap(rates, inter, oracle) if inter else None
+    holds = gap_union == 0 and (gap_inter is None or gap_inter == 0)
+    return ClosureVerdict(pre, holds, gap1, gap2, gap_union, gap_inter)
+
+
+def render_bit_string(mask: int, n: int) -> str:
+    return "".join("1" if mask >> i & 1 else "0" for i in range(n))

@@ -18,11 +18,12 @@ from omniscio.fileio import (
     format_fraction_text,
     parse_bit_string,
     parse_fraction,
-    render_bit_string,
     source_from_document,
 )
 from omniscio.sources import EntropyVector, LinearGF2Source, TabularSource
 from omniscio.subsets import format_mask
+
+from helpers import render_bit_string
 
 F = Fraction
 

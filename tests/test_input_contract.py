@@ -20,7 +20,7 @@ from omniscio import (
     region_contains,
 )
 from omniscio.errors import InvalidInputError
-from omniscio.simplex import ConstraintSystem
+from omniscio.simplex import ConstraintSystem, feasible_point, make_system, solve
 from omniscio.sources import EntropyVector, LinearGF2Source
 from omniscio.subsets import (
     check_active,
@@ -94,6 +94,27 @@ CALLS = {
     "unnormalised-mdb": (
         lambda: mutual_dependence_bound(unnormalised_oracle(), 0b11),
         r"H\(X_emptyset\) = 1 is not 0",
+    ),
+    # x1 + x2 >= 0 and x3 >= 0 leave x1 + 2 x2 + x3 unbounded below.
+    "solve-unbounded": (
+        lambda: solve(make_system(3, [0b011, 0b100], [0, 0], [1, 2, 1])),
+        "rows do not bound the objective",
+    ),
+    "solve-negative-weight": (
+        lambda: solve(make_system(2, [0b01, 0b10], [0, 0], [-1, 1])),
+        "rows do not bound the objective",
+    ),
+    "feasible-point-scale-zero": (
+        lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], 0),
+        "scale must be a positive int, got 0",
+    ),
+    "feasible-point-negative-scale": (
+        lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], -1),
+        "scale must be a positive int, got -1",
+    ),
+    "feasible-point-float-scale": (
+        lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], 2.0),
+        "scale must be a positive int, got 2.0",
     ),
 }
 

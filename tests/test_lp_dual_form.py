@@ -136,6 +136,34 @@ def test_alternative_optimum_is_certified(monkeypatch):
         uniqueness_test(system, sol)
 
 
+def test_unique_verdict_is_certified(monkeypatch):
+    # The same optimal face as above, auxiliary value 3. A simplex_min that
+    # returns the given optimum as the uniqueness LP's maximizer, with the
+    # objective that point attains, claims an auxiliary value of 0; only a
+    # certificate of that maximum can refuse it.
+    masks = [0b001, 0b010, 0b011, 0b100, 0b101, 0b110]
+    system = make_system(3, masks, [F(0), F(0), F(1), F(1), F(1), F(1)])
+    sol = solve(system)
+    assert uniqueness_test(system, sol).auxiliary_value == 3
+    real = simplex.simplex_min
+
+    def returns_the_optimum(matrix, rhs, costs):
+        z, _, _, den = real(matrix, rhs, costs)
+        k = math.lcm(*(v.denominator for v in sol.x))
+        multipliers = [int(v * den * k) for v in sol.x]
+        # The multipliers carry the point in the sign of the dual form: the
+        # one whose objective multipliers.rhs is d.x >= 0, d the weights of
+        # the auxiliary objective.
+        objective = sum(p * r for p, r in zip(multipliers, rhs))
+        if objective < 0:
+            multipliers, objective = [-v for v in multipliers], -objective
+        return [v * k for v in z], multipliers, objective, den * k
+
+    monkeypatch.setattr(simplex, "simplex_min", returns_the_optimum)
+    with pytest.raises(InternalContractError):
+        uniqueness_test(system, sol)
+
+
 def test_feasible_point_is_certified(monkeypatch):
     args = (2, [0b01, 0b10], [F(1), F(1)], [0b01], [F(2)])
     assert feasible_point(*args) == (F(2), F(1))

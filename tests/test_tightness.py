@@ -17,7 +17,6 @@ from omniscio import (
     random_linear_source,
     region_contains,
     sw_gap,
-    verify_closure,
     witness_by_partition_search,
 )
 from omniscio.errors import InternalContractError, InvalidInputError
@@ -25,6 +24,8 @@ from omniscio.omniscience import ConstraintFamily
 from omniscio.simplex import LpSolution
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import complement, full_mask, mask_from_terminals
+
+from helpers import verify_closure
 
 F = Fraction
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))
