@@ -1,18 +1,16 @@
 """Command-line interface.
 
 Verbs: solve, mdb, tight, counterexample, audit, validate.
-Exit codes: 0 success, 1 computation assertion failed, 2 invalid input,
-3 internal contract violation.
+Exit codes: 0 success, 1 computation assertion failed, 2 invalid input
+(a malformed command line too), 3 internal contract violation.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from .errors import OmniscioError
+from .errors import InvalidInputError, OmniscioError
 from .fileio import parse_source_file
 from .reporting import (
     audit_report,
@@ -25,62 +23,98 @@ from .reporting import (
     validate_report,
 )
 
+USAGE = """\
+usage: omniscio solve FILE [--no-validate] [--json]
+       omniscio mdb FILE [--no-validate] [--json]
+       omniscio tight FILE [--constructive] [--no-validate] [--json]
+       omniscio validate FILE [--json]
+       omniscio counterexample --mode paper-h|generative [--json]
+       omniscio audit [--json]
+       omniscio -h | --help
+"""
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it:
-    parse_args leaves the parser unchanged, so no flag carries over from one
-    call of main to the next."""
-    parser = argparse.ArgumentParser(
-        prog="omniscio",
-        description=(
-            "Exact omniscience rates, secret-key capacity, and the "
-            "mutual-dependence bound for discrete multiple sources."
-        ),
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+HELP = USAGE + """
+Exact omniscience rates, secret-key capacity, and the mutual-dependence
+bound for discrete multiple sources.
 
-    def add_file_verb(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="source description JSON file")
-        p.add_argument(
-            "--no-validate",
-            action="store_true",
-            help="skip entropy-function validity checks on load",
+verbs:
+  solve           smallest omniscience rate and key capacity
+  mdb             mutual-dependence bound and its minimizers
+  tight           is the mutual-dependence bound tight?
+  validate        check a source file's entropy function
+  counterexample  built-in six-terminal helper counterexample
+  audit           compare both counterexample entropy functions row by row
+
+options (before or after FILE, spelled in full):
+  FILE            source description JSON file
+  --no-validate   skip entropy-function validity checks on load
+  --json          machine-readable output
+  --constructive  decide via the witness-partition search instead of
+                  comparing values
+  --mode MODE     paper-h: the published cardinality table;
+                  generative: recomputed from the XOR source
+                  (also --mode=MODE)
+  -h, --help      print this text and exit
+
+exit codes: 0 success, 1 computation assertion failed, 2 invalid input or
+command line, 3 internal contract violation
+"""
+
+# Each verb: whether it takes FILE, and the options it allows. Every option
+# is on/off except --mode, which takes one of _MODES and which counterexample
+# requires.
+_VERBS = {
+    "solve": (True, ("--no-validate", "--json")),
+    "mdb": (True, ("--no-validate", "--json")),
+    "tight": (True, ("--constructive", "--no-validate", "--json")),
+    "validate": (True, ("--json",)),
+    "counterexample": (False, ("--mode", "--json")),
+    "audit": (False, ("--json",)),
+}
+_MODES = ("paper-h", "generative")
+
+
+def _read_argv(argv: List[str]) -> Tuple[str, Optional[str], Dict[str, str]]:
+    """(verb, FILE or None, options) from a command line without -h/--help.
+
+    ``options`` maps each option given to its value, "" for an on/off one.
+    Raises InvalidInputError for anything _VERBS does not allow.
+    """
+    if not argv:
+        raise InvalidInputError("a verb is required")
+    verb, *rest = argv
+    if verb not in _VERBS:
+        raise InvalidInputError(
+            f"unknown verb {verb!r} (choose from {', '.join(_VERBS)})"
         )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    add_file_verb("solve", "smallest omniscience rate and key capacity")
-    add_file_verb("mdb", "mutual-dependence bound and its minimizers")
-    p_tight = add_file_verb("tight", "is the mutual-dependence bound tight?")
-    p_tight.add_argument(
-        "--constructive",
-        action="store_true",
-        help="decide via the witness-partition search instead of comparing values",
-    )
-
-    p_ce = sub.add_parser(
-        "counterexample", help="built-in six-terminal helper counterexample"
-    )
-    p_ce.add_argument(
-        "--mode",
-        choices=["paper-h", "generative"],
-        required=True,
-        help="published cardinality table vs. XOR source recomputation",
-    )
-    p_ce.add_argument("--json", action="store_true")
-
-    p_audit = sub.add_parser(
-        "audit", help="compare both counterexample entropy functions row by row"
-    )
-    p_audit.add_argument("--json", action="store_true")
-
-    p_val = sub.add_parser("validate", help="check a source file's entropy function")
-    p_val.add_argument("file")
-    p_val.add_argument("--json", action="store_true")
-
-    return parser
+    takes_file, allowed = _VERBS[verb]
+    path: Optional[str] = None
+    options: Dict[str, str] = {}
+    args = iter(rest)
+    for arg in args:
+        if not arg.startswith("-"):
+            if not takes_file:
+                raise InvalidInputError(f"{verb} takes no FILE, got {arg!r}")
+            if path is not None:
+                raise InvalidInputError(f"{verb} takes one FILE, got {arg!r} too")
+            path = arg
+            continue
+        name, eq, value = arg.partition("=")
+        if name == "--mode" and name in allowed:
+            mode = value if eq else next(args, None)
+            if mode not in _MODES:
+                got = "" if mode is None else f", not {mode!r}"
+                raise InvalidInputError(f"--mode takes paper-h or generative{got}")
+            options[name] = mode
+        elif arg in allowed:
+            options[arg] = ""
+        else:
+            raise InvalidInputError(f"{verb} does not take {arg!r}")
+    if takes_file and path is None:
+        raise InvalidInputError(f"{verb} needs FILE")
+    if "--mode" in allowed and "--mode" not in options:
+        raise InvalidInputError(f"{verb} needs --mode paper-h or --mode generative")
+    return verb, path, options
 
 
 def _echo(path: str, source: Any, active: List[int]) -> Dict[str, Any]:
@@ -92,40 +126,51 @@ def _echo(path: str, source: Any, active: List[int]) -> Dict[str, Any]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(HELP)
+        return 0
     try:
-        report = _dispatch(args)
+        verb, path, options = _read_argv(argv)
+    except InvalidInputError as exc:
+        sys.stderr.write(f"{USAGE}omniscio: error: {exc}\n")
+        return exc.exit_code
+    try:
+        report = _dispatch(verb, path, options)
     except OmniscioError as exc:
         print(f"omniscio: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    output = render_json(report) if args.json else render_text(report)
+    output = render_json(report) if "--json" in options else render_text(report)
     sys.stdout.write(output)
-    if args.verb == "validate" and not report["valid"]:
+    if verb == "validate" and not report["valid"]:
         return 2
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> Dict[str, Any]:
+def _dispatch(
+    verb: str, path: Optional[str], options: Dict[str, str]
+) -> Dict[str, Any]:
     from .subsets import terminals_of
 
-    if args.verb == "counterexample":
-        return counterexample_report(args.mode)
-    if args.verb == "audit":
+    if verb == "counterexample":
+        return counterexample_report(options["--mode"])
+    if verb == "audit":
         return audit_report()
 
-    validate = args.verb != "validate" and not args.no_validate
-    oracle, active, source = parse_source_file(args.file, validate=validate)
-    echo = _echo(args.file, source, terminals_of(active))
-    if args.verb == "validate":
+    validate = verb != "validate" and "--no-validate" not in options
+    oracle, active, source = parse_source_file(path, validate=validate)
+    echo = _echo(path, source, terminals_of(active))
+    if verb == "validate":
         return validate_report(oracle, echo)
-    if args.verb == "solve":
+    if verb == "solve":
         return solve_report(oracle, active, echo)
-    if args.verb == "mdb":
+    if verb == "mdb":
         return mdb_report(oracle, active, echo)
-    if args.verb == "tight":
-        return tight_report(oracle, active, echo, constructive=args.constructive)
-    raise AssertionError(f"unhandled verb {args.verb}")
+    if verb == "tight":
+        return tight_report(
+            oracle, active, echo, constructive="--constructive" in options
+        )
+    raise AssertionError(f"unhandled verb {verb}")
 
 
 def entry() -> None:

@@ -85,17 +85,12 @@ def format_fraction_text(value: Fraction) -> str:
 
 
 def parse_bit_string(text: str, n: int) -> int:
-    if not isinstance(text, str) or len(text) != n or any(
-        ch not in "01" for ch in text
-    ):
+    if not isinstance(text, str) or len(text) != n or text.strip("01"):
         raise InvalidInputError(
             f"bit string {text!r} must be {n} characters of 0/1"
         )
-    mask = 0
-    for i, ch in enumerate(text):  # char i is the coefficient of Y_{i+1}
-        if ch == "1":
-            mask |= 1 << i
-    return mask
+    # Char i is the coefficient of Y_{i+1}, so bit i of the mask.
+    return int(text[::-1], 2) if n else 0
 
 
 _JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}

@@ -475,7 +475,9 @@ def uniqueness_test(
     auxiliary value. A maximum of 0 certifies uniqueness; otherwise z is the
     alternative optimum. The rows go over in ints: c.z = R as
     c_num.z = R c_den, with b and R c_den over one denominator q, so the
-    point comes back as q z.
+    point comes back as q z. An optimal face that is unbounded in a
+    direction d rewards, possible only where c has a zero weight, raises
+    InvalidInputError.
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
@@ -499,10 +501,16 @@ def uniqueness_test(
     ]
     # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
     q = math.lcm(b_den, r_den)
-    z_num, _, _, den = _optimum(
-        m, masks, [q // b_den * v for v in b],
-        [c], [r_num * c_den * (q // r_den)], [-v for v in d], True,
-    )
+    try:
+        z_num, _, _, den = _optimum(
+            m, masks, [q // b_den * v for v in b],
+            [c], [r_num * c_den * (q // r_den)], [-v for v in d], True,
+        )
+    except LpInfeasibleError as exc:
+        raise InvalidInputError(
+            "the optimal face is unbounded: the optimum is not unique and "
+            "the auxiliary value has no finite maximum"
+        ) from exc
     # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
     z_den = q * den
     d_z = sum(map(mul, d, z_num))

@@ -5,7 +5,8 @@ Two independent deciders for the same question ("does C_SK(A) = I(A)?"):
 * ``check_bound`` computes both sides and compares them.
 * ``witness_by_partition_search`` looks for an admissible partition and a
   rate vector making every block-complement constraint tight, which is
-  equivalent by the tightness condition.
+  equivalent by the tightness condition; the rate LP's optimum is that
+  vector whenever one exists.
 
 When all users are active the bound is always tight, and
 ``construct_partition_from_dual`` extracts an optimal partition
@@ -31,7 +32,14 @@ from .dependence import (  # noqa: F401
 )
 from .errors import ComputationError, InternalContractError, InvalidInputError
 from .omniscience import CapacityReport, ConstraintFamily, RateVector, r_co, sw_gap
-from .simplex import LpSolution, feasible_point
+# feasible_point is not called in this module either; it stays bound here
+# because perfbench/tracer.py wraps it under this module's name.
+from .simplex import (  # noqa: F401
+    LpSolution,
+    _over_common_denominator,
+    _subset_sums,
+    feasible_point,
+)
 from .sources import EntropyOracle
 from .subsets import check_admissible, format_mask, full_mask
 
@@ -65,7 +73,7 @@ def witness_by_partition_search(
     oracle: EntropyOracle, active: int, *, report: Optional[CapacityReport] = None
 ) -> TightnessVerdict:
     """Constructive form: find (partition, rates) with every block-complement
-    constraint tight, by one feasibility LP.
+    constraint tight; the rate LP's optimum is the rates.
 
     Only the minimizers of I(A) can host a witness, and only when
     I(A) = C_SK. For an admissible P = (C_1, ..., C_k) every complement
@@ -78,30 +86,42 @@ def witness_by_partition_search(
     As I(A) is the least I_P, the partitions with I_P = C_SK are exactly
     the minimizers of I(A) when I(A) = C_SK, and none otherwise.
 
-    The same identity makes one LP enough. For a minimizer P with
-    I_P = C_SK, a point x >= 0 of the region has every C_i^c tight exactly
-    when sum(x) = R_CO: each x(C_i^c) >= h(C_i^c), and their sum is
-    (k-1) sum(x) against (k-1) R_CO. So every minimizer has the same
-    feasibility set, and ``feasible_point`` on the first one, in canonical
-    order, answers for all of them. Nothing here uses the validity of the
-    entropy table, so this holds for every oracle, exact or tabular. The
-    right-hand sides are read as ints from the oracle's table.
+    The same identity makes the rate LP's optimum a witness. For a
+    minimizer P with I_P = C_SK, the optimum has sum(x) = R_CO, so
+    sum_i x(C_i^c) = (k-1) R_CO = sum_i h(C_i^c); as no term is below its
+    h, every C_i^c is tight. Its rates are >= 0 because the singleton rows
+    are in the family and the rate LP refuses a negative h. Nothing here
+    uses the validity of the entropy table, so this holds for every
+    oracle, exact or tabular. The witness is certified on the oracle's
+    integer table, from one table of the rates' subset sums over their
+    common denominator: every rate >= 0, every row of the family holds and
+    every block complement of the first minimizer, in canonical order, is
+    tight.
     """
     if report is None:
         report = r_co(oracle, active)
     bound, minimizers = mutual_dependence_bound(oracle, active)
     witness: Optional[Tuple[Partition, RateVector]] = None
     if bound == report.c_sk:
-        system = report.family.system(oracle)
-        joint = oracle.joint
         partition = minimizers[0]
-        comps = [full_mask(oracle.m) ^ block for block in partition]
-        eq_b = [joint[-1] - joint[block] for block in partition]
-        rates = feasible_point(
-            oracle.m, system.row_masks, system.b_num, comps, eq_b, system.b_den
-        )
-        if rates is not None:
-            witness = (partition, rates)
+        x, den = _over_common_denominator(report.rates)
+        sums = _subset_sums(x)
+        scale, joint, full = oracle.scale, oracle.joint, full_mask(oracle.m)
+        if min(x) < 0:
+            raise InternalContractError("witness rate below zero")
+        # x(B) >= h(B) reads sums[B] * scale >= (H(M) - H(B^c)) * den.
+        for mask in report.family.masks:
+            if sums[mask] * scale < (joint[-1] - joint[full ^ mask]) * den:
+                raise InternalContractError(
+                    f"witness violates constraint {format_mask(mask)}"
+                )
+        for block in partition:
+            if sums[full ^ block] * scale != (joint[-1] - joint[block]) * den:
+                raise InternalContractError(
+                    f"block-complement constraint {format_mask(full ^ block)} "
+                    "not tight at the witness"
+                )
+        witness = (partition, report.rates)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
 

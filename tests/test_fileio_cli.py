@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from omniscio import (
     make_oracle,
     parse_source_file,
 )
-from omniscio.cli import _build_parser, main
+from omniscio.cli import HELP, USAGE, main
 from omniscio.errors import InvalidInputError, ValidationError
 from omniscio.fileio import (
     format_fraction,
@@ -99,6 +100,18 @@ class TestBitStrings:
             parse_bit_string("101", 4)
         with pytest.raises(InvalidInputError):
             parse_bit_string("10a0", 4)
+
+    @pytest.mark.parametrize(
+        "text", ["1_01", " 101", "101 ", "+101", "0b11", "１０１０"]
+    )
+    def test_rejects_what_int_would_read(self, text):
+        with pytest.raises(InvalidInputError):
+            parse_bit_string(text, 4)
+
+    def test_no_base_bits(self):
+        assert parse_bit_string("", 0) == 0
+        with pytest.raises(InvalidInputError):
+            parse_bit_string("0", 0)
 
 
 class TestSourceDocuments:
@@ -235,12 +248,10 @@ class TestCli:
         ]
         first = {}
         for argv in requests:
-            _build_parser.cache_clear()
             first[tuple(argv)] = (main(argv), capsys.readouterr().out)
         assert len(set(first.values())) == 3
         for argv in requests:
             assert (main(argv), capsys.readouterr().out) == first[tuple(argv)]
-        assert _build_parser.cache_info().misses == 1
 
     def test_invalid_vector_file_exits_two(self, tmp_path, capsys):
         doc = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])
@@ -433,3 +444,100 @@ class TestCli:
         monkeypatch.setenv("OMNISCIO_MAX_M", "3")
         assert main(["mdb", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["mutual_dependence_bound"] == "1"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """The argv of every line in the README's CLI block, FILE for its file."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    argvs = [line.split("#")[0].split()[1:] for line in lines if line.strip()]
+    return [["FILE" if a == "examples.json" else a for a in argv] for argv in argvs]
+
+
+# The command-line contract, one row per command line: (argv, exit code,
+# what main writes). FILE stands for the counterexample source file and
+# INVALID for its published, invalid table. "output" rows are the README's
+# command lines, every request shape of perfbench/workloads.py, options
+# before FILE and --mode=MODE: a report on stdout, nothing on stderr.
+# "help" rows print HELP to stdout. "error" rows print nothing on stdout and
+# the usage plus exactly one "omniscio: error:" line on stderr.
+ARGV = [
+    *[(argv, 0, "output") for argv in readme_command_lines() if "-h" not in argv],
+    (["solve", "FILE", "--json"], 0, "output"),
+    (["mdb", "FILE", "--json"], 0, "output"),
+    (["validate", "FILE", "--json"], 0, "output"),
+    (["validate", "INVALID", "--json"], 2, "output"),
+    (["tight", "FILE", "--json"], 0, "output"),
+    (["tight", "FILE", "--constructive", "--json"], 0, "output"),
+    (["counterexample", "--mode", "paper-h", "--json"], 0, "output"),
+    (["counterexample", "--mode", "generative", "--json"], 0, "output"),
+    (["audit", "--json"], 0, "output"),
+    (["tight", "--constructive", "--json", "FILE"], 0, "output"),
+    (["solve", "--no-validate", "FILE"], 0, "output"),
+    (["mdb", "--json", "FILE", "--no-validate"], 0, "output"),
+    (["counterexample", "--mode=generative"], 0, "output"),
+    (["counterexample", "--json", "--mode=paper-h"], 0, "output"),
+    (["-h"], 0, "help"),
+    (["--help"], 0, "help"),
+    (["solve", "-h"], 0, "help"),
+    (["tight", "FILE", "--help"], 0, "help"),
+    (["counterexample", "--help"], 0, "help"),
+    (["audit", "-h", "--json"], 0, "help"),
+    ([], 2, "error"),  # no verb
+    (["--json"], 2, "error"),
+    (["bogus", "FILE"], 2, "error"),  # unknown verb
+    (["Solve", "FILE"], 2, "error"),
+    (["validate", "FILE", "--no-validate"], 2, "error"),  # a flag the verb lacks
+    (["solve", "FILE", "--constructive"], 2, "error"),
+    (["tight", "FILE", "--const"], 2, "error"),  # abbreviated
+    (["solve", "FILE", "--json=1"], 2, "error"),
+    (["solve", "FILE", "-j"], 2, "error"),
+    (["solve", "FILE", "--mode", "paper-h"], 2, "error"),
+    (["solve", "--json"], 2, "error"),  # missing FILE
+    (["mdb", "FILE", "FILE"], 2, "error"),  # second FILE
+    (["audit", "FILE"], 2, "error"),
+    (["counterexample", "--mode", "paper-h", "FILE"], 2, "error"),
+    (["counterexample", "--json"], 2, "error"),  # missing --mode
+    (["counterexample", "--mode"], 2, "error"),
+    (["counterexample", "--mode", "paper"], 2, "error"),  # unknown --mode
+    (["counterexample", "--mode=bogus"], 2, "error"),
+    (["counterexample", "--mode="], 2, "error"),
+]
+
+
+def test_readme_block_is_read():
+    lines = readme_command_lines()
+    assert ["tight", "FILE", "--constructive"] in lines
+    assert ["counterexample", "--mode", "paper-h"] in lines
+
+
+@pytest.mark.parametrize(
+    "argv,code,written", ARGV, ids=[" ".join(argv) or "(none)" for argv, *_ in ARGV]
+)
+def test_argv_contract(argv, code, written, tmp_path, capsys):
+    invalid = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])
+    files = {
+        "FILE": write_doc(tmp_path, COUNTEREXAMPLE_DOC),
+        "INVALID": write_doc(tmp_path, invalid, "invalid.json"),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # main returns every exit code
+        pytest.fail(f"main({argv}) raised SystemExit({exc.code})")
+    out, err = capsys.readouterr()
+    assert got == code
+    if written == "output":
+        assert out and err == ""
+    elif written == "help":
+        assert (out, err) == (HELP, "")
+    else:
+        assert out == ""
+        assert err.startswith(USAGE)
+        error = err[len(USAGE):]
+        assert error.startswith("omniscio: error: ")
+        assert error.count("\n") == 1 and error.endswith("\n")

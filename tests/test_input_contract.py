@@ -20,7 +20,13 @@ from omniscio import (
     region_contains,
 )
 from omniscio.errors import InvalidInputError
-from omniscio.simplex import ConstraintSystem, feasible_point, make_system, solve
+from omniscio.simplex import (
+    ConstraintSystem,
+    feasible_point,
+    make_system,
+    solve,
+    uniqueness_test,
+)
 from omniscio.sources import EntropyVector, LinearGF2Source
 from omniscio.subsets import (
     check_active,
@@ -103,6 +109,13 @@ CALLS = {
     "solve-negative-weight": (
         lambda: solve(make_system(2, [0b01, 0b10], [0, 0], [-1, 1])),
         "rows do not bound the objective",
+    ),
+    "uniqueness-unbounded-face": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [0, 0], [1, 0]),
+            solve(make_system(2, [1, 2], [0, 0], [1, 0])),
+        ),
+        "optimal face is unbounded",
     ),
     "feasible-point-scale-zero": (
         lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], 0),

@@ -1,19 +1,21 @@
 """The witness search over I(A)'s minimizers against the full partition scan.
 
-``tightness.witness_by_partition_search`` calls ``feasible_point`` only on
-the minimizers of I(A), and only when I(A) = C_SK;
-``helpers.reference_witness_by_partition_search`` scans every admissible
-partition and skips those failing sum_i h(C_i^c) = (k-1) R_CO. Both must
-give the same verdict, gap, witness partition and rates, through the same
-``feasible_point`` calls, on every oracle: exact or tabular, valid or not.
+``tightness.witness_by_partition_search`` takes the rate LP's optimum as
+the witness rates for the first minimizer of I(A), when I(A) = C_SK, and
+solves no LP of its own; ``helpers.reference_witness_by_partition_search``
+scans every admissible partition, skips those failing
+sum_i h(C_i^c) = (k-1) R_CO and asks ``feasible_point`` for the rest. Both
+must give the same verdict, gap and witness partition on every oracle:
+exact or tabular, valid or not.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-import helpers
+import omniscio.simplex as simplex
 import omniscio.tightness as tightness
 from omniscio import (
     counterexample_entropy_vector,
@@ -26,7 +28,7 @@ from omniscio import (
     random_linear_source,
     witness_by_partition_search,
 )
-from omniscio.errors import OmniscioError
+from omniscio.errors import InternalContractError, OmniscioError
 from omniscio.omniscience import build_family
 from omniscio.simplex import feasible_point
 from omniscio.sources import EntropyVector, TabularSource
@@ -88,16 +90,21 @@ CASES = [*linear_cases(), *tabular_cases(), *non_monotone_cases()]
 
 
 def recorded(monkeypatch):
-    """Patch both searches' feasible_point to record the partitions it is
-    asked about, by their block complements."""
+    """Patch the LP entry points the search could reach to record each call."""
     calls = []
 
-    def wrapper(m, masks, b, comps, eq_b, *scale):
-        calls.append(tuple(comps))
-        return feasible_point(m, masks, b, comps, eq_b, *scale)
+    def recording(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
 
-    monkeypatch.setattr(tightness, "feasible_point", wrapper)
-    monkeypatch.setattr(helpers, "feasible_point", wrapper)
+    monkeypatch.setattr(
+        tightness, "feasible_point", recording("feasible_point", feasible_point)
+    )
+    monkeypatch.setattr(
+        simplex, "simplex_min", recording("simplex_min", simplex.simplex_min)
+    )
     return calls
 
 
@@ -107,20 +114,26 @@ def recorded(monkeypatch):
 def test_same_verdict_witness_and_calls_as_the_full_scan(
     name, oracle, active, monkeypatch
 ):
+    # The same verdict, gap, C_SK, bound and witness partition as the
+    # reference scan, with no LP call: the witness rates are the report's.
     try:
         report = r_co(oracle, active)
     except OmniscioError as exc:  # a table the rate LP rejects
         with pytest.raises(type(exc)):
             witness_by_partition_search(oracle, active)
         return
+    old = reference_witness_by_partition_search(oracle, active, report=report)
     calls = recorded(monkeypatch)
     new = witness_by_partition_search(oracle, active, report=report)
-    new_calls = list(calls)
-    calls.clear()
-    old = reference_witness_by_partition_search(oracle, active, report=report)
-    assert new == old
-    assert new_calls == calls
-    assert all(type(v) is Fraction for v in (new.witness or ((), ()))[1])
+    assert calls == []
+    assert (new.tight, new.gap, new.c_sk, new.bound) == (
+        old.tight, old.gap, old.c_sk, old.bound,
+    )
+    assert (new.witness is None) == (old.witness is None)
+    if new.witness is not None:
+        assert new.witness[0] == old.witness[0]
+        assert new.witness[1] == report.rates
+        assert all(type(v) is Fraction for v in new.witness[1])
 
 
 def bound_meets_capacity(oracle, active):
@@ -151,6 +164,24 @@ def test_every_minimizer_hosts_a_witness(name, oracle, active):
         eq_b = [oracle.cond_entropy(c) for c in comps]
         hosts.add(feasible_point(m, family.masks, b, comps, eq_b) is not None)
     assert hosts == {True}, name
+
+
+MOVES = {"raised": F(1), "lowered": F(-1, 2)}
+
+
+@pytest.mark.parametrize("move", MOVES.values(), ids=MOVES.keys())
+@pytest.mark.parametrize(
+    "name,oracle,active", TIGHT_CASES, ids=[case[0] for case in TIGHT_CASES]
+)
+def test_rates_off_the_optimum_are_refused(name, oracle, active, move):
+    # Raising a rate leaves every block complement that holds it slack;
+    # lowering one takes the total below R_CO, so some row, or the rate's
+    # own sign, fails. Either way the certificate refuses the witness.
+    report = r_co(oracle, active)
+    rates = (report.rates[0] + move, *report.rates[1:])
+    moved = dataclasses.replace(report, rates=rates)
+    with pytest.raises(InternalContractError):
+        witness_by_partition_search(oracle, active, report=moved)
 
 
 @pytest.mark.parametrize("seed", range(40))
