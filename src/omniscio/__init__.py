@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .dependence import (
     enumerate_admissible,
-    enumerate_partitions,
     mutual_dependence_bound,
     partition_dependence,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "construct_partition_from_dual",
     "counterexample_entropy_vector",
     "enumerate_admissible",
-    "enumerate_partitions",
     "make_counterexample",
     "make_oracle",
     "make_sunflower",

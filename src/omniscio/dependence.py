@@ -14,8 +14,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
 from .sources import EntropyOracle
@@ -28,48 +27,39 @@ DEFAULT_MAX_M = 12
 Partition = Tuple[int, ...]  # block masks, ordered by smallest element
 
 
-def enumerate_partitions(m: int, active: int, k: int) -> Iterator[Partition]:
-    """All admissible k-partitions, in restricted-growth (canonical) order.
+def enumerate_admissible(
+    m: int, active: int, joint: Sequence[int]
+) -> Iterator[Tuple[int, Partition]]:
+    """Every admissible partition for every k in [2, |A|], in canonical
+    order, as ``(key, partition)``.
+
+    ``joint`` is an integer entropy table (H(X_S) times a common scale) of
+    2^m entries, and key = (sum_i joint[C_i] - joint[-1]) * (L / (k-1))
+    with L = lcm(1, ..., |A|-1): the partition's scaled dependence times
+    L, an int, so keys compare across every k.
 
     Terminal j goes to one of the blocks opened so far or opens the next
     one, so the block indices form a restricted-growth string with exactly
     k blocks (Knuth, TAOCP 4A, 7.2.1.5), and blocks come out sorted by
-    their smallest element. The strings are walked in lexicographic order
-    by one generator frame with O(m) state. It keeps a running count of
-    open blocks with no active terminal and skips every assignment after
-    which the unassigned terminals can no longer open the missing blocks
-    and give each activeless block its own active terminal.
+    their smallest element. For each k the strings are walked in
+    lexicographic order by one generator frame with O(m) state. It keeps a
+    running count of open blocks with no active terminal and skips every
+    assignment after which the unassigned terminals can no longer open the
+    missing blocks and give each activeless block its own active terminal.
 
     The arguments are checked when this is called, not when the result is
     first iterated.
     """
     check_active(active, m)
-    size_a = active.bit_count()
-    if not 2 <= k <= size_a:
-        raise InvalidInputError(f"k={k} outside [2, |A|={size_a}]")
-    return map(itemgetter(1), _restricted_growth(m, active, k, bytes(1 << m), 1))
-
-
-def enumerate_admissible(
-    m: int, active: int, joint: Optional[Sequence[int]] = None
-) -> Iterator[Any]:
-    """All admissible partitions for every k in [2, |A|], canonical order.
-
-    Given an integer entropy table ``joint`` (H(X_S) times a common
-    scale), yields ``(key, partition)`` instead, where
-    key = (sum_i joint[C_i] - joint[-1]) * (L / (k-1)) with
-    L = lcm(1, ..., |A|-1): the partition's scaled dependence times L, an
-    int, so keys compare across every k.
-    """
-    check_active(active, m)
-    size_a = active.bit_count()
-    table = bytes(1 << m) if joint is None else joint
+    if len(joint) != 1 << m:
+        raise InvalidInputError(
+            f"entropy table has {len(joint)} entries; m={m} needs {1 << m}"
+        )
     lcm = _key_lcm(active)
-    scored = chain.from_iterable(
-        _restricted_growth(m, active, k, table, lcm // (k - 1))
-        for k in range(2, size_a + 1)
+    return chain.from_iterable(
+        _restricted_growth(m, active, k, joint, lcm // (k - 1))
+        for k in range(2, active.bit_count() + 1)
     )
-    return scored if joint is not None else map(itemgetter(1), scored)
 
 
 def _restricted_growth(

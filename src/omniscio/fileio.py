@@ -46,12 +46,6 @@ from .subsets import (
 )
 
 
-def format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def parse_fraction(text: str) -> Fraction:
     """``Fraction(text)``, with plain ASCII ``p`` and ``p/q`` read by ``int``.
 
@@ -80,8 +74,8 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction_text(value: Fraction) -> str:
     """Human rendering: "9/4 (~2.25)"; integers render bare."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{format_fraction(value)} (~{float(value):.6g})"
+        return str(value)
+    return f"{value} (~{float(value):.6g})"
 
 
 def parse_bit_string(text: str, n: int) -> int:
@@ -186,6 +180,17 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
                 value = parse_fraction(text)
             values[mask] = value
             seen[mask] = 1
+        if seen.count(1) != len(values_map):
+            # Two keys spell one subset; name the first such pair.
+            spellings: Dict[int, str] = {}
+            for key in values_map:
+                mask = masks[key] if key in masks else parse_mask_spec(key, m)
+                first = spellings.setdefault(mask, key)
+                if first != key:
+                    raise InvalidInputError(
+                        f"entropy vector gives subset {{{format_mask(mask)}}} "
+                        f"twice, as {first!r} and {key!r}"
+                    )
         missing = seen.find(0, 1)
         if missing > 0:
             raise InvalidInputError(

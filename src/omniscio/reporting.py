@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Sequence
 from . import __version__
 from .dependence import mutual_dependence_bound
 from .errors import ComputationError
-from .fileio import format_fraction, format_fraction_text
+from .fileio import format_fraction_text
 from .omniscience import CapacityReport, build_family, r_co
 from .sources import (
     COUNTEREXAMPLE_ACTIVE,
@@ -38,14 +38,14 @@ def _partition(blocks: Sequence[int]) -> List[List[int]]:
 
 def _capacity_fields(report: CapacityReport) -> Dict[str, Any]:
     return {
-        "r_co": format_fraction(report.r_co),
-        "c_sk": format_fraction(report.c_sk),
-        "rates": [format_fraction(v) for v in report.rates],
-        "dual": [format_fraction(v) for v in report.dual],
+        "r_co": str(report.r_co),
+        "c_sk": str(report.c_sk),
+        "rates": list(map(str, report.rates)),
+        "dual": list(map(str, report.dual)),
         "tight_constraints": [terminals_of(mask) for mask in report.tight_masks],
         "uniqueness": {
             "verdict": report.uniqueness.verdict,
-            "auxiliary_value": format_fraction(report.uniqueness.auxiliary_value),
+            "auxiliary_value": str(report.uniqueness.auxiliary_value),
         },
     }
 
@@ -61,7 +61,7 @@ def solve_report(
     out = _header("solve", input_echo)
     out["m"] = oracle.m
     out["active"] = terminals_of(active)
-    out["total_entropy"] = format_fraction(oracle.total_entropy())
+    out["total_entropy"] = str(oracle.total_entropy())
     out["exact"] = oracle.exact
     out.update(_capacity_fields(report))
     return out
@@ -74,7 +74,7 @@ def mdb_report(
     out = _header("mdb", input_echo)
     out["m"] = oracle.m
     out["active"] = terminals_of(active)
-    out["mutual_dependence_bound"] = format_fraction(bound)
+    out["mutual_dependence_bound"] = str(bound)
     out["minimizers"] = [_partition(p) for p in minimizers]
     return out
 
@@ -82,15 +82,15 @@ def mdb_report(
 def _verdict_fields(verdict: TightnessVerdict) -> Dict[str, Any]:
     fields: Dict[str, Any] = {
         "tight": verdict.tight,
-        "c_sk": format_fraction(verdict.c_sk),
-        "mutual_dependence_bound": format_fraction(verdict.bound),
-        "gap": format_fraction(verdict.gap),
+        "c_sk": str(verdict.c_sk),
+        "mutual_dependence_bound": str(verdict.bound),
+        "gap": str(verdict.gap),
     }
     if verdict.witness is not None:
         partition, rates = verdict.witness
         fields["witness"] = {
             "partition": _partition(partition),
-            "rates": [format_fraction(v) for v in rates],
+            "rates": list(map(str, rates)),
         }
     else:
         fields["witness"] = None
@@ -133,8 +133,8 @@ def validate_report(
         {
             "b1": terminals_of(b1),
             "b2": terminals_of(b2),
-            "lhs": format_fraction(lhs),
-            "rhs": format_fraction(rhs),
+            "lhs": str(lhs),
+            "rhs": str(rhs),
         }
         for b1, b2, lhs, rhs in report.supermodularity_violations
     ]
@@ -159,11 +159,11 @@ def counterexample_report(mode: str) -> Dict[str, Any]:
     out = _header("counterexample", {"builtin": mode})
     out["m"] = oracle.m
     out["active"] = terminals_of(active)
-    out["total_entropy"] = format_fraction(oracle.total_entropy())
+    out["total_entropy"] = str(oracle.total_entropy())
     out.update(_capacity_fields(report))
-    out["mutual_dependence_bound"] = format_fraction(bound)
+    out["mutual_dependence_bound"] = str(bound)
     out["minimizers"] = [_partition(p) for p in minimizers]
-    out["gap"] = format_fraction(bound - report.c_sk)
+    out["gap"] = str(bound - report.c_sk)
     out["strict_gap"] = bound > report.c_sk
 
     if mode == "paper-h":
@@ -220,8 +220,8 @@ def audit_report() -> Dict[str, Any]:
         table.append(
             {
                 "subset": terminals_of(mask),
-                "h_paper": format_fraction(h_paper),
-                "h_generative": format_fraction(h_gen),
+                "h_paper": str(h_paper),
+                "h_generative": str(h_gen),
                 "equal": h_paper == h_gen,
             }
         )
@@ -237,8 +237,8 @@ def audit_report() -> Dict[str, Any]:
             fields["first_violation"] = {
                 "b1": terminals_of(b1),
                 "b2": terminals_of(b2),
-                "lhs": format_fraction(lhs),
-                "rhs": format_fraction(rhs),
+                "lhs": str(lhs),
+                "rhs": str(rhs),
             }
         return fields
 

@@ -529,20 +529,15 @@ def feasible_point(
     ineq_b: Sequence[Rational],
     eq_masks: Sequence[int],
     eq_b: Sequence[Rational],
-    scale: int = 1,
 ) -> Optional[Tuple[Fraction, ...]]:
     """A point of {x >= 0 : sum_B x >= b for B, sum_C x = b for C}, or None.
 
-    The right-hand sides are ``ineq_b`` and ``eq_b`` divided by ``scale``
-    (a positive int), so ints over an oracle's integer table can be passed
-    as they are. ``_optimum`` solves it with objective 0 and the right-hand
-    sides times den, the lcm of their denominators, so the point comes back
-    as den * scale * x; its dual is unbounded exactly when no point exists.
-    Nonnegativity is harmless for rate regions: singleton constraints force
+    ``_optimum`` solves it with objective 0 and the right-hand sides times
+    den, the lcm of their denominators, so the point comes back as den * x;
+    its dual is unbounded exactly when no point exists. Nonnegativity is
+    harmless for rate regions: singleton constraints force
     x_j >= h({j}) >= 0 anyway.
     """
-    if type(scale) is not int or scale < 1:
-        raise InvalidInputError(f"scale must be a positive int, got {scale!r}")
     n_ineq = len(ineq_masks)
     b, den = _over_common_denominator([*ineq_b, *eq_b])
     eq_rows = [[mask >> j & 1 for j in range(m)] for mask in eq_masks]
@@ -552,5 +547,5 @@ def feasible_point(
         )
     except LpUnboundedError:
         return None
-    x_den *= den * scale
+    x_den *= den
     return tuple(Fraction(v, x_den) for v in x_num)

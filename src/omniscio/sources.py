@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InvalidInputError, ValidationError
 from .gf2 import gf2_rank
-from .simplex import _over_common_denominator, _pack
+from .simplex import _over_common_denominator, _pack, _subset_sums
 from .subsets import (
     check_admissible,
     check_mask,
@@ -454,13 +454,9 @@ def merge_terminals(source: SourceLike, blocks: Sequence[int]) -> SourceLike:
         return TabularSource(k, sizes, tuple(sorted(entries.items())))
 
     if isinstance(source, EntropyVector):
-        values = []
-        for t in range(1 << k):
-            union = 0
-            for i in iter_bits(t):
-                union |= blocks[i]
-            values.append(source.values[union])
-        return EntropyVector(k, tuple(values))
+        # The blocks are disjoint, so a sum of blocks is their union.
+        values = source.values
+        return EntropyVector(k, tuple(values[u] for u in _subset_sums(blocks)))
 
     raise InvalidInputError(f"unsupported source type {type(source).__name__}")
 

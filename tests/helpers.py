@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import le
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from omniscio.errors import InternalContractError, InvalidInputError
 from omniscio.simplex import (
@@ -186,6 +186,12 @@ def oracle_from_table(
     one common denominator."""
     nums, scale = _over_common_denominator([*values, tolerance])
     return EntropyOracle(m, scale, nums[:-1], nums[-1])
+
+
+def admissible(m: int, active: int) -> List[Partition]:
+    """Every admissible partition, in canonical order: the library's walk
+    run on a zero table, without its keys."""
+    return [p for _, p in enumerate_admissible(m, active, bytes(1 << m))]
 
 
 # Reference enumerator: the recursive generator (one frame per assigned
@@ -773,7 +779,7 @@ def reference_mutual_dependence_bound(
     """I(A) as the minimum of partition_dependence over every partition."""
     best: Optional[Fraction] = None
     argmin: List[Partition] = []
-    for partition in enumerate_admissible(oracle.m, active):
+    for partition in admissible(oracle.m, active):
         value = partition_dependence(oracle, partition)
         if best is None or value < best:
             best = value
@@ -793,13 +799,22 @@ def reference_entropy_vector(values_map, m: int) -> EntropyVector:
     """The ``values`` map of an ``entropy_vector`` document as a vector."""
     values: List[Fraction] = [Fraction(0)] * (1 << m)
     seen = {0}
+    spellings: Dict[int, str] = {}
     try:
         for key, text in values_map.items():
             mask = parse_mask_spec(key, m)
             values[mask] = parse_fraction(text)
             seen.add(mask)
+            spellings.setdefault(mask, key)
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
+    for key in values_map:
+        mask = parse_mask_spec(key, m)
+        if spellings[mask] != key:
+            raise InvalidInputError(
+                f"entropy vector gives subset {{{format_mask(mask)}}} twice, "
+                f"as {spellings[mask]!r} and {key!r}"
+            )
     missing = [s for s in range(1, 1 << m) if s not in seen]
     if missing:
         raise InvalidInputError(
@@ -830,7 +845,7 @@ def reference_witness_by_partition_search(
     m = oracle.m
 
     witness: Optional[Tuple[Partition, RateVector]] = None
-    for partition in enumerate_admissible(m, active):
+    for partition in admissible(m, active):
         k = len(partition)
         comps = [complement(block, m) for block in partition]
         total = sum((oracle.cond_entropy(c) for c in comps), Fraction(0))

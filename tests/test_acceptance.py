@@ -20,7 +20,6 @@ from omniscio import (
     check_validity,
     construct_partition_from_dual,
     counterexample_entropy_vector,
-    enumerate_admissible,
     make_counterexample,
     make_oracle,
     make_sunflower,
@@ -42,7 +41,12 @@ from omniscio.reporting import (
 )
 from omniscio.subsets import complement, full_mask, mask_from_terminals
 
-from helpers import brute_force_joint_entropy, brute_force_lp_min, row_sum
+from helpers import (
+    admissible,
+    brute_force_joint_entropy,
+    brute_force_lp_min,
+    row_sum,
+)
 
 F = Fraction
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))
@@ -283,10 +287,10 @@ def test_criterion_09_sunflower_identity():
                 oracle = make_oracle(source)
                 bound, minimizers = mutual_dependence_bound(oracle, full_mask(m))
                 assert bound == core
-                admissible = list(enumerate_admissible(m, full_mask(m)))
-                assert minimizers == admissible
+                partitions = admissible(m, full_mask(m))
+                assert minimizers == partitions
 
-                for partition in admissible:
+                for partition in partitions:
                     value = partition_dependence(oracle, partition)
                     merged = make_oracle(merge_terminals(source, partition))
                     k = len(partition)

@@ -7,8 +7,6 @@ import pytest
 
 from omniscio import (
     counterexample_entropy_vector,
-    enumerate_admissible,
-    enumerate_partitions,
     make_oracle,
     make_sunflower,
     merge_terminals,
@@ -20,7 +18,7 @@ from omniscio.errors import InvalidInputError
 from omniscio.sources import LinearGF2Source, TabularSource
 from omniscio.subsets import full_mask
 
-from helpers import brute_force_partitions
+from helpers import admissible, brute_force_partitions
 
 F = Fraction
 BELL = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -32,24 +30,24 @@ def shared_bit_source(m=3):
 
 class TestEnumeration:
     def test_three_terminals_two_blocks(self):
-        parts = list(enumerate_partitions(3, 0b111, 2))
+        parts = [p for p in admissible(3, 0b111) if len(p) == 2]
         assert len(parts) == 3
         assert parts == [(0b011, 0b100), (0b101, 0b010), (0b001, 0b110)]
 
     def test_counterexample_partition_counts(self):
-        k2 = list(enumerate_partitions(6, 0b111, 2))
-        k3 = list(enumerate_partitions(6, 0b111, 3))
+        k2 = [p for p in admissible(6, 0b111) if len(p) == 2]
+        k3 = [p for p in admissible(6, 0b111) if len(p) == 3]
         assert len(k2) == 24
         assert len(k3) == 27
         assert len(k2) + len(k3) == 51
 
     def test_block_missing_active_set_excluded(self):
         bad = (0b000111, 0b111000)  # {1,2,3}, {4,5,6}: second block misses A
-        assert bad not in set(enumerate_partitions(6, 0b111, 2))
+        assert bad not in {p for p in admissible(6, 0b111) if len(p) == 2}
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_all_active_counts_bell_minus_one(self, m):
-        parts = list(enumerate_admissible(m, full_mask(m)))
+        parts = admissible(m, full_mask(m))
         assert len(parts) == BELL[m] - 1
 
     @pytest.mark.parametrize("m,active", [(4, 0b0011), (5, 0b10101), (6, 0b000111)])
@@ -60,18 +58,14 @@ class TestEnumeration:
             for p in brute_force_partitions(m)
             if 2 <= len(p) <= size_a and all(b & active for b in p)
         }
-        got = list(enumerate_admissible(m, active))
+        got = admissible(m, active)
         assert len(got) == len(set(got))
         assert set(got) == expected
 
     def test_canonical_block_order(self):
-        for p in enumerate_admissible(5, 0b11111):
+        for p in admissible(5, 0b11111):
             lows = [b & -b for b in p]
             assert lows == sorted(lows)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            list(enumerate_partitions(4, 0b0011, 3))
 
 
 class TestPartitionDependence:
@@ -90,13 +84,13 @@ class TestPartitionDependence:
 
     def test_sunflower_always_core(self):
         oracle = make_oracle(make_sunflower(4, 2, 1))
-        for p in enumerate_admissible(4, full_mask(4)):
+        for p in admissible(4, full_mask(4)):
             assert partition_dependence(oracle, p) == 2
 
     def test_nonnegative_on_valid_oracles(self):
         for seed in range(4):
             oracle = make_oracle(random_linear_source(4, 4, 2, seed))
-            for p in enumerate_admissible(4, full_mask(4)):
+            for p in admissible(4, full_mask(4)):
                 assert partition_dependence(oracle, p) >= 0
 
     def test_tabular_matches_divergence(self):
@@ -195,7 +189,7 @@ class TestMergeConsistency:
     def test_merged_bound_at_most_partition_value(self, seed):
         src = random_linear_source(4, 4, 2, seed)
         oracle = make_oracle(src)
-        for p in enumerate_admissible(4, full_mask(4)):
+        for p in admissible(4, full_mask(4)):
             value = partition_dependence(oracle, p)
             merged = make_oracle(merge_terminals(src, p))
             k = len(p)

@@ -15,7 +15,6 @@ from omniscio import (
 from omniscio.cli import HELP, USAGE, main
 from omniscio.errors import InvalidInputError, ValidationError
 from omniscio.fileio import (
-    format_fraction,
     format_fraction_text,
     parse_bit_string,
     parse_fraction,
@@ -44,7 +43,7 @@ COUNTEREXAMPLE_DOC = {
 
 def entropy_vector_doc(vector: EntropyVector, active):
     values = {
-        format_mask(s): format_fraction(vector.values[s])
+        format_mask(s): str(vector.values[s])
         for s in range(1, 1 << vector.m)
     }
     return {
@@ -70,10 +69,10 @@ def write_doc(tmp_path, doc, name="source.json"):
 class TestFractions:
     def test_round_trip(self):
         for v in (F(0), F(7), F(-3, 8), F(9, 4)):
-            assert parse_fraction(format_fraction(v)) == v
+            assert parse_fraction(str(v)) == v
 
     def test_integer_renders_bare(self):
-        assert format_fraction(F(4, 2)) == "2"
+        assert str(F(4, 2)) == "2"
         assert format_fraction_text(F(3)) == "3"
 
     def test_text_form_carries_decimal_hint(self):
@@ -325,10 +324,12 @@ class TestCli:
             ([1, 2], {"type": "tabular", "alphabets": [2, 2],
                       "pmf": [{"symbols": [0, 0], "prob": True}]},
              "bad rational True"),
+            ([1, 2], vector_source({"2,1": "1"}),
+             "entropy vector gives subset {1,2} twice, as '1,2' and '2,1'"),
         ],
         ids=["value-null", "prob-null", "source-string", "values-list",
              "terminals-int", "active-int", "base-bits-string", "value-true",
-             "prob-true"],
+             "prob-true", "subset-twice"],
     )
     def test_malformed_document_exits_two(
         self, tmp_path, capsys, active, source, message

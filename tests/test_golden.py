@@ -1,9 +1,10 @@
 """Every CLI verb's exact output, text and JSON, against committed files.
 
-``tests/golden/`` holds four source documents (``*.input.json``: the
-six-terminal counterexample as a linear source, its valid entropy table,
-the published, invalid one, and a three-terminal linear source whose rate
-LP has more than one optimum) and, for each case below, the exact stdout of
+``tests/golden/`` holds five source documents (``*.input.json``: the
+six-terminal counterexample as a linear source, the same source with every
+terminal active, its valid entropy table, the published, invalid one, and
+a three-terminal linear source whose rate LP has more than one optimum)
+and, for each case below, the exact stdout of
 ``omniscio <argv>`` as ``<case>.txt`` and of ``omniscio <argv> --json`` as
 ``<case>.json``. The commands run from that directory, so the echoed input
 path is the bare file name.
@@ -24,6 +25,12 @@ CASES = {
     "tight": (["tight", "counterexample.input.json"], 0),
     "tight_constructive": (
         ["tight", "counterexample.input.json", "--constructive"], 0
+    ),
+    "tight_not_unique": (
+        ["tight", "solve_not_unique.input.json", "--constructive"], 0
+    ),
+    "tight_all_active": (
+        ["tight", "all_active.input.json", "--constructive"], 0
     ),
     "validate_valid": (["validate", "valid_table.input.json"], 0),
     "validate_invalid": (["validate", "invalid_table.input.json"], 2),

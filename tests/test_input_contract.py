@@ -12,6 +12,7 @@ import pytest
 
 from omniscio import (
     build_family,
+    enumerate_admissible,
     make_oracle,
     mutual_dependence_bound,
     partition_dependence,
@@ -22,7 +23,6 @@ from omniscio import (
 from omniscio.errors import InvalidInputError
 from omniscio.simplex import (
     ConstraintSystem,
-    feasible_point,
     make_system,
     solve,
     uniqueness_test,
@@ -117,17 +117,13 @@ CALLS = {
         ),
         "optimal face is unbounded",
     ),
-    "feasible-point-scale-zero": (
-        lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], 0),
-        "scale must be a positive int, got 0",
+    "enumerate-short-table": (
+        lambda: enumerate_admissible(3, 0b111, [0]),
+        "entropy table has 1 entries; m=3 needs 8",
     ),
-    "feasible-point-negative-scale": (
-        lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], -1),
-        "scale must be a positive int, got -1",
-    ),
-    "feasible-point-float-scale": (
-        lambda: feasible_point(2, [1, 2], [1, 1], [3], [3], 2.0),
-        "scale must be a positive int, got 2.0",
+    "enumerate-long-table": (
+        lambda: enumerate_admissible(3, 0b111, [0] * 16),
+        "entropy table has 16 entries; m=3 needs 8",
     ),
 }
 

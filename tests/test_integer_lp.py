@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import omniscio.simplex as simplex
 from omniscio import (
     build_family,
-    enumerate_admissible,
     make_counterexample,
     make_oracle,
     make_system,
@@ -31,6 +30,7 @@ from omniscio.sources import TabularSource
 from omniscio.subsets import complement, full_mask
 
 from helpers import (
+    admissible,
     brute_force_lp_min,
     rational_simplex_min,
     reference_simplex_min,
@@ -233,13 +233,17 @@ def test_table_scale_gives_the_fraction_system_results(index):
     m = oracle.m
     scale, joint = oracle.scale, oracle.joint
     assert system.b_den == scale
-    partitions = list(enumerate_admissible(m, family.active))[:12]
+    partitions = admissible(m, family.active)[:12]
     for partition in partitions:
         comps = [complement(block, m) for block in partition]
         eq_b = [oracle.cond_entropy(c) for c in comps]
         eq_num = [joint[-1] - joint[block] for block in partition]
         assert feasible_point(
-            m, family.masks, system.b_num, comps, eq_num, scale
+            m,
+            family.masks,
+            [F(v, scale) for v in system.b_num],
+            comps,
+            [F(v, scale) for v in eq_num],
         ) == feasible_point(m, family.masks, system.b, comps, eq_b)
 
 

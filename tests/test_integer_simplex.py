@@ -21,7 +21,6 @@ import omniscio.simplex as simplex
 from omniscio import (
     build_family,
     counterexample_entropy_vector,
-    enumerate_admissible,
     make_counterexample,
     make_oracle,
     r_co,
@@ -32,6 +31,7 @@ from omniscio.simplex import LpInfeasibleError, LpUnboundedError, feasible_point
 from omniscio.subsets import complement, full_mask
 
 from helpers import (
+    admissible,
     rational_simplex_min,
     reference_integer_simplex_min,
     reference_simplex_min,
@@ -98,7 +98,7 @@ def test_every_library_call_matches_reference(name, source, active, monkeypatch)
         # dual) are recorded too, not only those passing the witness filter.
         family = build_family(m, active)
         b = [oracle.cond_entropy(mask) for mask in family.masks]
-        for partition in enumerate_admissible(m, active):
+        for partition in admissible(m, active):
             comps = [complement(block, m) for block in partition]
             eq_b = [oracle.cond_entropy(c) for c in comps]
             feasible_point(m, family.masks, b, comps, eq_b)

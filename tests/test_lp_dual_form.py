@@ -17,7 +17,6 @@ import omniscio.simplex as simplex
 from omniscio import (
     build_family,
     counterexample_entropy_vector,
-    enumerate_admissible,
     make_counterexample,
     make_oracle,
     make_system,
@@ -30,6 +29,7 @@ from omniscio.simplex import feasible_point
 from omniscio.subsets import complement, full_mask
 
 from helpers import (
+    admissible,
     brute_force_lp_min,
     reference_feasible_point,
     reference_solve,
@@ -83,7 +83,7 @@ def test_feasible_point_verdicts_match_reference(name, source, active):
     m = oracle.m
     b = [oracle.cond_entropy(mask) for mask in family.masks]
     found = 0
-    for partition in enumerate_admissible(m, active):
+    for partition in admissible(m, active):
         comps = [complement(block, m) for block in partition]
         eq_b = [oracle.cond_entropy(c) for c in comps]
         new = feasible_point(m, family.masks, b, comps, eq_b)

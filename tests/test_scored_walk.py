@@ -6,8 +6,9 @@ L = lcm(1, ..., |A|-1), and ``mutual_dependence_bound`` keeps the least
 key. These tests check the bound and its minimizers against the brute
 force over unfiltered partitions (tables whose minimizers span several
 block counts, tabular oracles and non-monotone tables read without
-validation), check that the tableless walk yields the same partitions in
-the same order, and check that every call drains the module binding
+validation), check that the walk on a zero table yields the same
+partitions in the same order, and for each block count those of the
+recursive reference enumerator, and check that every call drains the module binding
 ``dependence.enumerate_admissible`` exactly once, over every admissible
 partition, as the benchmark's tracer counts it.
 """
@@ -31,7 +32,12 @@ from omniscio.cli import main
 from omniscio.sources import EntropyVector, LinearGF2Source, TabularSource
 from omniscio.subsets import full_mask
 
-from helpers import brute_force_mutual_dependence_bound, brute_force_partitions
+from helpers import (
+    admissible,
+    brute_force_mutual_dependence_bound,
+    brute_force_partitions,
+    reference_enumerate_partitions,
+)
 
 GOLDEN_INPUT = str(Path(__file__).parent / "golden" / "counterexample.input.json")
 
@@ -143,10 +149,10 @@ class TestKeys:
             oracle = random_table_oracle(m, seed)
             for active in active_sets(m):
                 scored = list(dependence.enumerate_admissible(m, active, oracle.joint))
-                plain = list(dependence.enumerate_admissible(m, active))
+                plain = admissible(m, active)
                 assert plain == [p for _, p in scored]
                 for k in range(2, active.bit_count() + 1):
-                    assert list(dependence.enumerate_partitions(m, active, k)) == [
+                    assert list(reference_enumerate_partitions(m, active, k)) == [
                         p for p in plain if len(p) == k
                     ]
 

@@ -109,6 +109,15 @@ def test_every_case_reaches_its_branch():
     assert text == "bad rational '1/0'"
     kind, text = assert_same_vector(CASES["missing several"])
     assert text == "entropy vector missing subset {3}"
+    for name, first, second in (
+        ("duplicate, last wins", "1,2", "2,1"),
+        ("duplicate, canonical last", "2,1", "1,2"),
+    ):
+        kind, text = assert_same_vector(CASES[name])
+        assert (kind, text) == (
+            InvalidInputError,
+            f"entropy vector gives subset {{1,2}} twice, as {first!r} and {second!r}",
+        )
     for name, text in (("null value", "None"), ("list value", "[1]")):
         kind, message = assert_same_vector(CASES[name])
         assert (kind, message) == (InvalidInputError, f"bad rational {text}")

@@ -19,7 +19,6 @@ import omniscio.simplex as simplex
 import omniscio.tightness as tightness
 from omniscio import (
     counterexample_entropy_vector,
-    enumerate_admissible,
     make_counterexample,
     make_oracle,
     mutual_dependence_bound,
@@ -34,7 +33,7 @@ from omniscio.simplex import feasible_point
 from omniscio.sources import EntropyVector, TabularSource
 from omniscio.subsets import complement, full_mask
 
-from helpers import reference_witness_by_partition_search
+from helpers import admissible, reference_witness_by_partition_search
 
 F = Fraction
 
@@ -194,7 +193,7 @@ def test_feasible_exactly_when_the_partition_meets_the_capacity(seed):
             report = r_co(oracle, active)
             family = build_family(m, active)
             b = [oracle.cond_entropy(mask) for mask in family.masks]
-            for partition in enumerate_admissible(m, active):
+            for partition in admissible(m, active):
                 comps = [complement(block, m) for block in partition]
                 eq_b = [oracle.cond_entropy(c) for c in comps]
                 hosts = feasible_point(m, family.masks, b, comps, eq_b) is not None
