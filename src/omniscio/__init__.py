@@ -21,8 +21,6 @@ from .omniscience import (
     ConstraintFamily,
     build_family,
     r_co,
-    region_contains,
-    sw_gap,
 )
 from .simplex import (
     ConstraintSystem,
@@ -84,10 +82,8 @@ __all__ = [
     "partition_dependence",
     "r_co",
     "random_linear_source",
-    "region_contains",
     "solve",
     "source_from_document",
-    "sw_gap",
     "uniqueness_test",
     "witness_by_partition_search",
 ]

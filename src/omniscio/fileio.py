@@ -53,7 +53,8 @@ def parse_fraction(text: str) -> Fraction:
     non-ASCII digits, a zero denominator, JSON numbers) goes to
     ``Fraction(text)`` itself, so the accepted inputs are those of
     ``Fraction`` except JSON ``true`` and ``false``; whatever is refused,
-    a JSON null, list or object among them, raises ``InvalidInputError``.
+    a JSON null, list or object or a non-finite number among them, raises
+    ``InvalidInputError``.
     """
     if isinstance(text, bool):
         raise InvalidInputError(f"bad rational {text!r}")
@@ -66,7 +67,7 @@ def parse_fraction(text: str) -> Fraction:
                 return Fraction(int(num), int(den))
     try:
         value = Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"bad rational {text!r}") from exc
     return value
 
@@ -219,7 +220,9 @@ def parse_source_file(
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON, bytes that are not UTF-8, an integer past Python's digit
+        # limit, or nesting too deep to parse.
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError("source document must be a JSON object")

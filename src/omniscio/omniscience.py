@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from .errors import InvalidInputError
 from .simplex import (
@@ -21,7 +21,7 @@ from .simplex import (
     uniqueness_test,
 )
 from .sources import EntropyOracle
-from .subsets import check_active, check_mask, full_mask, iter_bits
+from .subsets import check_active, full_mask
 
 RateVector = Tuple[Fraction, ...]
 
@@ -62,25 +62,6 @@ def build_family(m: int, active: int) -> ConstraintFamily:
     expected = (1 << m) - (1 << (m - active.bit_count())) - 1
     assert len(masks) == expected
     return ConstraintFamily(m, active, masks)
-
-
-def sw_gap(rates: Sequence[Fraction], mask: int, oracle: EntropyOracle) -> Fraction:
-    """Constraint slack sum_{j in B} R_j - h(B); >=0 satisfied, =0 tight."""
-    check_mask(mask, oracle.m)
-    total = sum((rates[j] for j in iter_bits(mask)), Fraction(0))
-    return total - oracle.cond_entropy(mask)
-
-
-def region_contains(
-    rates: Sequence[Fraction], family: ConstraintFamily, oracle: EntropyOracle
-) -> Tuple[bool, Optional[int]]:
-    """Membership in the rate region; on failure, the smallest violated mask."""
-    if oracle.m != family.m:
-        raise InvalidInputError("oracle terminal count mismatch")
-    for mask in family.masks:
-        if sw_gap(rates, mask, oracle) < 0:
-            return False, mask
-    return True, None
 
 
 @dataclass(frozen=True)

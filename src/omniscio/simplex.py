@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -70,8 +69,7 @@ class ConstraintSystem:
     The incidence row for mask B is its 0/1 indicator vector. b and the
     objective c are held as ints over positive common denominators,
     b_i = b_num[i] / b_den and c_j = c_num[j] / c_den, the form in which the
-    LP entry points solve and certify; ``b`` and ``c`` are their Fraction
-    values, built on first use.
+    LP entry points solve and certify.
     """
 
     m: int
@@ -94,14 +92,6 @@ class ConstraintSystem:
                 check_mask(mask, self.m)
                 kind = "all-zero" if mask == 0 else "all-one"
                 raise InvalidInputError(f"{kind} constraint row not allowed")
-
-    @cached_property
-    def b(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.b_den) for v in self.b_num)
-
-    @cached_property
-    def c(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.c_den) for v in self.c_num)
 
     @property
     def l(self) -> int:  # noqa: E743 - row count
@@ -183,22 +173,22 @@ def simplex_min(
     part of the tableau. The update keeps T = |det B| B^-1 M and the
     z-row |det B| (c - c_B B^-1 M), c the phase's costs (Edmonds 1967).
     By Cramer's rule every cell of T is +-det of B with one column swapped
-    for a column of M: an n x n minor of M, at most the product H of M's n
-    largest column norms (Hadamard). A z-row cell is +-det[B M_k; c_B c_k],
-    an (n+1)-minor of M over the cost row; expanded along that row it is
-    at most (n+1) max|c| H. Phase 1 costs 0 or 1, phase 2 the int costs,
-    so w = bitlen((n+1) max(1, max|c|) H) + 1 fits every stored cell. The
-    rhs column is never packed, so its norm does not enter H.
+    for a column of M: an n x n minor of M. Each column of M has norm at
+    most sqrt(n) t, t = max(1, max|a_ij|), so by Hadamard's inequality
+    every such minor is below H = (isqrt(n^n) + 1) t^n. A z-row cell is
+    +-det[B M_k; c_B c_k], an (n+1)-minor of M over the cost row; expanded
+    along that row it is at most (n+1) max|c| H. Phase 1 costs 0 or 1,
+    phase 2 the int costs, so w = bitlen((n+1) max(1, max|c|) H) + 1 fits
+    every stored cell. The rhs column is never packed, so it does not
+    enter t.
     """
     n_rows = len(matrix)
     n_cols = len(costs)
     art0 = n_cols
     right = list(rhs)
 
-    # Squared column norms; a zero column ranks below the unit artificials.
-    norms = [sum(map(mul, col, col)) for col in zip(*matrix)]
-    norms.sort(reverse=True)
-    hadamard = math.isqrt(math.prod(v for v in norms[:n_rows] if v))
+    top = max([1, *(max(map(abs, row), default=0) for row in matrix)])
+    hadamard = (math.isqrt(n_rows**n_rows) + 1) * top**n_rows
     top_cost = max(1, max(map(abs, costs), default=1))
     w = ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
     low, half = (1 << w) - 1, 1 << (w - 1)

@@ -31,7 +31,7 @@ from .dependence import (  # noqa: F401
     partition_dependence,
 )
 from .errors import ComputationError, InternalContractError, InvalidInputError
-from .omniscience import CapacityReport, ConstraintFamily, RateVector, r_co, sw_gap
+from .omniscience import CapacityReport, ConstraintFamily, RateVector, r_co
 # feasible_point is not called in this module either; it stays bound here
 # because perfbench/tracer.py wraps it under this module's name.
 from .simplex import (  # noqa: F401
@@ -143,6 +143,8 @@ def construct_partition_from_dual(
     full = full_mask(m)
     if family.active != full:
         raise InvalidInputError("constructive extraction requires A = M")
+    if oracle.m != m:
+        raise InvalidInputError("oracle terminal count mismatch")
     rows = [mask for mask, w in zip(family.masks, solution.y) if w > 0]
     if len(rows) < 2:
         raise InternalContractError(f"dual support size {len(rows)} < 2")
@@ -171,7 +173,11 @@ def construct_partition_from_dual(
                 )
 
     # Each block complement must be the union of the retained rows that
-    # miss the block, and tight at the primal optimum.
+    # miss the block, and tight at the primal optimum: x(C^c) = h(C^c)
+    # reads sums[C^c] * scale == (H(M) - H(C)) * den.
+    x, den = _over_common_denominator(solution.x)
+    sums = _subset_sums(x)
+    scale, joint = oracle.scale, oracle.joint
     for column, block in classes.items():
         union = 0
         for r, mask in enumerate(rows):
@@ -183,7 +189,7 @@ def construct_partition_from_dual(
                 f"complement of block {format_mask(block)} is not a "
                 "union of retained tight rows"
             )
-        if sw_gap(solution.x, comp, oracle) != 0:
+        if sums[comp] * scale != (joint[-1] - joint[block]) * den:
             raise InternalContractError(
                 f"block-complement constraint {format_mask(comp)} not tight"
             )

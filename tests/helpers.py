@@ -16,10 +16,13 @@ admissible partition with a Fraction arithmetic filter. The integer
 validity scan that preceded the packed one, and the entropy-vector reader's
 earlier per-entry loop, are kept as references too. ``rational_simplex_min``
 hands a rational system to the library's int-only simplex, scaled to ints,
-and reads the answer back in the system's own terms. Last come two pieces
-that only tests read: ``verify_closure``, the paper's closure lemma for two
-tight constraints as a report-only check, and ``render_bit_string``, the
-inverse of the source reader's bit-string parser.
+and reads the answer back in the system's own terms. Last come the pieces
+that only tests read: ``fraction_b`` and ``fraction_c``, a system's data as
+Fractions; ``sw_gap`` and ``region_contains``, the Fraction row check that
+the library's integer certificates replaced; ``verify_closure``, the
+paper's closure lemma for two tight constraints as a report-only check;
+and ``render_bit_string``, the inverse of the source reader's bit-string
+parser.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ from omniscio.dependence import (
 )
 from omniscio.omniscience import (
     CapacityReport,
+    ConstraintFamily,
     RateVector,
     build_family,
     r_co,
-    region_contains,
-    sw_gap,
 )
 from omniscio.fileio import parse_fraction
 from omniscio.sources import (
@@ -112,21 +114,22 @@ def _solve_square(
 def brute_force_lp_min(system: ConstraintSystem) -> Fraction:
     """Minimum of c.x over {A x >= b} by enumerating basic points."""
     m, l = system.m, system.l
+    b, c = fraction_b(system), fraction_c(system)
     incidence = []
     for mask in system.row_masks:
         incidence.append([Fraction(mask >> j & 1) for j in range(m)])
     best: Optional[Fraction] = None
     for chosen in combinations(range(l), m):
         x = _solve_square(
-            [incidence[i] for i in chosen], [system.b[i] for i in chosen]
+            [incidence[i] for i in chosen], [b[i] for i in chosen]
         )
         if x is None:
             continue
         if all(
-            sum(incidence[i][j] * x[j] for j in range(m)) >= system.b[i]
+            sum(incidence[i][j] * x[j] for j in range(m)) >= b[i]
             for i in range(l)
         ):
-            obj = sum(system.c[j] * x[j] for j in range(m))
+            obj = sum(c[j] * x[j] for j in range(m))
             if best is None or obj < best:
                 best = obj
     assert best is not None, "no basic feasible point found"
@@ -596,16 +599,17 @@ def _incidence_row(mask: int, m: int) -> List[Fraction]:
 def reference_solve(system: ConstraintSystem) -> LpSolution:
     """min c.x s.t. A x >= b with x = x+ - x- and l surplus columns."""
     m, l = system.m, system.l
+    b, c = fraction_b(system), fraction_c(system)
     matrix = []
     for i, mask in enumerate(system.row_masks):
         a = _incidence_row(mask, m)
         row = a + [-v for v in a]
         row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
         matrix.append(row)
-    costs = list(system.c) + [-v for v in system.c] + [Fraction(0)] * l
-    z, y, objective = reference_simplex_min(matrix, system.b, costs)
+    costs = list(c) + [-v for v in c] + [Fraction(0)] * l
+    z, y, objective = reference_simplex_min(matrix, b, costs)
     x = tuple(z[j] - z[m + j] for j in range(m))
-    tight = tuple(i for i in range(l) if row_sum(system, x, i) == system.b[i])
+    tight = tuple(i for i in range(l) if row_sum(system, x, i) == b[i])
     return LpSolution(objective, x, tuple(y), tight)
 
 
@@ -615,15 +619,16 @@ def reference_uniqueness_test(
     """Maximize the coordinates of (x, slacks) that vanish at the solution
     over {[A | -I](x; s) = b, c.x = objective, x, s >= 0}."""
     m, l = system.m, system.l
-    slacks = [row_sum(system, solution.x, i) - system.b[i] for i in range(l)]
+    b = fraction_b(system)
+    slacks = [row_sum(system, solution.x, i) - b[i] for i in range(l)]
     point = list(solution.x) + slacks
     matrix = []
     for i, mask in enumerate(system.row_masks):
         row = _incidence_row(mask, m)
         row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
         matrix.append(row)
-    matrix.append(list(system.c) + [Fraction(0)] * l)
-    rhs = list(system.b) + [solution.objective]
+    matrix.append(list(fraction_c(system)) + [Fraction(0)] * l)
+    rhs = list(b) + [solution.objective]
     costs = [Fraction(-1) if v == 0 else Fraction(0) for v in point]
     z, _, objective = reference_simplex_min(matrix, rhs, costs)
     aux = -objective
@@ -860,6 +865,35 @@ def reference_witness_by_partition_search(
     bound, _ = mutual_dependence_bound(oracle, active)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
+
+
+def fraction_b(system: ConstraintSystem) -> Tuple[Fraction, ...]:
+    """The right-hand side b of a system as Fractions."""
+    return tuple(Fraction(v, system.b_den) for v in system.b_num)
+
+
+def fraction_c(system: ConstraintSystem) -> Tuple[Fraction, ...]:
+    """The objective c of a system as Fractions."""
+    return tuple(Fraction(v, system.c_den) for v in system.c_num)
+
+
+def sw_gap(rates: Sequence[Fraction], mask: int, oracle: EntropyOracle) -> Fraction:
+    """Constraint slack sum_{j in B} R_j - h(B); >=0 satisfied, =0 tight."""
+    check_mask(mask, oracle.m)
+    total = sum((rates[j] for j in iter_bits(mask)), Fraction(0))
+    return total - oracle.cond_entropy(mask)
+
+
+def region_contains(
+    rates: Sequence[Fraction], family: ConstraintFamily, oracle: EntropyOracle
+) -> Tuple[bool, Optional[int]]:
+    """Membership in the rate region; on failure, the smallest violated mask."""
+    if oracle.m != family.m:
+        raise InvalidInputError("oracle terminal count mismatch")
+    for mask in family.masks:
+        if sw_gap(rates, mask, oracle) < 0:
+            return False, mask
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from omniscio import (
     r_co,
     random_linear_source,
     solve,
-    sw_gap,
     uniqueness_test,
     witness_by_partition_search,
 )
@@ -45,7 +44,10 @@ from helpers import (
     admissible,
     brute_force_joint_entropy,
     brute_force_lp_min,
+    fraction_b,
+    fraction_c,
     row_sum,
+    sw_gap,
 )
 
 F = Fraction
@@ -208,16 +210,17 @@ def test_criterion_06_lp_contracts_and_brute_force():
             oracle = make_oracle(random_linear_source(m, m, 2, seed))
             family = build_family(m, full_mask(m))
             system = family.system(oracle)
+            b, c = fraction_b(system), fraction_c(system)
             sol = solve(system)
-            assert sum(sol.y[i] * system.b[i] for i in range(system.l)) == sol.objective
+            assert sum(sol.y[i] * b[i] for i in range(system.l)) == sol.objective
             for j in range(m):
                 assert sum(
                     sol.y[i]
                     for i in range(system.l)
                     if system.row_masks[i] >> j & 1
-                ) == system.c[j]
+                ) == c[j]
             for i in range(system.l):
-                slack = row_sum(system, sol.x, i) - system.b[i]
+                slack = row_sum(system, sol.x, i) - b[i]
                 assert slack >= 0
                 assert sol.y[i] >= 0
                 assert sol.y[i] * slack == 0
@@ -258,8 +261,9 @@ def test_criterion_07_uniqueness_verdicts():
     alt = cert.alternative
     assert alt is not None and alt != sol.x
     assert sum(alt) == sol.objective
+    b = fraction_b(degenerate)
     for i in range(degenerate.l):
-        assert row_sum(degenerate, alt, i) >= degenerate.b[i]
+        assert row_sum(degenerate, alt, i) >= b[i]
 
 
 def test_criterion_08_decider_agreement():

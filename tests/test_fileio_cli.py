@@ -1,6 +1,7 @@
 """Source-file parsing, serialization helpers, and the CLI surface."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,10 +327,20 @@ class TestCli:
              "bad rational True"),
             ([1, 2], vector_source({"2,1": "1"}),
              "entropy vector gives subset {1,2} twice, as '1,2' and '2,1'"),
+            # json.dumps writes these as Infinity and -Infinity.
+            ([1, 2], vector_source({"1": float("inf")}), "bad rational inf"),
+            ([1, 2], vector_source({"1": float("-inf")}), "bad rational -inf"),
+            ([1, 2], {"type": "tabular", "alphabets": [2, 2],
+                      "pmf": [{"symbols": [0, 0], "prob": float("inf")}]},
+             "bad rational inf"),
+            ([1, 2], {"type": "tabular", "alphabets": [2, 2],
+                      "pmf": [{"symbols": [0, 0], "prob": float("-inf")}]},
+             "bad rational -inf"),
         ],
         ids=["value-null", "prob-null", "source-string", "values-list",
              "terminals-int", "active-int", "base-bits-string", "value-true",
-             "prob-true", "subset-twice"],
+             "prob-true", "subset-twice", "value-inf", "value-minus-inf",
+             "prob-inf", "prob-minus-inf"],
     )
     def test_malformed_document_exits_two(
         self, tmp_path, capsys, active, source, message
@@ -423,6 +434,32 @@ class TestCli:
         assert h_map[(1, 2, 4)]["h_generative"] == "0"
         assert h_map[(1, 2, 3, 4, 5, 6)]["h_paper"] == "4"
         assert h_map[(1, 2, 3, 4, 5, 6)]["h_generative"] == "3"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            b"[" * 100000 + b"]" * 100000,
+            pytest.param(
+                b'{"m": ' + b"1" * 5000 + b"}",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="json reads any integer length before Python 3.11",
+                ),
+            ),
+        ],
+        ids=["utf16-bom", "nested-100000-deep", "5000-digit-integer"],
+    )
+    def test_unparsable_bytes_exit_two(self, tmp_path, capsys, content):
+        # These ended in a UnicodeDecodeError, RecursionError or ValueError
+        # traceback with exit 1.
+        path = tmp_path / "source.json"
+        path.write_bytes(content)
+        for verb in ("solve", "mdb", "validate"):
+            assert main([verb, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"omniscio: error: malformed JSON in {path}: ")
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/source.json"]) == 2

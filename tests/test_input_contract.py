@@ -12,13 +12,13 @@ import pytest
 
 from omniscio import (
     build_family,
+    construct_partition_from_dual,
     enumerate_admissible,
     make_oracle,
     mutual_dependence_bound,
     partition_dependence,
     r_co,
     random_linear_source,
-    region_contains,
 )
 from omniscio.errors import InvalidInputError
 from omniscio.simplex import (
@@ -89,8 +89,14 @@ CALLS = {
         lambda: ConstraintSystem(2, (-1,), (0,), 1, (1, 1), 1),
         r"subset mask -0b1 out of range for m=2",
     ),
-    "region-terminal-count": (
-        lambda: region_contains((F(0),) * 2, build_family(2, 0b11), oracle3()),
+    "family-terminal-count": (
+        lambda: build_family(2, 0b11).system(oracle3()),
+        "oracle terminal count mismatch",
+    ),
+    "dual-terminal-count": (
+        lambda: construct_partition_from_dual(
+            r_co(oracle3(), 0b111).solution, build_family(2, 0b11), oracle3()
+        ),
         "oracle terminal count mismatch",
     ),
     "unnormalised-partition-dependence": (

@@ -32,6 +32,8 @@ from omniscio.subsets import complement, full_mask
 from helpers import (
     admissible,
     brute_force_lp_min,
+    fraction_b,
+    fraction_c,
     rational_simplex_min,
     reference_simplex_min,
     reference_uniqueness_test,
@@ -85,7 +87,8 @@ def tampered(change):
 
 def move_to_slack_row(system):
     x = solve(system).x
-    slack = [i for i in range(system.l) if row_sum(system, x, i) > system.b[i]]
+    b = fraction_b(system)
+    slack = [i for i in range(system.l) if row_sum(system, x, i) > b[i]]
 
     def change(z, pi, den):
         i = next(i for i, v in enumerate(z) if v)
@@ -200,8 +203,9 @@ def test_uniqueness_matches_reference_for_general_objectives(data):
     if not new.unique:
         alt = new.alternative
         assert alt != sol.x and min(alt) >= 0
-        assert sum(cj * v for cj, v in zip(system.c, alt)) == sol.objective
-        assert all(row_sum(system, alt, i) >= system.b[i] for i in range(system.l))
+        b, c = fraction_b(system), fraction_c(system)
+        assert sum(cj * v for cj, v in zip(c, alt)) == sol.objective
+        assert all(row_sum(system, alt, i) >= b[i] for i in range(system.l))
 
 
 def tabular_oracle():
@@ -225,8 +229,9 @@ def family_systems():
 def test_table_scale_gives_the_fraction_system_results(index):
     family, oracle = list(family_systems())[index]
     system = family.system(oracle)
-    fractions = make_system(system.m, system.row_masks, list(system.b))
-    assert isinstance(system, ConstraintSystem) and system.b == fractions.b
+    fractions = make_system(system.m, system.row_masks, list(fraction_b(system)))
+    assert isinstance(system, ConstraintSystem)
+    assert fraction_b(system) == fraction_b(fractions)
     assert solve(system) == solve(fractions)
     sol = solve(system)
     assert uniqueness_test(system, sol) == uniqueness_test(fractions, sol)
@@ -244,7 +249,7 @@ def test_table_scale_gives_the_fraction_system_results(index):
             [F(v, scale) for v in system.b_num],
             comps,
             [F(v, scale) for v in eq_num],
-        ) == feasible_point(m, family.masks, system.b, comps, eq_b)
+        ) == feasible_point(m, family.masks, fraction_b(system), comps, eq_b)
 
 
 integer_cells = st.integers(-3, 3)

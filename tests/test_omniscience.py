@@ -11,12 +11,12 @@ from omniscio import (
     make_oracle,
     r_co,
     random_linear_source,
-    region_contains,
-    sw_gap,
 )
 from omniscio.errors import InvalidInputError
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import full_mask, mask_from_terminals
+
+from helpers import region_contains, sw_gap
 
 F = Fraction
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))

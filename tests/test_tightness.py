@@ -15,8 +15,6 @@ from omniscio import (
     partition_dependence,
     r_co,
     random_linear_source,
-    region_contains,
-    sw_gap,
     witness_by_partition_search,
 )
 from omniscio.errors import InternalContractError, InvalidInputError
@@ -25,7 +23,7 @@ from omniscio.simplex import LpSolution
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import complement, full_mask, mask_from_terminals
 
-from helpers import verify_closure
+from helpers import region_contains, sw_gap, verify_closure
 
 F = Fraction
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))
