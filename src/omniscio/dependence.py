@@ -70,7 +70,11 @@ def _restricted_growth(
 
     Alongside the block masks it keeps, per depth, the sum of ``joint``
     over all k block masks (an unopened block is the empty set), so each
-    assignment costs one add and two table reads.
+    assignment costs one add and two table reads. The loop assigns
+    terminals 0 .. m-3; each time it has placed terminal m-3 (at once when
+    m = 2), one leaf places the last two terminals by two nested loops
+    over the blocks, with the same tests and the same arithmetic, and
+    stores no state for them.
     """
     blocks = [0] * k  # block masks; the first ``opened[j]`` are open
     choice = [0] * m  # block of terminal j on the current path
@@ -82,10 +86,48 @@ def _restricted_growth(
     held = [0] * m
     held[0] = k * joint[0] - joint[-1]
     active_left = [(active >> j).bit_count() for j in range(m + 1)]
-    last = m - 1
-    last_bit = 1 << last
+    pen, last = m - 2, m - 1
+    pen_bit, last_bit = 1 << pen, 1 << last
+    pen_active = active & pen_bit
+    last_active = active_left[last]
     j, c = 0, 0  # terminal, next block to try for it
+    # (o, e, h): opened, lacking and held before terminal pen, for the leaf.
+    o, e, h = 0, 0, held[0]
+    leaf = not pen  # with m = 2 the root is the leaf
     while True:
+        if leaf:
+            for p in range(o + 1 if o < k else k):
+                op, ep = o, e
+                if p == o:
+                    op += 1
+                    if not pen_active:
+                        ep += 1
+                elif pen_active and not blocks[p] & active:
+                    ep -= 1
+                if op + 1 < k or last_active < ep + k - op:
+                    continue
+                block = blocks[p]
+                blocks[p] = block | pen_bit
+                hp = h + joint[block | pen_bit] - joint[block]
+                # The tests leave the last terminal only the last block if
+                # it is still unopened (then ep = 0), else the one block
+                # without an active terminal if there is one, else any.
+                for t in range(k - 1 if op < k else 0, k):
+                    tail = blocks[t]
+                    if ep and tail & active:
+                        continue
+                    blocks[t] = tail | last_bit
+                    yield (
+                        (hp + joint[tail | last_bit] - joint[tail]) * weight,
+                        tuple(blocks),
+                    )
+                    blocks[t] = tail
+                blocks[p] = block
+            if not pen:
+                return
+            leaf = False
+            blocks[c] ^= 1 << j
+            c += 1
         o = opened[j]
         if c <= o and c < k:
             bit = 1 << j
@@ -102,28 +144,13 @@ def _restricted_growth(
             # active ones for every block still without one.
             if o + m - nxt >= k and active_left[nxt] >= e + k - o:
                 h = held[j] + joint[block] - joint[block ^ bit]
-                if nxt < last:
-                    choice[j] = c
-                    opened[nxt], lacking[nxt], held[nxt] = o, e, h
-                    j, c = nxt, 0
+                if nxt == pen:
+                    leaf = True
                     continue
-                # That check leaves the last terminal only these blocks:
-                # the last one if it is still unopened, else the one block
-                # without an active terminal if there is one, else any.
-                if o < k:
-                    targets = (o,)
-                elif e:
-                    targets = [i for i in range(k) if not blocks[i] & active]
-                else:
-                    targets = range(k)
-                for t in targets:
-                    block = blocks[t]
-                    blocks[t] = block | last_bit
-                    yield (
-                        (h + joint[block | last_bit] - joint[block]) * weight,
-                        tuple(blocks),
-                    )
-                    blocks[t] = block
+                choice[j] = c
+                opened[nxt], lacking[nxt], held[nxt] = o, e, h
+                j, c = nxt, 0
+                continue
             blocks[c] ^= bit
             c += 1
         elif j:

@@ -23,6 +23,7 @@ to a rational string "p/q". ``tabular`` sources carry ``alphabets`` and
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -52,21 +53,34 @@ def parse_fraction(text: str) -> Fraction:
     Anything else (signs, spaces, decimals, exponents, underscores,
     non-ASCII digits, a zero denominator, JSON numbers) goes to
     ``Fraction(text)`` itself, so the accepted inputs are those of
-    ``Fraction`` except JSON ``true`` and ``false``; whatever is refused,
-    a JSON null, list or object or a non-finite number among them, raises
-    ``InvalidInputError``.
+    ``Fraction`` except JSON ``true`` and ``false``, values whose numerator
+    or denominator has more digits than ``sys.get_int_max_str_digits()``
+    allows (they could not be printed), and exponents past that limit plus
+    the text's length, which are refused before their power of ten is
+    built (it could take minutes), even on a zero mantissa. Whatever is
+    refused, a JSON null, list or object or a non-finite number among
+    them, raises ``InvalidInputError``.
     """
     if isinstance(text, bool):
         raise InvalidInputError(f"bad rational {text!r}")
-    if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        if num.isascii() and num.isdigit():
-            if not slash:
-                return Fraction(int(num))
-            if den.isascii() and den.isdigit() and int(den):
-                return Fraction(int(num), int(den))
     try:
+        if isinstance(text, str):
+            num, slash, den = text.partition("/")
+            # int() refuses more digits than the limit.
+            if num.isascii() and num.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit() and int(den):
+                    return Fraction(int(num), int(den))
+            # Python before 3.10.7 has no limit (0, as when switched off).
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            _, exp, power = text.lower().rpartition("e")
+            # A digit of the mantissa cancels at most one power of ten, so
+            # past this exponent the value has too many digits (or is 0).
+            if limit and exp and abs(int(power)) > limit + len(text):
+                raise OverflowError(f"exponent {power.strip()} past the limit")
         value = Fraction(text)
+        str(value)  # raises ValueError past the digit limit
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"bad rational {text!r}") from exc
     return value

@@ -209,7 +209,7 @@ def make_oracle(source: SourceLike, *, validate: bool = True) -> EntropyOracle:
     joint = tuple(map(scaled.__getitem__, ids))
     oracle = EntropyOracle(m, scale, joint, 0)
     if validate:
-        report = check_validity(oracle)
+        report = check_validity(oracle, first=True)
         if not report.ok:
             raise ValidationError(report.describe_first())
     return oracle
@@ -251,12 +251,17 @@ class ValidityReport:
         )
 
 
-def check_validity(oracle: EntropyOracle) -> ValidityReport:
+def check_validity(
+    oracle: EntropyOracle, *, first: bool = False
+) -> ValidityReport:
     """Scan for h-supermodularity and h-monotonicity violations.
 
     Lists every violated pair h(B1)+h(B2) <= h(B1|B2)+h(B1&B2), every
     single-step monotonicity violation h(B) > h(B+{j}), and whether
     H(X_emptyset) = 0. Inexact oracles are judged at their tolerance.
+    With ``first``, the pair listing stops at the least violated pair
+    (B1, B2) and lists only it, so the report is just as ok or not and
+    gives the same ``describe_first()``.
 
     The scan runs on the oracle's integer table, packed into one int of
     w-bit fields (Lamport, "Multiple byte processing with full-word
@@ -323,7 +328,7 @@ def check_validity(oracle: EntropyOracle) -> ValidityReport:
         table + signs, shifted, clear_signs, w
     ):
         pairs = _violating_pairs(
-            table, ones, clear, (half - 1 - tol) * ones + table, w, m
+            table, ones, clear, (half - 1 - tol) * ones + table, w, m, first
         )
     total = joint[-1]
     full = n - 1
@@ -380,9 +385,10 @@ def _violating_pairs(
     floor: int,
     w: int,
     m: int,
+    first: bool,
 ) -> List[Tuple[int, int]]:
     """Every pair B1 < B2 with u(B1) + u(B2) - u(B1|B2) - u(B1&B2) > t, in
-    order of B1, then B2.
+    order of B1, then B2; with ``first``, only the least of them.
 
     ``floor`` is the table plus 2^(w-1) - 1 - t in every field. A depth-first
     walk fixes the bits of B1 from the highest down, 0 before 1, so its
@@ -392,7 +398,8 @@ def _violating_pairs(
     highest open bit: each child updates one of them by projecting bit k,
     and the child that sets bit k drops the 2^k fields below its prefix.
     At leaf B1 the fields start at B2 = B1, whose slack 0 is never listed,
-    so only B2 > B1 is read.
+    so only B2 > B1 is read. A walk that may stop returns True once it
+    has its pair, and the nodes above it return without visiting more.
     """
     out: List[Tuple[int, int]] = []
     low = (1 << w) - 1
@@ -400,24 +407,29 @@ def _violating_pairs(
     fields = ones * low
     setbits = [fields ^ c for c in clear]
 
-    def leaf(b1: int, join: int, meet: int) -> None:
+    def leaf(b1: int, join: int, meet: int) -> bool:
         # Field 0 of join is u(B1 | B1) = u(B1), spread over every field.
         shift = b1 * w
         slack = (floor >> shift) + (join & low) * (ones >> shift) - join - meet
         bad = slack & signs
-        if bad:
-            out.extend((b1, b1 + t) for t in _field_indices(bad, w))
+        if not bad:
+            return False
+        if first:
+            bad &= -bad  # the least B2
+        out.extend((b1, b1 + t) for t in _field_indices(bad, w))
+        return first
 
-    def walk(k: int, b1: int, join: int, meet: int) -> None:
+    def walk(k: int, b1: int, join: int, meet: int) -> bool:
         s = w << k
         below = meet & clear[k]
         above = join & setbits[k]
         if k:
-            walk(k - 1, b1, join, below | below << s)
-            walk(k - 1, b1 | 1 << k, (above | above >> s) >> s, meet >> s)
-        else:
-            leaf(b1, join, below | below << s)
-            leaf(b1 | 1, (above | above >> s) >> s, meet >> s)
+            return walk(k - 1, b1, join, below | below << s) or walk(
+                k - 1, b1 | 1 << k, (above | above >> s) >> s, meet >> s
+            )
+        return leaf(b1, join, below | below << s) or leaf(
+            b1 | 1, (above | above >> s) >> s, meet >> s
+        )
 
     walk(m - 1, 0, table, table)
     return out

@@ -85,6 +85,23 @@ class TestFractions:
         with pytest.raises(InvalidInputError):
             parse_fraction("two")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no integer digit limit before Python 3.10.7",
+    )
+    def test_digit_limit_edges(self):
+        limit = sys.get_int_max_str_digits()
+        # Up to the limit, in any form, a value is read.
+        assert parse_fraction("9" * limit) == 10**limit - 1
+        assert parse_fraction(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert parse_fraction(f"100e-{limit + 1}") == F(1, 10 ** (limit - 1))
+        # One digit more in a numerator or denominator is refused.
+        for text in ("1" * (limit + 1), f"1/{'1' * (limit + 1)}",
+                     f"1e{limit}", f"-1e{limit}", f"1e-{limit}",
+                     f".{'0' * (limit - 1)}1", f"0e{2 * limit}"):
+            with pytest.raises(InvalidInputError, match="bad rational"):
+                parse_fraction(text)
+
 
 class TestBitStrings:
     def test_first_character_is_first_base_bit(self):
@@ -460,6 +477,29 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(f"omniscio: error: malformed JSON in {path}: ")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no integer digit limit before Python 3.10.7",
+    )
+    @pytest.mark.parametrize(
+        "text",
+        ["1" + "0" * 5000, "1/1" + "0" * 5000, "1e5000", "1e-5000", "1e1000000"],
+        ids=["5001-digits", "5001-digit-denominator", "1e5000", "1e-5000",
+             "1e1000000"],
+    )
+    def test_rational_past_digit_limit_exits_two(self, tmp_path, capsys, text):
+        # The first two ended in a ValueError traceback from int(); 1e5000
+        # and 1e-5000 were read, and solve crashed printing them; 1e1000000
+        # took over a minute to read.
+        path = write_doc(
+            tmp_path, {"m": 2, "active": [1, 2], "source": vector_source({"1": text})}
+        )
+        for verb in ("solve", "mdb"):
+            assert main([verb, path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"omniscio: error: bad rational {text!r}\n"
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/source.json"]) == 2

@@ -4,13 +4,16 @@
 monotonicity, the elemental squares and the violating pairs off the fields'
 sign bits. It must give exactly the report of the list-of-ints scan that
 preceded it and of the Fraction scan before that: the same violations in
-the same order, with the same Fraction sides. The width-edge tables put
-2R + t, R the table's range and t the scaled tolerance, within 2 of
-2^(w-1), the bound the field width w is chosen for, and reach |v| = 2R in
-a field, so a field one bit narrower reads a wrong sign.
+the same order, with the same Fraction sides. Asked for the first
+violation only, as ``make_oracle`` asks, it must list exactly the first of
+those pairs. The width-edge tables put 2R + t, R the table's range and t
+the scaled tolerance, within 2 of 2^(w-1), the bound the field width w is
+chosen for, and reach |v| = 2R in a field, so a field one bit narrower
+reads a wrong sign.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omniscio import check_validity, counterexample_entropy_vector, make_oracle
+from omniscio.errors import ValidationError
 from omniscio.sources import EntropyVector
 
 from helpers import (
@@ -36,6 +40,10 @@ def assert_same_report(oracle):
     assert report == reference_check_validity(oracle)
     assert report.describe_first() == (
         reference_check_validity(oracle).describe_first()
+    )
+    # The first-only scan lists the least violated pair and nothing else.
+    assert check_validity(oracle, first=True) == replace(
+        report, supermodularity_violations=report.supermodularity_violations[:1]
     )
     return report
 
@@ -81,6 +89,33 @@ def test_lowered_by_slack_plus_half(m):
     for seed in range(2 if m <= 7 else 1):
         oracle = make_oracle(perturbed_vector(m, seed), validate=False)
         assert assert_same_report(oracle).supermodularity_violations
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        pytest.param(perturbed_vector(m, seed), id=f"m{m}-s{seed}")
+        for m in range(3, 11)
+        for seed in range(4 if m <= 8 else 2)
+    ]
+    + [pytest.param(counterexample_entropy_vector(), id="paper-h")],
+)
+def test_load_stops_at_first_violation(vector):
+    # make_oracle asks only for the first violated pair; its error must be
+    # the full report's first violation, and the full report must still
+    # list every pair (the Fraction reference is too slow past m = 8).
+    oracle = make_oracle(vector, validate=False)
+    full = check_validity(oracle)
+    if oracle.m <= 8:
+        assert full == reference_check_validity(oracle)
+    else:
+        assert full == reference_integer_check_validity(oracle)
+    only = check_validity(oracle, first=True)
+    assert full.supermodularity_violations
+    assert only.supermodularity_violations == full.supermodularity_violations[:1]
+    with pytest.raises(ValidationError) as refused:
+        make_oracle(vector)
+    assert str(refused.value) == full.describe_first() == only.describe_first()
 
 
 @pytest.mark.parametrize("seed", range(3))

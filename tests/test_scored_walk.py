@@ -8,7 +8,9 @@ force over unfiltered partitions (tables whose minimizers span several
 block counts, tabular oracles and non-monotone tables read without
 validation), check that the walk on a zero table yields the same
 partitions in the same order, and for each block count those of the
-recursive reference enumerator, and check that every call drains the module binding
+recursive reference enumerator (up to m = 9, with active sets that give
+the two terminals of the walk's last leaf every active/inactive pattern),
+and check that every call drains the module binding
 ``dependence.enumerate_admissible`` exactly once, over every admissible
 partition, as the benchmark's tracer counts it.
 """
@@ -164,6 +166,54 @@ class TestKeys:
         for key, p in dependence.enumerate_admissible(m, active, oracle.joint):
             value = dependence.partition_dependence(oracle, p)
             assert Fraction(key, lcm * oracle.scale) == value
+
+
+def leaf_active_sets(m):
+    """Active sets giving the last two terminals, which the walk's leaf
+    places, each of the four active/inactive patterns, plus |A| = 2 (the
+    first two terminals and the last two) and A = M."""
+    full = full_mask(m)
+    tail = 3 << (m - 2)
+    sets = {full, 0b11, tail}
+    for pattern in (0, 1 << (m - 2), 1 << (m - 1), tail):
+        for head in (0b0101010 & full & ~tail, full & ~tail):
+            if (pattern | head).bit_count() >= 2:
+                sets.add(pattern | head)
+    return sorted(sets)
+
+
+def tied_table_oracle(m):
+    """One observed bit per terminal, out of m - 2: many partitions tie."""
+    return make_oracle(random_linear_source(m, max(m - 2, 1), 1, m))
+
+
+class TestTwoTerminalLeaf:
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_items_and_order(self, m):
+        oracles = [tied_table_oracle(m)]
+        if m <= 6:
+            oracles.append(random_table_oracle(m, m))
+        ties = 0
+        for oracle in oracles:
+            for active in leaf_active_sets(m):
+                scored = list(
+                    dependence.enumerate_admissible(m, active, oracle.joint)
+                )
+                walked = [p for _, p in scored]
+                assert walked == admissible(m, active)
+                assert walked == [
+                    p
+                    for k in range(2, active.bit_count() + 1)
+                    for p in reference_enumerate_partitions(m, active, k)
+                ]
+                lcm = math.lcm(*range(1, active.bit_count()))
+                for key, p in scored:
+                    assert Fraction(key, lcm * oracle.scale) == (
+                        dependence.partition_dependence(oracle, p)
+                    )
+                keys = [key for key, _ in scored]
+                ties += len(set(keys)) < len(keys)
+        assert ties or m == 2  # m = 2 has one partition
 
 
 class TestTracedBinding:
