@@ -59,7 +59,8 @@ def parse_fraction(text: str) -> Fraction:
     the text's length, which are refused before their power of ten is
     built (it could take minutes), even on a zero mantissa. Whatever is
     refused, a JSON null, list or object or a non-finite number among
-    them, raises ``InvalidInputError``.
+    them, raises ``InvalidInputError``, which quotes a string longer than
+    40 characters by its first 40 and its length.
     """
     if isinstance(text, bool):
         raise InvalidInputError(f"bad rational {text!r}")
@@ -82,7 +83,10 @@ def parse_fraction(text: str) -> Fraction:
         value = Fraction(text)
         str(value)  # raises ValueError past the digit limit
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidInputError(f"bad rational {text!r}") from exc
+        shown = repr(text)
+        if isinstance(text, str) and len(text) > 40:
+            shown = f"{text[:40]!r}... ({len(text)} characters)"
+        raise InvalidInputError(f"bad rational {shown}") from exc
     return value
 
 
@@ -225,13 +229,28 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     raise InvalidInputError(f"unknown source type {kind!r}")
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The object of a JSON object's (key, value) pairs; a key given twice
+    raises ``InvalidInputError`` rather than letting the last one win."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInputError(f"JSON object repeats key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def parse_source_file(
     path: str, *, validate: bool = True
 ) -> Tuple[EntropyOracle, int, SourceLike]:
     """Load a source file, build its oracle, and return the active mask."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{exc} in {path}") from None
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -24,18 +24,20 @@ complementary slackness and strong duality, the row sums x(B) read from one
 table of the point's sums over every subset mask. Fractions are built only
 for returned values.
 
-``simplex_min`` pivots a fraction-free tableau: integer cells over one
-common denominator, the determinant of the basis, updated by the exact
-divisions of Edmonds ("Systems of distinct representatives and linear
-algebra", 1967) and Bareiss ("Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968). Each row's cells are
+``simplex_min`` starts from a unit basis that its caller names, the dual's
+singleton or slack columns, so it has no phase 1. It pivots a
+fraction-free tableau: integer cells over one common denominator, the
+determinant of the basis, updated by the exact divisions of Edmonds
+("Systems of distinct representatives and linear algebra", 1967) and
+Bareiss ("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968). Each row's cells are
 packed into one int of fixed-width signed fields (Lamport, "Multiple byte
 processing with full-word instructions", 1975), so a row update is a few
 whole-int operations; the width comes from a Hadamard bound on the cells.
-The pivot rule is Bland's (least index) throughout, for guaranteed
-termination and run-to-run determinism; the integer tableau holds the same
-values as a Fraction one would, so it takes the same pivots to the same
-vertex and dual.
+The pivot rule is Bland's (least index), for guaranteed termination and
+run-to-run determinism; the integer tableau holds the same values as a
+Fraction one would, so it takes the same pivots to the same vertex and
+dual.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ from .subsets import check_mask, full_mask
 ZERO = Fraction(0)
 
 Rational = Union[int, Fraction]
-
-
-class LpInfeasibleError(Exception):
-    """The equality-form program has no feasible point."""
 
 
 class LpUnboundedError(Exception):
@@ -153,48 +151,53 @@ def simplex_min(
     matrix: Sequence[Sequence[int]],
     rhs: Sequence[int],
     costs: Sequence[int],
+    start: Sequence[int],
 ) -> Tuple[List[int], List[int], int, int]:
-    """min costs.z  s.t.  matrix z = rhs, z >= 0  (two-phase, Bland's rule).
+    """min costs.z  s.t.  matrix z = rhs, z >= 0  (Bland's rule), from the
+    basis whose column start[i] is the unit vector of row i.
 
-    Cells, right-hand sides and costs are ints. Returns (z, y, objective,
-    den): the vertex z, the equality-form dual vector y and the objective,
-    all int numerators over the one denominator den > 0, |det| of the final
-    basis. Raises LpInfeasibleError / LpUnboundedError.
+    Cells, right-hand sides and costs are ints, and rhs >= 0, so that basis
+    is feasible and the simplex has no phase 1; anything else raises
+    InternalContractError. Returns (z, y, objective, den): the vertex z, the
+    equality-form dual vector y and the objective, all int numerators over
+    the one denominator den > 0, |det| of the final basis. Raises
+    LpUnboundedError.
 
-    Each tableau row keeps its structural and artificial cells packed in
-    one int of w-bit fields, sum_k v_k 2^(k w); its rhs cell, and the
-    z-row's, are plain ints. The Edmonds-Bareiss update is linear in the
-    row, so it runs on whole packed rows and yields exactly the cells of
-    the unpacked tableau; only the field reads below need every stored
-    |v_k| < 2^(w-1).
+    Each tableau row keeps its cells packed in one int of w-bit fields,
+    sum_k v_k 2^(k w); its rhs cell, and the z-row's, are plain ints. The
+    Edmonds-Bareiss update is linear in the row, so it runs on whole packed
+    rows and yields exactly the cells of the unpacked tableau; only the
+    field reads below need every stored |v_k| < 2^(w-1).
 
-    Width. Let M = [A | I] be the sign-normalised matrix with its
-    artificial columns, n = n_rows, B the current basis and T the packed
-    part of the tableau. The update keeps T = |det B| B^-1 M and the
-    z-row |det B| (c - c_B B^-1 M), c the phase's costs (Edmonds 1967).
-    By Cramer's rule every cell of T is +-det of B with one column swapped
-    for a column of M: an n x n minor of M. Each column of M has norm at
-    most sqrt(n) t, t = max(1, max|a_ij|), so by Hadamard's inequality
-    every such minor is below H = (isqrt(n^n) + 1) t^n. A z-row cell is
-    +-det[B M_k; c_B c_k], an (n+1)-minor of M over the cost row; expanded
-    along that row it is at most (n+1) max|c| H. Phase 1 costs 0 or 1,
-    phase 2 the int costs, so w = bitlen((n+1) max(1, max|c|) H) + 1 fits
+    Width. Let A be the matrix, n = n_rows, B the current basis and T the
+    packed part of the tableau. The update keeps T = |det B| B^-1 A and the
+    z-row |det B| (c - c_B B^-1 A) (Edmonds 1967). By Cramer's rule every
+    cell of T is +-det of B with one column swapped for a column of A: an
+    n x n minor of A. Each column of A has norm at most sqrt(n) t,
+    t = max(1, max|a_ij|), so by Hadamard's inequality every such minor is
+    below H = (isqrt(n^n) + 1) t^n. A z-row cell is +-det[B A_k; c_B c_k],
+    an (n+1)-minor of A over the cost row; expanded along that row it is
+    at most (n+1) max|c| H, so w = bitlen((n+1) max(1, max|c|) H) + 1 fits
     every stored cell. The rhs column is never packed, so it does not
     enter t.
     """
     n_rows = len(matrix)
     n_cols = len(costs)
-    art0 = n_cols
-    right = list(rhs)
+    if len(start) != n_rows or min(rhs, default=0) < 0 or any(
+        not 0 <= k < n_cols
+        or any(row[k] != (r == i) for r, row in enumerate(matrix))
+        for i, k in enumerate(start)
+    ):
+        raise InternalContractError("simplex start is not a feasible unit basis")
 
     top = max([1, *(max(map(abs, row), default=0) for row in matrix)])
     hadamard = (math.isqrt(n_rows**n_rows) + 1) * top**n_rows
     top_cost = max(1, max(map(abs, costs), default=1))
     w = ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
     low, half = (1 << w) - 1, 1 << (w - 1)
-    # half in the field of every structural column: the sign bits of a
-    # packed row once half is added to each of its fields.
-    signs_struct = half * (((1 << (n_cols * w)) - 1) // low)
+    # half in every field: the sign bits of a packed row once half is added
+    # to each of its fields.
+    signs = half * (((1 << (n_cols * w)) - 1) // low)
 
     def column(j: int) -> List[int]:
         # Field j of every packed row. (r >> (jw - 1) + 1) >> 1 rounds
@@ -206,31 +209,47 @@ def simplex_min(
         s = j * w - 1
         return [((((r >> s) + 1) >> 1 & low) ^ half) - half for r in packed]
 
-    # Row i is matrix[i] | rhs[i], negated where rhs[i] < 0, with a unit
-    # artificial column. The z-row rides along as row n_rows. Phase 1
-    # minimizes the artificial sum, whose reduced costs start at minus the
-    # sum of the structural rows.
-    packed: List[int] = []
-    signs: List[int] = []
-    zrow = 0
-    for i, (row, r) in enumerate(zip(matrix, right)):
-        sign = -1 if r < 0 else 1
-        value = sign * _pack(row, w)
-        zrow -= value
-        packed.append(value + (1 << (art0 + i) * w))
-        right[i] = sign * r
-        signs.append(sign)
+    # The start basis B is the identity, so the tableau is the matrix
+    # itself and the z-row, which rides along as row n_rows, is c - c_B A.
+    packed = [_pack(row, w) for row in matrix]
+    right = list(rhs)
+    zrow = _pack(costs, w)
+    z_rhs = 0
+    for i, k in enumerate(start):
+        if costs[k]:
+            zrow -= costs[k] * packed[i]
+            z_rhs -= costs[k] * right[i]
     packed.append(zrow)
-    right.append(-sum(right))
-    basis = [art0 + i for i in range(n_rows)]
+    right.append(z_rhs)
+    basis = list(start)
     # The tableau's value is its cells / denom, denom > 0 shared by every
     # row and the z-row; denom is |det| of the basis, so every cell is an int.
     denom = 1
 
-    def pivot(pi: int, pj: int, col: List[int]) -> None:
+    while True:
+        # Bland: the least column whose z-row field is negative, i.e. whose
+        # sign bit stays clear once half is added.
+        negative = signs & ~(packed[n_rows] + signs)
+        if not negative:
+            break
+        pj = (negative & -negative).bit_length() // w - 1
+        col = column(pj)
+        # Least ratio rhs / a over a > 0, cross-multiplied; ties go to the
+        # least basic index.
+        pi = -1
+        for i in range(n_rows):
+            a = col[i]
+            if a > 0:
+                if pi < 0:
+                    pi = i
+                    continue
+                lhs, rhs_ = right[i] * col[pi], right[pi] * a
+                if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[pi]):
+                    pi = i
+        if pi < 0:
+            raise LpUnboundedError()
         # Edmonds-Bareiss update: (row * p - row[pj] * prow) / denom is
-        # exact, and p becomes the new denominator.
-        nonlocal denom
+        # exact, and p > 0 becomes the new denominator.
         p = col[pi]
         prow, prhs = packed[pi], right[pi]
         for r, f in enumerate(col):
@@ -250,81 +269,15 @@ def simplex_min(
             else:
                 packed[r] = packed[r] * p - f * prow
                 right[r] = right[r] * p - f * prhs
-        if p < 0:  # only the artificial drive-out pivots on a negative entry
-            packed[:] = [-v for v in packed]
-            right[:] = [-v for v in right]
-            p = -p
         denom = p
         basis[pi] = pj
 
-    def run() -> None:
-        while True:
-            # Bland: the least structural column whose z-row field is
-            # negative, i.e. whose sign bit stays clear once half is added.
-            negative = signs_struct & ~(packed[n_rows] + signs_struct)
-            if not negative:
-                return
-            pj = (negative & -negative).bit_length() // w - 1
-            col = column(pj)
-            # Least ratio rhs / a over a > 0, cross-multiplied; ties go to
-            # the least basic index.
-            pi = -1
-            for i in range(n_rows):
-                a = col[i]
-                if a > 0:
-                    if pi < 0:
-                        pi = i
-                        continue
-                    lhs, rhs_ = right[i] * col[pi], right[pi] * a
-                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[pi]):
-                        pi = i
-            if pi < 0:
-                raise LpUnboundedError()
-            pivot(pi, pj, col)
-
-    run()
-    if right[n_rows] < 0:
-        raise LpInfeasibleError()
-    # Drive artificials (basic at zero) out where possible: the lowest set
-    # bit of a packed row lies in its least nonzero field.
-    for i in range(n_rows):
-        if basis[i] >= art0:
-            row = packed[i]
-            pj = ((row & -row).bit_length() - 1) // w
-            if pj < n_cols:
-                pivot(i, pj, column(pj))
-
-    # Phase 2: the real objective (artificials cost 0 and never re-enter),
-    # as denom * (c - c_B B^-1 A) in ints.
-    zrow = denom * _pack(costs, w)
-    z_rhs = 0
-    for i in range(n_rows):
-        cb = costs[basis[i]] if basis[i] < n_cols else 0
-        if cb:
-            zrow -= cb * packed[i]
-            z_rhs -= cb * right[i]
-    packed[n_rows], right[n_rows] = zrow, z_rhs
-    run()
-
     z = [0] * n_cols
-    for i in range(n_rows):
-        val = right[i]
-        if basis[i] < n_cols:
-            z[basis[i]] = val
-        elif val != 0:
-            raise InternalContractError("artificial variable basic at nonzero level")
-    # The z-row's artificial fields are -denom * c_B B^-1, the multipliers
-    # of the tableau's rows, and its rhs is minus the objective. Row i is
-    # signs[i] times the caller's row i, so the caller's multiplier is
-    # signs[i] times that of row i.
-    fields = packed[n_rows]
-    if art0:
-        fields = ((fields >> (art0 * w - 1)) + 1) >> 1
-    y = []
-    for sign in signs:
-        v = ((fields & low) ^ half) - half
-        fields = (fields - v) >> w
-        y.append(-sign * v)
+    for k, v in zip(basis, right):
+        z[k] = v
+    # Column start[i] is the unit vector of row i, so its reduced cost is
+    # its cost minus y_i: the z-row field there is denom * (c_k - y_i).
+    y = [denom * costs[k] - column(k)[n_rows] for k in start]
     return z, y, -right[n_rows], denom
 
 
@@ -367,9 +320,9 @@ def _optimum(
     nonneg: bool,
 ) -> Tuple[List[int], List[int], List[int], int]:
     """min c.x  s.t.  x(B) >= b_B for B in masks, r.x = e_r for r in eq_rows
-    and, if nonneg, x >= 0; all data ints. Returns (x, y, slacks, d), ints
-    over one denominator d > 0: an optimal x, an optimal dual y, and the
-    slack at x of the row each column of the dual stands for.
+    and, if nonneg, x >= 0; all data ints, c >= 0. Returns (x, y, slacks,
+    d), ints over one denominator d > 0: an optimal x, an optimal dual y,
+    and the slack at x of the row each column of the dual stands for.
 
     ``simplex_min`` gets the m-row dual, whose vertex is y and whose
     multipliers are -x:
@@ -378,11 +331,13 @@ def _optimum(
         u, v, w, s >= 0  (s only if nonneg).
 
     Its column k, of cost a_k, stands for the row  col_k . x >= -a_k:
-    x(B) >= b_B, r.x = e_r as two rows, or x_j >= 0. The certificate checks
-    that every such row holds, y >= 0, the columns on the support of y sum
-    to c, complementary slackness and strong duality. Raises
-    LpInfeasibleError when c.x is unbounded below (the dual is infeasible)
-    and LpUnboundedError when no x is feasible (the dual is unbounded).
+    x(B) >= b_B, r.x = e_r as two rows, or x_j >= 0. The columns of the
+    singleton rows {j}, the first of each, or else those of x >= 0, are the
+    unit vectors of the dual's rows, and with c >= 0 they are its feasible
+    start; without either InvalidInputError is raised. The certificate
+    checks that every such row holds, y >= 0, the columns on the support of
+    y sum to c, complementary slackness and strong duality. Raises
+    LpUnboundedError when no x is feasible (the dual is unbounded).
     """
     matrix = [[mask >> j & 1 for mask in masks] for j in range(m)]
     for j, row in enumerate(matrix):
@@ -390,7 +345,16 @@ def _optimum(
         if nonneg:
             row += [int(k == j) for k in range(m)]
     costs = [-v for v in b] + [-v for v in e] + [*e] + [0] * (m if nonneg else 0)
-    y, pi, _, d = simplex_min(matrix, c, costs)
+    try:
+        start = [masks.index(1 << j) for j in range(m)]
+    except ValueError:
+        if not nonneg:
+            j = next(j for j in range(m) if 1 << j not in masks)
+            raise InvalidInputError(
+                f"every singleton row is needed, and {{{j + 1}}} is missing"
+            ) from None
+        start = list(range(len(costs) - m, len(costs)))
+    y, pi, _, d = simplex_min(matrix, c, costs, start)
 
     x = [-v for v in pi]
     sums = _subset_sums(x)
@@ -422,25 +386,21 @@ def solve(system: ConstraintSystem) -> LpSolution:
 
     ``_optimum`` solves and certifies it with b and c as the system's ints,
     so over its denominator d the point is b_den * x and the dual c_den * y.
-    Raises InvalidInputError when the rows do not bound c.x from below.
+    Every singleton row {j} must be present; with them, a negative weight
+    c_j leaves c.x unbounded below, and raises InvalidInputError.
     """
     m, masks = system.m, system.row_masks
     b, c = system.b_num, system.c_num
     if any(v < 0 for v in b):
         raise InvalidInputError("right-hand side must be nonnegative")
-    covered = 0
-    for mask in masks:
-        covered |= mask
-    if covered != full_mask(m):
-        raise InvalidInputError("every column must be covered by some row")
-
-    try:
-        x_num, z, slacks, d = _optimum(m, masks, b, (), (), c, False)
-    except LpInfeasibleError as exc:
+    if any(v < 0 for v in c):
         raise InvalidInputError(
             "the rows do not bound the objective c.x from below: "
             "no dual weights y >= 0 have y.A = c"
-        ) from exc
+        )
+
+    try:
+        x_num, z, slacks, d = _optimum(m, masks, b, (), (), c, False)
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
 
@@ -460,14 +420,15 @@ def uniqueness_test(
     Maximizes the slacks of the rows tight at x plus the coordinates where
     x is zero over {A z >= b, c.z = R, z >= 0}, R the optimal value.
     Written as d.z - K, with d = [x == 0] + A^T [row tight] and K the sum of
-    the tight rows' b, that is min -d.z over those rows, which ``_optimum``
-    solves and certifies, so strong duality proves both the verdict and the
-    auxiliary value. A maximum of 0 certifies uniqueness; otherwise z is the
-    alternative optimum. The rows go over in ints: c.z = R as
-    c_num.z = R c_den, with b and R c_den over one denominator q, so the
-    point comes back as q z. An optimal face that is unbounded in a
-    direction d rewards, possible only where c has a zero weight, raises
-    InvalidInputError.
+    the tight rows' b. On the face that is lam R - K minus (lam c - d).z,
+    and lam = max ceil(d_j / c_j) makes that objective >= 0, as ``_optimum``
+    needs; it solves and certifies min (lam c - d).z over those rows, so
+    strong duality proves both the verdict and the auxiliary value. A
+    maximum of 0 certifies uniqueness; otherwise z is the alternative
+    optimum. The rows go over in ints: c.z = R as c_num.z = R c_den, with b
+    and R c_den over one denominator q, so the point comes back as q z. A
+    weight c_j <= 0 where d_j > 0 leaves the face unbounded in a direction
+    d rewards, and it, or any negative weight, raises InvalidInputError.
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
@@ -489,18 +450,19 @@ def uniqueness_test(
         (not v) + sum(mask >> j & 1 for mask in tight_masks)
         for j, v in enumerate(x_num)
     ]
-    # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
-    q = math.lcm(b_den, r_den)
-    try:
-        z_num, _, _, den = _optimum(
-            m, masks, [q // b_den * v for v in b],
-            [c], [r_num * c_den * (q // r_den)], [-v for v in d], True,
-        )
-    except LpInfeasibleError as exc:
+    if any(cj < 0 or cj == 0 < dj for cj, dj in zip(c, d)):
         raise InvalidInputError(
             "the optimal face is unbounded: the optimum is not unique and "
             "the auxiliary value has no finite maximum"
-        ) from exc
+        )
+    lam = max((-(-dj // cj) for cj, dj in zip(c, d) if cj), default=0)
+    # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
+    q = math.lcm(b_den, r_den)
+    z_num, _, _, den = _optimum(
+        m, masks, [q // b_den * v for v in b], [c],
+        [r_num * c_den * (q // r_den)], [lam * cj - dj for cj, dj in zip(c, d)],
+        True,
+    )
     # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
     z_den = q * den
     d_z = sum(map(mul, d, z_num))

@@ -6,19 +6,21 @@ partitions from unfiltered recursive generation. The reference enumerator
 is the pruned recursive generator the library ran before its one-frame
 walk. The reference LP path keeps the library's earlier constraint-per-row
 LP forms on its earlier Fraction-tableau simplex, so the m-row dual forms
-and the integer tableau can be cross-checked against them; the feasibility
-form runs on the list-of-ints tableau that preceded the packed one, which
-takes the same pivots as the Fraction tableau. The reference
-scans keep the earlier Fraction-arithmetic validity scan and I(A) loop,
-so the integer table paths can be cross-checked against them; the
-reference witness search at the end keeps the earlier scan of every
+and the integer tableau can be cross-checked against them, and
+``reference_dual_solve`` runs ``solve``'s own dual form on that two-phase
+simplex, so the library's phase-2-only path can be checked against it;
+the feasibility form runs on the list-of-ints tableau that preceded the
+packed one, which takes the same pivots as the Fraction tableau. The
+reference scans keep the earlier Fraction-arithmetic validity scan and
+I(A) loop, so the integer table paths can be cross-checked against them;
+the reference witness search at the end keeps the earlier scan of every
 admissible partition with a Fraction arithmetic filter. The integer
 validity scan that preceded the packed one, and the entropy-vector reader's
 earlier per-entry loop, are kept as references too. ``rational_simplex_min``
-hands a rational system to the library's int-only simplex, scaled to ints,
-and reads the answer back in the system's own terms. Last come the pieces
-that only tests read: ``fraction_b`` and ``fraction_c``, a system's data as
-Fractions; ``sw_gap`` and ``region_contains``, the Fraction row check that
+hands a rational system and its start basis to the library's int-only
+simplex, scaled to ints, and reads the answer back in the system's own
+terms. Last come the pieces that only tests read: ``fraction_b`` and
+``fraction_c``, a system's data as Fractions; ``sw_gap`` and ``region_contains``, the Fraction row check that
 the library's integer certificates replaced; ``verify_closure``, the
 paper's closure lemma for two tight constraints as a report-only check;
 and ``render_bit_string``, the inverse of the source reader's bit-string
@@ -37,7 +39,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from omniscio.errors import InternalContractError, InvalidInputError
 from omniscio.simplex import (
     ConstraintSystem,
-    LpInfeasibleError,
     LpSolution,
     LpUnboundedError,
     Rational,
@@ -253,29 +254,35 @@ def rational_simplex_min(
     matrix: Sequence[Sequence[Rational]],
     rhs: Sequence[Rational],
     costs: Sequence[Rational],
+    start: Sequence[int],
 ) -> Tuple[List[Fraction], List[Fraction], Fraction]:
     """The library's int-only ``simplex_min`` on a system of ints or
     Fractions, read back as that system's (z, y, objective) in Fractions.
 
-    The rows go over times s and the costs times k, the lcms of their
-    denominators. The int answer (z, y, objective, den) must be all ints
-    with den > 0; row scaling leaves z alone and multiplies y by 1/s, cost
-    scaling multiplies y and the objective by k, so the system's own values
-    are z / den, s y / (k den) and objective / (k den). Raises what
-    ``simplex_min`` raises.
+    The rows go over times s, the lcm of their denominators, and each start
+    column, now s times a unit vector, stands for s z_k instead, so it is a
+    unit vector again and costs c_k / s. The costs then go over times k, the
+    lcm of their denominators. The int answer (z, y, objective, den) must
+    be all ints with den > 0; row scaling multiplies y by 1/s, cost scaling
+    multiplies y and the objective by k, so the system's own values are
+    z / den (z / (s den) on a start column), s y / (k den) and
+    objective / (k den). Raises what ``simplex_min`` raises.
     """
     scale = math.lcm(
         *(Fraction(v).denominator for v in chain(chain.from_iterable(matrix), rhs))
     )
-    cost_scale = math.lcm(*(Fraction(v).denominator for v in costs))
+    unit = [scale if k in start else 1 for k in range(len(costs))]
+    costs = [Fraction(v) / u for v, u in zip(costs, unit)]
+    cost_scale = math.lcm(*(v.denominator for v in costs))
     z, y, objective, den = simplex_min(
-        [[int(v * scale) for v in row] for row in matrix],
+        [[int(v * scale / u) for v, u in zip(row, unit)] for row in matrix],
         [int(v * scale) for v in rhs],
         [int(v * cost_scale) for v in costs],
+        start,
     )
     assert den > 0 and all(type(v) is int for v in [*z, *y, objective, den])
     return (
-        [Fraction(v, den) for v in z],
+        [Fraction(v, u * den) for v, u in zip(z, unit)],
         [Fraction(scale * v, cost_scale * den) for v in y],
         Fraction(objective, cost_scale * den),
     )
@@ -288,6 +295,11 @@ def rational_simplex_min(
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class LpInfeasibleError(Exception):
+    """The equality-form program has no feasible point: the two-phase
+    references' phase 1 ends above zero."""
 
 
 def reference_simplex_min(
@@ -610,6 +622,19 @@ def reference_solve(system: ConstraintSystem) -> LpSolution:
     z, y, objective = reference_simplex_min(matrix, b, costs)
     x = tuple(z[j] - z[m + j] for j in range(m))
     tight = tuple(i for i in range(l) if row_sum(system, x, i) == b[i])
+    return LpSolution(objective, x, tuple(y), tight)
+
+
+def reference_dual_solve(system: ConstraintSystem) -> LpSolution:
+    """``solve``'s m-row dual form, max b.y s.t. y.A = c, y >= 0, on the
+    two-phase Fraction tableau: its vertex is y and its multipliers -x."""
+    m = system.m
+    b, c = fraction_b(system), fraction_c(system)
+    matrix = [[Fraction(mask >> j & 1) for mask in system.row_masks] for j in range(m)]
+    y, pi, _ = reference_simplex_min(matrix, c, [-v for v in b])
+    x = tuple(-v for v in pi)
+    tight = tuple(i for i in range(system.l) if row_sum(system, x, i) == b[i])
+    objective = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
     return LpSolution(objective, x, tuple(y), tight)
 
 

@@ -478,6 +478,26 @@ class TestCli:
             assert out == ""
             assert err.startswith(f"omniscio: error: malformed JSON in {path}: ")
 
+    @pytest.mark.parametrize(
+        "content,key",
+        [
+            ('{"m": 2, "active": [1, 2], "m": 3, "source": {}}', "m"),
+            ('{"m": 2, "active": [1, 2], "source": {"type": "entropy_vector",'
+             ' "values": {"1": "1", "2": "1", "1,2": "2", "1,2": "1"}}}', "1,2"),
+        ],
+        ids=["top-level", "entropy-value"],
+    )
+    def test_repeated_json_key_exits_two(self, tmp_path, capsys, content, key):
+        # json.load kept the last of two equal keys: the second document
+        # was read with H(X_{1,2}) = 1 and mdb exited 0.
+        path = tmp_path / "source.json"
+        path.write_text(content)
+        for verb in ("solve", "mdb", "validate"):
+            assert main([verb, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"omniscio: error: JSON object repeats key {key!r} in {path}\n"
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
         reason="no integer digit limit before Python 3.10.7",
@@ -491,15 +511,20 @@ class TestCli:
     def test_rational_past_digit_limit_exits_two(self, tmp_path, capsys, text):
         # The first two ended in a ValueError traceback from int(); 1e5000
         # and 1e-5000 were read, and solve crashed printing them; 1e1000000
-        # took over a minute to read.
+        # took over a minute to read. A value past 40 characters is quoted
+        # by its first 40 and its length, so the line stays short.
         path = write_doc(
             tmp_path, {"m": 2, "active": [1, 2], "source": vector_source({"1": text})}
         )
+        shown = repr(text)
+        if len(text) > 40:
+            shown = f"{text[:40]!r}... ({len(text)} characters)"
         for verb in ("solve", "mdb"):
             assert main([verb, path]) == 2
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == f"omniscio: error: bad rational {text!r}\n"
+            assert err == f"omniscio: error: bad rational {shown}\n"
+            assert len(err) < 100
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/source.json"]) == 2

@@ -23,6 +23,7 @@ from omniscio import (
 from omniscio.errors import InvalidInputError
 from omniscio.simplex import (
     ConstraintSystem,
+    LpSolution,
     make_system,
     solve,
     uniqueness_test,
@@ -107,10 +108,11 @@ CALLS = {
         lambda: mutual_dependence_bound(unnormalised_oracle(), 0b11),
         r"H\(X_emptyset\) = 1 is not 0",
     ),
-    # x1 + x2 >= 0 and x3 >= 0 leave x1 + 2 x2 + x3 unbounded below.
+    # x1 + x2 >= 0 and x3 >= 0 leave x1 + 2 x2 + x3 unbounded below; solve
+    # refuses the rows before that, for they lack {1} and {2}.
     "solve-unbounded": (
         lambda: solve(make_system(3, [0b011, 0b100], [0, 0], [1, 2, 1])),
-        "rows do not bound the objective",
+        r"every singleton row is needed, and \{1\} is missing",
     ),
     "solve-negative-weight": (
         lambda: solve(make_system(2, [0b01, 0b10], [0, 0], [-1, 1])),
@@ -120,6 +122,15 @@ CALLS = {
         lambda: uniqueness_test(
             make_system(2, [1, 2], [0, 0], [1, 0]),
             solve(make_system(2, [1, 2], [0, 0], [1, 0])),
+        ),
+        "optimal face is unbounded",
+    ),
+    # At x = (1, 0) only the row {2} is tight, so d = (0, 2): the weight -1
+    # sits where the auxiliary objective has none.
+    "uniqueness-negative-weight": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [0, 0], [-1, 1]),
+            LpSolution(F(-1), (F(1), F(0)), (F(0), F(1)), (1,)),
         ),
         "optimal face is unbounded",
     ),

@@ -30,6 +30,7 @@ from omniscio.sources import TabularSource
 from omniscio.subsets import complement, full_mask
 
 from helpers import (
+    LpInfeasibleError,
     admissible,
     brute_force_lp_min,
     fraction_b,
@@ -77,8 +78,8 @@ def tampered(change):
     both int numerators over den."""
     real = simplex.simplex_min
 
-    def wrapper(matrix, rhs, costs):
-        z, pi, objective, den = real(matrix, rhs, costs)
+    def wrapper(matrix, rhs, costs, start):
+        z, pi, objective, den = real(matrix, rhs, costs, start)
         z, pi = change(list(z), list(pi), den)
         return z, pi, objective, den
 
@@ -257,29 +258,32 @@ integer_cells = st.integers(-3, 3)
 
 @st.composite
 def integer_systems(draw):
+    """[I | A] with rhs >= 0, started at the identity: the two-phase
+    reference's phase 1 ends at that basis with every row unchanged."""
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 7))
     matrix = [
-        draw(st.lists(integer_cells, min_size=cols, max_size=cols))
-        for _ in range(rows)
+        [int(k == i) for k in range(rows)]
+        + draw(st.lists(integer_cells, min_size=cols, max_size=cols))
+        for i in range(rows)
     ]
-    rhs = draw(st.lists(integer_cells, min_size=rows, max_size=rows))
-    costs = draw(st.lists(integer_cells, min_size=cols, max_size=cols))
-    return matrix, rhs, costs
+    rhs = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    costs = draw(st.lists(integer_cells, min_size=rows + cols, max_size=rows + cols))
+    return matrix, rhs, costs, list(range(rows))
 
 
 def outcome(fn, *system):
     try:
         return fn(*system)
-    except (simplex.LpInfeasibleError, simplex.LpUnboundedError) as exc:
+    except (LpInfeasibleError, simplex.LpUnboundedError) as exc:
         return type(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(integer_systems())
 def test_all_int_systems_match_their_fraction_form(system):
-    matrix, rhs, costs = system
-    new = outcome(simplex.simplex_min, matrix, rhs, costs)
+    matrix, rhs, costs, start = system
+    new = outcome(simplex.simplex_min, matrix, rhs, costs, start)
     as_fractions = (
         [[F(v) for v in row] for row in matrix],
         [F(v) for v in rhs],
@@ -289,5 +293,5 @@ def test_all_int_systems_match_their_fraction_form(system):
         z, y, objective, den = new
         assert den > 0 and all(type(v) is int for v in [*z, *y, objective])
         new = [F(v, den) for v in z], [F(v, den) for v in y], F(objective, den)
-    assert new == outcome(rational_simplex_min, *as_fractions)
+    assert new == outcome(rational_simplex_min, *as_fractions, start)
     assert new == outcome(reference_simplex_min, *as_fractions)

@@ -1,13 +1,17 @@
 """The packed fraction-free simplex against the tableaux it replaced.
 
 ``simplex.simplex_min`` pivots integer rows packed into one int each, over
-one common denominator, and returns ints over that denominator;
-``helpers.reference_integer_simplex_min`` is the list-of-ints tableau it
-replaced, and ``helpers.reference_simplex_min`` the Fraction tableau before
-that. All three take Bland's path through the same tableau values, so on
-every system they must return the same vertex, dual and objective, or raise
-the same exception. A rational system goes to ``simplex_min`` scaled to
-ints, and its answer is read back through ``helpers.rational_simplex_min``.
+one common denominator, from a unit basis its caller names, and returns
+ints over that denominator; ``helpers.reference_integer_simplex_min`` is
+the two-phase list-of-ints tableau it replaced, and
+``helpers.reference_simplex_min`` the two-phase Fraction tableau before
+that. On the systems below, with rhs >= 0 and the start columns in
+ascending order ahead of every other column they could displace, phase 1
+of the references ends at the start basis with every row unchanged, so all
+three take Bland's phase-2 path through the same tableau values and must
+return the same vertex, dual and objective, or raise the same exception. A
+rational system goes to ``simplex_min`` scaled to ints, and its answer is
+read back through ``helpers.rational_simplex_min``.
 """
 
 import random
@@ -27,10 +31,12 @@ from omniscio import (
     random_linear_source,
     witness_by_partition_search,
 )
-from omniscio.simplex import LpInfeasibleError, LpUnboundedError, feasible_point
+from omniscio.errors import InternalContractError
+from omniscio.simplex import LpUnboundedError, feasible_point
 from omniscio.subsets import complement, full_mask
 
 from helpers import (
+    LpInfeasibleError,
     admissible,
     rational_simplex_min,
     reference_integer_simplex_min,
@@ -40,18 +46,18 @@ from helpers import (
 F = Fraction
 
 
-def outcome(fn, matrix, rhs, costs):
+def outcome(fn, *system):
     try:
-        return fn(matrix, rhs, costs)
+        return fn(*system)
     except (LpInfeasibleError, LpUnboundedError) as exc:
         return type(exc)
 
 
-def assert_same_outcome(matrix, rhs, costs, fraction_tableau=True):
+def assert_same_outcome(matrix, rhs, costs, start, fraction_tableau=True):
     # rational_simplex_min asserts that simplex_min returns only ints and
     # den > 0, and reads back (z / den, y / den, objective / den), with the
-    # scaling undone, for the comparison.
-    new = outcome(rational_simplex_min, matrix, rhs, costs)
+    # scaling undone, for the comparison. The references run both phases.
+    new = outcome(rational_simplex_min, matrix, rhs, costs, start)
     assert new == outcome(reference_integer_simplex_min, matrix, rhs, costs)
     if fraction_tableau:
         assert new == outcome(reference_simplex_min, matrix, rhs, costs)
@@ -63,9 +69,9 @@ def record_calls(monkeypatch):
     calls = []
     real = simplex.simplex_min
 
-    def recording(matrix, rhs, costs):
-        calls.append((matrix, rhs, costs))
-        return real(matrix, rhs, costs)
+    def recording(matrix, rhs, costs, start):
+        calls.append((matrix, rhs, costs, start))
+        return real(matrix, rhs, costs, start)
 
     monkeypatch.setattr(simplex, "simplex_min", recording)
     return calls
@@ -105,8 +111,8 @@ def test_every_library_call_matches_reference(name, source, active, monkeypatch)
     monkeypatch.undo()
 
     assert len(calls) >= 2
-    for matrix, rhs, costs in calls:
-        assert_same_outcome(matrix, rhs, costs)
+    for call in calls:
+        assert_same_outcome(*call)
 
 
 # The widest fields: m = 7 and 8 at A = M and |A| = 3. The Fraction tableau
@@ -131,11 +137,20 @@ def test_wide_library_calls_match_integer_reference(
     monkeypatch.undo()
 
     assert len(calls) >= 2
-    for matrix, rhs, costs in calls:
-        assert_same_outcome(matrix, rhs, costs, fraction_tableau=False)
+    for call in calls:
+        assert_same_outcome(*call, fraction_tableau=False)
 
 
 cells = st.fractions(-3, 3, max_denominator=4)
+nonnegative = st.fractions(0, 3, max_denominator=4)
+
+
+def unit_first(matrix, rhs, costs):
+    """[I | matrix] with the identity's columns as the start basis: the
+    layout on which the references' phase 1 ends at that basis."""
+    n = len(matrix)
+    rows = [[int(k == i) for k in range(n)] + list(row) for i, row in enumerate(matrix)]
+    return rows, rhs, costs, list(range(n))
 
 
 @st.composite
@@ -143,9 +158,9 @@ def rational_systems(draw):
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 7))
     matrix = [draw(st.lists(cells, min_size=cols, max_size=cols)) for _ in range(rows)]
-    rhs = draw(st.lists(cells, min_size=rows, max_size=rows))
-    costs = draw(st.lists(cells, min_size=cols, max_size=cols))
-    return matrix, rhs, costs
+    rhs = draw(st.lists(nonnegative, min_size=rows, max_size=rows))
+    costs = draw(st.lists(cells, min_size=rows + cols, max_size=rows + cols))
+    return unit_first(matrix, rhs, costs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -156,20 +171,21 @@ def test_random_rational_systems_match_reference(system):
 
 @st.composite
 def degenerate_systems(draw):
-    """A row, a scalar multiple of it with both right-hand sides zero, and
-    up to two more rows: phase 1 ends with an artificial basic at zero. The
-    row leans negative, so phase 1 seldom pivots on it and the drive-out
-    often pivots on a negative entry."""
+    """[I | A] with a row of A, a scalar multiple of it with both
+    right-hand sides zero, and up to two more rows: the start vertex is
+    degenerate, so Bland's rule may have to pivot without moving."""
     cols = draw(st.integers(1, 6))
-    row = draw(st.lists(st.fractions(-3, 1, max_denominator=4), min_size=cols,
-                        max_size=cols))
+    row = draw(st.lists(cells, min_size=cols, max_size=cols))
     factor = draw(st.sampled_from([F(-2), F(-1, 2), F(3, 4), F(2)]))
     extra = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), max_size=2))
     matrix = [row, [factor * v for v in row]] + extra
-    rhs = [F(0), F(0)] + draw(st.lists(cells, min_size=len(extra), max_size=len(extra)))
+    rhs = [F(0), F(0)] + draw(
+        st.lists(nonnegative, min_size=len(extra), max_size=len(extra))
+    )
     order = draw(st.permutations(range(len(matrix))))
-    costs = draw(st.lists(cells, min_size=cols, max_size=cols))
-    return [matrix[i] for i in order], [rhs[i] for i in order], costs
+    width = len(matrix) + cols
+    costs = draw(st.lists(cells, min_size=width, max_size=width))
+    return unit_first([matrix[i] for i in order], [rhs[i] for i in order], costs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -196,33 +212,41 @@ def test_sylvester_hadamard_systems_match_reference(order):
     rng = random.Random(order)
     outcomes = set()
     for matrix in (h, [row + [-v for v in row] for row in h]):
-        cols = len(matrix[0])
+        cols = order + len(matrix[0])
         for _ in range(6):
-            rhs = [F(rng.randrange(-10**12, 10**12), rng.randrange(1, 50))
+            rhs = [F(rng.randrange(0, 10**12), rng.randrange(1, 50))
                    for _ in range(order)]
             costs = [F(rng.randrange(-10**9, 10**9), rng.randrange(1, 50))
                      for _ in range(cols)]
             for c in (costs, [abs(v) for v in costs]):
-                result = assert_same_outcome(matrix, rhs, c)
+                result = assert_same_outcome(*unit_first(matrix, rhs, c))
                 outcomes.add(result if isinstance(result, type) else "optimal")
     assert "optimal" in outcomes
 
 
-@pytest.mark.parametrize("rhs", [[0], [1], [0, 0]])
-def test_systems_without_columns_match_reference(rhs):
-    assert_same_outcome([[] for _ in rhs], rhs, [])
+ROWS = [[1, 0, 1], [0, 1, 1]]
 
 
-def test_drive_out_pivots_on_a_negative_entry():
-    # Row 1 is twice row 0, both with right-hand side 0. Phase 1 makes one
-    # pivot, column 2 into row 2, and stops with the artificials of rows 0
-    # and 1 basic at zero. The drive-out pivots row 0 on its entry -2,
-    # which turns the common denominator negative, and leaves row 1 on its
-    # artificial. Phase 2 makes one degenerate pivot, column 1 into row 0.
-    matrix = [[-2, -1, 0], [-4, -2, 0], [1, 0, 1]]
-    rhs = [0, 0, 3]
-    costs = [F(1), F(1, 2), F(-1)]
-    z, y, objective = assert_same_outcome(matrix, rhs, costs)
-    assert z == [0, 0, 3]
-    assert objective == -3
-    assert y == [F(-1, 2), 0, -1]
+@pytest.mark.parametrize(
+    "matrix,rhs,start",
+    [
+        (ROWS, [1, -1], [0, 1]),
+        (ROWS, [1, 1], [1, 0]),
+        (ROWS, [1, 1], [0, 2]),
+        ([[2, 0, 1], [0, 1, 1]], [1, 1], [0, 1]),
+        (ROWS, [1, 1], [0]),
+        (ROWS, [1, 1], [0, 1, 2]),
+        (ROWS, [1, 1], [0, 3]),
+        (ROWS, [1, 1], [0, -2]),
+        ([[], []], [0, 0], []),
+    ],
+    ids=[
+        "negative-rhs", "swapped", "not-unit", "scaled-unit", "short",
+        "long", "past-the-columns", "negative-index", "no-columns",
+    ],
+)
+def test_simplex_min_refuses_a_start_that_is_not_a_feasible_unit_basis(
+    matrix, rhs, start
+):
+    with pytest.raises(InternalContractError):
+        simplex.simplex_min(matrix, rhs, [1, 1, 1][: len(matrix[0])], start)

@@ -31,6 +31,7 @@ from omniscio.subsets import complement, full_mask
 from helpers import (
     admissible,
     brute_force_lp_min,
+    reference_dual_solve,
     reference_feasible_point,
     reference_solve,
     reference_uniqueness_test,
@@ -115,6 +116,32 @@ def test_objective_matches_vertex_enumeration(data):
     assert solve(system).objective == brute_force_lp_min(system)
 
 
+# Every singleton row plus up to four more, b >= 0 and c >= 0 with zeros.
+rate_systems = st.integers(2, 4).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.sets(st.integers(1, full_mask(m) - 1), max_size=4),
+        st.lists(st.fractions(0, 3, max_denominator=4), min_size=1 << m,
+                 max_size=1 << m),
+        st.lists(st.fractions(0, 3, max_denominator=3), min_size=m, max_size=m),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rate_systems)
+def test_solve_matches_reference_on_rate_systems(data):
+    m, extra, b_pool, c = data
+    masks = sorted(extra | {1 << j for j in range(m)})
+    system = make_system(m, masks, [b_pool[mask] for mask in masks], c)
+    # The two-phase path through the same dual form: its phase 1 ends at
+    # the singleton basis that solve starts from, so x, y and the tight
+    # rows agree exactly, even where the optimum is not unique.
+    new = solve(system)
+    assert new == reference_dual_solve(system)
+    assert new.objective == reference_solve(system).objective
+
+
 def test_alternative_optimum_is_certified(monkeypatch):
     # min x1+x2+x3 with R3 = 1 and R1 + R2 = 1 as the optimal face.
     masks = [0b001, 0b010, 0b011, 0b100, 0b101, 0b110]
@@ -123,10 +150,10 @@ def test_alternative_optimum_is_certified(monkeypatch):
     assert not uniqueness_test(system, sol).unique
     real = simplex.simplex_min
 
-    def returns_the_solution(matrix, rhs, costs):
+    def returns_the_solution(matrix, rhs, costs, start):
         # sol.x as the multipliers: everything over den * k, k the lcm of
         # x's denominators, so that x * den * k is an int vector.
-        z, _, objective, den = real(matrix, rhs, costs)
+        z, _, objective, den = real(matrix, rhs, costs, start)
         k = math.lcm(*(v.denominator for v in sol.x))
         multipliers = [int(v * den * k) for v in sol.x]
         return [v * k for v in z], multipliers, objective * k, den * k
@@ -147,20 +174,18 @@ def test_unique_verdict_is_certified(monkeypatch):
     assert uniqueness_test(system, sol).auxiliary_value == 3
     real = simplex.simplex_min
 
-    def returns_the_optimum(matrix, rhs, costs):
-        z, _, _, den = real(matrix, rhs, costs)
+    def returns_the_optimum(matrix, rhs, costs, start):
+        z, _, _, den = real(matrix, rhs, costs, start)
         k = math.lcm(*(v.denominator for v in sol.x))
-        multipliers = [int(v * den * k) for v in sol.x]
-        # The multipliers carry the point in the sign of the dual form: the
-        # one whose objective multipliers.rhs is d.x >= 0, d the weights of
-        # the auxiliary objective.
+        # The multipliers are -x, so they carry the point as -sol.x, and
+        # the objective is their value multipliers.rhs.
+        multipliers = [-int(v * den * k) for v in sol.x]
         objective = sum(p * r for p, r in zip(multipliers, rhs))
-        if objective < 0:
-            multipliers, objective = [-v for v in multipliers], -objective
         return [v * k for v in z], multipliers, objective, den * k
 
     monkeypatch.setattr(simplex, "simplex_min", returns_the_optimum)
-    with pytest.raises(InternalContractError):
+    # The point holds every row, so only the certificate refuses it.
+    with pytest.raises(InternalContractError, match="complementary slackness"):
         uniqueness_test(system, sol)
 
 
@@ -169,8 +194,8 @@ def test_feasible_point_is_certified(monkeypatch):
     assert feasible_point(*args) == (F(2), F(1))
     real = simplex.simplex_min
 
-    def shifted(matrix, rhs, costs):
-        z, pi, objective, den = real(matrix, rhs, costs)
+    def shifted(matrix, rhs, costs, start):
+        z, pi, objective, den = real(matrix, rhs, costs, start)
         return z, [v - den for v in pi], objective, den
 
     monkeypatch.setattr(simplex, "simplex_min", shifted)
