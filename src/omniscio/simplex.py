@@ -3,9 +3,14 @@
 The rate LP  min c.x  s.t.  A x >= b  (x free) has a 0/1 incidence matrix A
 whose l rows are subset masks: l is about 2^m for m terminals, while x has
 only m coordinates. Every LP therefore goes through one routine,
-``_optimum``: it writes  min c.x  s.t.  A x >= b, E x = e  and, if asked,
-x >= 0  as the dual with one equality row per terminal, hands that to
-``simplex_min`` once and certifies the answer.
+``_optimum``: it writes  min c.x  s.t.  A x >= b, E x = e  as the dual with
+one equality row per terminal, hands that to ``simplex_min`` once and
+certifies the answer.
+
+Every LP of the package is a rate system, and ``_optimum`` refuses any
+other: b >= 0, c >= 0 and every singleton row {j} present. The Slepian-Wolf
+region always holds these rows, since |A| >= 2 and h({j}) >= 0, so
+x_j >= b_{j} >= 0 at every feasible point and no LP needs x >= 0 rows.
 
 * ``solve`` is the rate LP itself, x free. The dual's vertex is the rate
   LP's optimal dual y, and its simplex multipliers are -x.
@@ -13,8 +18,7 @@ x >= 0  as the dual with one equality row per terminal, hands that to
   rows tight at x plus the coordinates where x is zero (Mangasarian,
   "Uniqueness of solution in linear programming", 1979).
 * ``feasible_point`` decides a system of inequality and equality rows with
-  objective 0: the dual is unbounded exactly when the system has no
-  nonnegative point.
+  objective 0: the dual is unbounded exactly when the system has no point.
 
 ``simplex_min`` takes ints only: the entry points put right-hand sides and
 costs over common denominators. It returns ints too, the vertex, the dual
@@ -25,7 +29,7 @@ table of the point's sums over every subset mask. Fractions are built only
 for returned values.
 
 ``simplex_min`` starts from a unit basis that its caller names, the dual's
-singleton or slack columns, so it has no phase 1. It pivots a
+singleton columns, so it has no phase 1. It pivots a
 fraction-free tableau: integer cells over one common denominator, the
 determinant of the basis, updated by the exact divisions of Edmonds
 ("Systems of distinct representatives and linear algebra", 1967) and
@@ -317,50 +321,55 @@ def _optimum(
     eq_rows: Sequence[Sequence[int]],
     e: Sequence[int],
     c: Sequence[int],
-    nonneg: bool,
 ) -> Tuple[List[int], List[int], List[int], int]:
-    """min c.x  s.t.  x(B) >= b_B for B in masks, r.x = e_r for r in eq_rows
-    and, if nonneg, x >= 0; all data ints, c >= 0. Returns (x, y, slacks,
-    d), ints over one denominator d > 0: an optimal x, an optimal dual y,
-    and the slack at x of the row each column of the dual stands for.
+    """min c.x  s.t.  x(B) >= b_B for B in masks and r.x = e_r for r in
+    eq_rows; all data ints. Returns (x, y, slacks, d), ints over one
+    denominator d > 0: an optimal x, an optimal dual y, and the slack at x
+    of the row each column of the dual stands for.
+
+    Every LP of the package is a rate system, and this is its contract,
+    checked first: b >= 0, c >= 0 and every singleton row {j} among masks;
+    anything else raises InvalidInputError. Then x_j >= b_{j} >= 0 at every
+    feasible point, so no x >= 0 row is needed.
 
     ``simplex_min`` gets the m-row dual, whose vertex is y and whose
     multipliers are -x:
 
-        min -b.u - e.v + e.w  s.t.  A^T u + E^T (v - w) + s = c,
-        u, v, w, s >= 0  (s only if nonneg).
+        min -b.u - e.v + e.w  s.t.  A^T u + E^T (v - w) = c,  u, v, w >= 0.
 
     Its column k, of cost a_k, stands for the row  col_k . x >= -a_k:
-    x(B) >= b_B, r.x = e_r as two rows, or x_j >= 0. The columns of the
-    singleton rows {j}, the first of each, or else those of x >= 0, are the
-    unit vectors of the dual's rows, and with c >= 0 they are its feasible
-    start; without either InvalidInputError is raised. The certificate
-    checks that every such row holds, y >= 0, the columns on the support of
-    y sum to c, complementary slackness and strong duality. Raises
-    LpUnboundedError when no x is feasible (the dual is unbounded).
+    x(B) >= b_B, or r.x = e_r as two rows. The columns of the singleton
+    rows, the first of each, are the unit vectors of the dual's rows, and
+    with c >= 0 they are its feasible start. The certificate checks that
+    every row holds, y >= 0, the columns on the support of y sum to c,
+    complementary slackness and strong duality. Raises LpUnboundedError
+    when no x is feasible (the dual is unbounded).
     """
-    matrix = [[mask >> j & 1 for mask in masks] for j in range(m)]
-    for j, row in enumerate(matrix):
-        row += [r[j] for r in eq_rows] + [-r[j] for r in eq_rows]
-        if nonneg:
-            row += [int(k == j) for k in range(m)]
-    costs = [-v for v in b] + [-v for v in e] + [*e] + [0] * (m if nonneg else 0)
+    if any(v < 0 for v in b):
+        raise InvalidInputError("right-hand side must be nonnegative")
+    if any(v < 0 for v in c):
+        raise InvalidInputError(
+            "the rows do not bound the objective c.x from below: "
+            "no dual weights y >= 0 have y.A = c"
+        )
     try:
         start = [masks.index(1 << j) for j in range(m)]
     except ValueError:
-        if not nonneg:
-            j = next(j for j in range(m) if 1 << j not in masks)
-            raise InvalidInputError(
-                f"every singleton row is needed, and {{{j + 1}}} is missing"
-            ) from None
-        start = list(range(len(costs) - m, len(costs)))
+        j = next(j for j in range(m) if 1 << j not in masks)
+        raise InvalidInputError(
+            f"every singleton row is needed, and {{{j + 1}}} is missing"
+        ) from None
+    matrix = [[mask >> j & 1 for mask in masks] for j in range(m)]
+    for j, row in enumerate(matrix):
+        row += [r[j] for r in eq_rows] + [-r[j] for r in eq_rows]
+    costs = [-v for v in b] + [-v for v in e] + [*e]
     y, pi, _, d = simplex_min(matrix, c, costs, start)
 
     x = [-v for v in pi]
     sums = _subset_sums(x)
     slacks = [sums[mask] - v * d for mask, v in zip(masks, b)]
     eq_gaps = [sum(map(mul, r, x)) - v * d for r, v in zip(eq_rows, e)]
-    slacks += eq_gaps + [-v for v in eq_gaps] + (x if nonneg else [])
+    slacks += eq_gaps + [-v for v in eq_gaps]
     if min(slacks, default=0) < 0:
         raise InternalContractError("primal infeasibility in solution")
     columns = [0] * m
@@ -375,7 +384,7 @@ def _optimum(
         for j, row in enumerate(matrix):
             columns[j] += row[k] * v
     if columns != [v * d for v in c]:
-        raise InternalContractError("dual feasibility y.A + s = c violated")
+        raise InternalContractError("dual feasibility y.A = c violated")
     if dual_value != sum(map(mul, c, x)):
         raise InternalContractError("strong duality violated")
     return x, y, slacks, d
@@ -386,21 +395,13 @@ def solve(system: ConstraintSystem) -> LpSolution:
 
     ``_optimum`` solves and certifies it with b and c as the system's ints,
     so over its denominator d the point is b_den * x and the dual c_den * y.
-    Every singleton row {j} must be present; with them, a negative weight
-    c_j leaves c.x unbounded below, and raises InvalidInputError.
+    It refuses, with InvalidInputError, a negative b or c and a missing
+    singleton row {j}.
     """
     m, masks = system.m, system.row_masks
     b, c = system.b_num, system.c_num
-    if any(v < 0 for v in b):
-        raise InvalidInputError("right-hand side must be nonnegative")
-    if any(v < 0 for v in c):
-        raise InvalidInputError(
-            "the rows do not bound the objective c.x from below: "
-            "no dual weights y >= 0 have y.A = c"
-        )
-
     try:
-        x_num, z, slacks, d = _optimum(m, masks, b, (), (), c, False)
+        x_num, z, slacks, d = _optimum(m, masks, b, (), (), c)
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
 
@@ -418,7 +419,8 @@ def uniqueness_test(
     """Search the optimal face for a point differing from the solution.
 
     Maximizes the slacks of the rows tight at x plus the coordinates where
-    x is zero over {A z >= b, c.z = R, z >= 0}, R the optimal value.
+    x is zero over {A z >= b, c.z = R}, R the optimal value; the singleton
+    rows and b >= 0 give z >= 0 there.
     Written as d.z - K, with d = [x == 0] + A^T [row tight] and K the sum of
     the tight rows' b. On the face that is lam R - K minus (lam c - d).z,
     and lam = max ceil(d_j / c_j) makes that objective >= 0, as ``_optimum``
@@ -428,13 +430,12 @@ def uniqueness_test(
     optimum. The rows go over in ints: c.z = R as c_num.z = R c_den, with b
     and R c_den over one denominator q, so the point comes back as q z. A
     weight c_j <= 0 where d_j > 0 leaves the face unbounded in a direction
-    d rewards, and it, or any negative weight, raises InvalidInputError.
+    d rewards, and it, or any negative weight, raises InvalidInputError, as
+    do a negative b and a missing singleton row (``_optimum``'s contract).
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
     x_num, x_den = _over_common_denominator(solution.x)
-    if any(v < 0 for v in x_num):
-        raise InvalidInputError("uniqueness test requires a nonnegative optimum")
     sums = _subset_sums(x_num)
     slacks = [sums[mask] * b_den - v * x_den for mask, v in zip(masks, b)]
     if any(v < 0 for v in slacks):
@@ -461,7 +462,6 @@ def uniqueness_test(
     z_num, _, _, den = _optimum(
         m, masks, [q // b_den * v for v in b], [c],
         [r_num * c_den * (q // r_den)], [lam * cj - dj for cj, dj in zip(c, d)],
-        True,
     )
     # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
     z_den = q * den
@@ -486,16 +486,17 @@ def feasible_point(
 
     ``_optimum`` solves it with objective 0 and the right-hand sides times
     den, the lcm of their denominators, so the point comes back as den * x;
-    its dual is unbounded exactly when no point exists. Nonnegativity is
-    harmless for rate regions: singleton constraints force
-    x_j >= h({j}) >= 0 anyway.
+    its dual is unbounded exactly when no point exists. As ``_optimum``
+    requires, every singleton mask must be among ineq_masks and ineq_b must
+    be >= 0, or InvalidInputError is raised; then x_j >= b_{j} >= 0 holds
+    at every point with no x >= 0 row.
     """
     n_ineq = len(ineq_masks)
     b, den = _over_common_denominator([*ineq_b, *eq_b])
     eq_rows = [[mask >> j & 1 for j in range(m)] for mask in eq_masks]
     try:
         x_num, _, _, x_den = _optimum(
-            m, ineq_masks, b[:n_ineq], eq_rows, b[n_ineq:], [0] * m, True
+            m, ineq_masks, b[:n_ineq], eq_rows, b[n_ineq:], [0] * m
         )
     except LpUnboundedError:
         return None

@@ -56,12 +56,17 @@ class TightnessVerdict:
 def check_bound(
     oracle: EntropyOracle, active: int, *, report: Optional[CapacityReport] = None
 ) -> TightnessVerdict:
-    """Direct form: compare C_SK(A) against I(A) computed independently."""
+    """Direct form: compare C_SK(A) against I(A) computed independently.
+
+    I(A) >= C_SK on every integer table, exact or tabular (the identity in
+    ``witness_by_partition_search``), so a negative gap is a fault and
+    raises ComputationError.
+    """
     if report is None:
         report = r_co(oracle, active)
     bound, _ = mutual_dependence_bound(oracle, active)
     gap = bound - report.c_sk
-    if oracle.exact and gap < 0:
+    if gap < 0:
         raise ComputationError(
             f"mutual-dependence bound {bound} below capacity {report.c_sk}"
         )

@@ -413,6 +413,37 @@ class TestCli:
             assert out == ""
             assert err == f"omniscio: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "alphabets,pmf,message",
+        [
+            ([2], [([0, 0], "1")], "one alphabet size per terminal required"),
+            ([2, 0], [([0, 0], "1")], "alphabet sizes must be positive"),
+            ([2, 2], [([0], "1")], "symbol tuple (0,) has wrong arity"),
+            ([2, 2], [([0, 2], "1")], "symbol 2 outside its alphabet"),
+            ([2, 2], [([0, 0], "1/2"), ([0, 0], "1/2")],
+             "duplicate pmf entry for (0, 0)"),
+            ([2, 2], [([0, 0], "3/2"), ([1, 1], "-1/2")],
+             "probabilities must be nonnegative"),
+            ([2, 2], [([0, 0], "1/2")], "pmf sums to 1/2, expected exactly 1"),
+        ],
+        ids=["alphabet-count", "alphabet-empty", "arity", "symbol-range",
+             "duplicate", "negative", "sum"],
+    )
+    def test_tabular_refusal_exits_two(
+        self, tmp_path, capsys, alphabets, pmf, message
+    ):
+        source = {
+            "type": "tabular",
+            "alphabets": alphabets,
+            "pmf": [{"symbols": s, "prob": p} for s, p in pmf],
+        }
+        path = write_doc(tmp_path, {"m": 2, "active": [1, 2], "source": source})
+        for verb in ("solve", "mdb", "validate"):
+            assert main([verb, path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"omniscio: error: {message}\n"
+
     def test_validate_verb(self, tmp_path, capsys):
         doc = entropy_vector_doc(counterexample_entropy_vector(), [1, 2, 3])
         bad = write_doc(tmp_path, doc, "bad.json")
@@ -559,6 +590,19 @@ def readme_command_lines():
     lines = block.split("```", 1)[0].splitlines()
     argvs = [line.split("#")[0].split()[1:] for line in lines if line.strip()]
     return [["FILE" if a == "examples.json" else a for a in argv] for argv in argvs]
+
+
+def readme_library_block():
+    """The README's ``## Library`` python block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def test_readme_library_block_runs():
+    code = readme_library_block()
+    assert "r_co(oracle, active)" in code
+    exec(compile(code, str(README), "exec"), {})
 
 
 # The command-line contract, one row per command line: (argv, exit code,

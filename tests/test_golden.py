@@ -1,9 +1,10 @@
 """Every CLI verb's exact output, text and JSON, against committed files.
 
-``tests/golden/`` holds five source documents (``*.input.json``: the
+``tests/golden/`` holds six source documents (``*.input.json``: the
 six-terminal counterexample as a linear source, the same source with every
-terminal active, its valid entropy table, the published, invalid one, and
-a three-terminal linear source whose rate LP has more than one optimum)
+terminal active, its valid entropy table, the published, invalid one, a
+three-terminal linear source whose rate LP has more than one optimum, and
+a three-terminal tabular source)
 and, for each case below, the exact stdout of
 ``omniscio <argv>`` as ``<case>.txt`` and of ``omniscio <argv> --json`` as
 ``<case>.json``. The commands run from that directory, so the echoed input
@@ -34,6 +35,8 @@ CASES = {
     ),
     "validate_valid": (["validate", "valid_table.input.json"], 0),
     "validate_invalid": (["validate", "invalid_table.input.json"], 2),
+    "solve_tabular": (["solve", "tabular.input.json"], 0),
+    "validate_tabular": (["validate", "tabular.input.json"], 0),
     "counterexample_paper_h": (["counterexample", "--mode", "paper-h"], 0),
     "counterexample_generative": (["counterexample", "--mode", "generative"], 0),
     "audit": (["audit"], 0),

@@ -24,6 +24,7 @@ from omniscio.errors import InvalidInputError
 from omniscio.simplex import (
     ConstraintSystem,
     LpSolution,
+    feasible_point,
     make_system,
     solve,
     uniqueness_test,
@@ -133,6 +134,54 @@ CALLS = {
             LpSolution(F(-1), (F(1), F(0)), (F(0), F(1)), (1,)),
         ),
         "optimal face is unbounded",
+    ),
+    # The zero point holds both systems' rows and has the claimed objective
+    # 0, so only the contract of the LP underneath refuses them.
+    "uniqueness-missing-singleton": (
+        lambda: uniqueness_test(
+            make_system(2, [1], [0]),
+            LpSolution(F(0), (F(0), F(0)), (F(0),), (0,)),
+        ),
+        r"every singleton row is needed, and \{2\} is missing",
+    ),
+    "uniqueness-negative-rhs": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [-1, 0]),
+            LpSolution(F(0), (F(0), F(0)), (F(0), F(1)), (1,)),
+        ),
+        "right-hand side must be nonnegative",
+    ),
+    "feasible-missing-singleton": (
+        lambda: feasible_point(2, [0b01], [0], [0b11], [1]),
+        r"every singleton row is needed, and \{2\} is missing",
+    ),
+    "feasible-negative-rhs": (
+        lambda: feasible_point(2, [0b01, 0b10], [-1, 0], [], []),
+        "right-hand side must be nonnegative",
+    ),
+    "linear-negative-bits": (
+        lambda: LinearGF2Source(2, -1, ((), ())),
+        "base-bit count must be >= 0, got -1",
+    ),
+    "linear-row-lists": (
+        lambda: LinearGF2Source(2, 1, ((1,),)),
+        "expected 2 terminal row lists, got 1",
+    ),
+    "linear-row-width": (
+        lambda: LinearGF2Source(2, 1, ((1,), (0b10,))),
+        "terminal 2 row 0b10 exceeds 1 base bits",
+    ),
+    "system-b-length": (
+        lambda: ConstraintSystem(2, (1, 2), (0,), 1, (1, 1), 1),
+        "row count mismatch between masks and b",
+    ),
+    "system-c-length": (
+        lambda: ConstraintSystem(2, (1, 2), (0, 0), 1, (1,), 1),
+        "objective length must equal m",
+    ),
+    "system-denominator": (
+        lambda: ConstraintSystem(2, (1, 2), (0, 0), 1, (1, 1), 0),
+        "denominators must be positive",
     ),
     "enumerate-short-table": (
         lambda: enumerate_admissible(3, 0b111, [0]),

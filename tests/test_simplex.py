@@ -185,13 +185,14 @@ class TestUniqueness:
     @pytest.mark.parametrize(
         "x,message",
         [
-            ((F(-1), F(3)), "requires a nonnegative optimum"),
+            ((F(-1), F(3)), "not feasible for the system"),
             ((F(1, 2), F(3, 2)), "not feasible for the system"),
         ],
         ids=["negative", "outside-region"],
     )
     def test_rejects_point_off_the_region(self, x, message):
-        # Both points keep the optimal total 2, so only the named check fails.
+        # Both points keep the optimal total 2, so only the row check fails;
+        # the negative coordinate fails its singleton row.
         system = make_system(2, [0b01, 0b10], [F(1), F(1)])
         sol = solve(system)
         fake = type(sol)(sol.objective, x, sol.y, sol.tight_rows)

@@ -1,6 +1,7 @@
 """Tightness deciders, closure checks, and constructive extraction."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,19 @@ from omniscio import (
     make_oracle,
     make_sunflower,
     mutual_dependence_bound,
+    parse_source_file,
     partition_dependence,
     r_co,
     random_linear_source,
     witness_by_partition_search,
 )
-from omniscio.errors import InternalContractError, InvalidInputError
+from omniscio import tightness
+from omniscio.cli import main
+from omniscio.errors import (
+    ComputationError,
+    InternalContractError,
+    InvalidInputError,
+)
 from omniscio.omniscience import ConstraintFamily
 from omniscio.simplex import LpSolution
 from omniscio.sources import LinearGF2Source
@@ -26,6 +34,7 @@ from omniscio.subsets import complement, full_mask, mask_from_terminals
 from helpers import region_contains, sw_gap, verify_closure
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))
 
 
@@ -63,6 +72,24 @@ class TestCheckBound:
         verdict = check_bound(make_oracle(shared_bit_source(3)), 0b111)
         assert verdict.tight
         assert verdict.c_sk == 1 and verdict.bound == 1
+
+    @pytest.mark.parametrize("name", ["counterexample", "tabular"])
+    def test_bound_below_capacity_is_a_fault(self, name, monkeypatch, capsys):
+        # I(A) >= C_SK holds on every integer table, exact or tabular, so a
+        # bound below C_SK can only come from a fault.
+        path = str(GOLDEN / f"{name}.input.json")
+        oracle, active, _ = parse_source_file(path)
+
+        def below_capacity(oracle, active):
+            return r_co(oracle, active).c_sk - F(1, 4), ()
+
+        monkeypatch.setattr(tightness, "mutual_dependence_bound", below_capacity)
+        with pytest.raises(ComputationError, match="below capacity"):
+            check_bound(oracle, active)
+        assert main(["tight", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "below capacity" in err
 
 
 class TestWitnessSearch:
