@@ -7,6 +7,8 @@ function). Blank lines, comment lines and docstring lines do not count.
 Run from the repository root::
 
     python tests/code_lines.py [PACKAGE_DIR]
+
+``python tests/code_lines.py tests`` counts the test suite the same way.
 """
 
 import ast

@@ -39,6 +39,7 @@ from helpers import (
     reference_simplex_min,
     reference_uniqueness_test,
     row_sum,
+    sw_gap,
 )
 
 F = Fraction
@@ -244,13 +245,19 @@ def test_table_scale_gives_the_fraction_system_results(index):
         comps = [complement(block, m) for block in partition]
         eq_b = [oracle.cond_entropy(c) for c in comps]
         eq_num = [joint[-1] - joint[block] for block in partition]
+        point = feasible_point(m, family.masks, fraction_b(system), comps, eq_b)
         assert feasible_point(
             m,
             family.masks,
             [F(v, scale) for v in system.b_num],
             comps,
             [F(v, scale) for v in eq_num],
-        ) == feasible_point(m, family.masks, fraction_b(system), comps, eq_b)
+        ) == point
+        if point is not None:
+            # The point itself, read back over the table's scale: every row
+            # holds and every block complement is tight.
+            assert all(sw_gap(point, mask, oracle) >= 0 for mask in family.masks)
+            assert all(sw_gap(point, c, oracle) == 0 for c in comps)
 
 
 integer_cells = st.integers(-3, 3)

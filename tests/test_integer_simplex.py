@@ -1,17 +1,15 @@
-"""The packed fraction-free simplex against the tableaux it replaced.
+"""The packed fraction-free simplex against the tableau it replaced.
 
 ``simplex.simplex_min`` pivots integer rows packed into one int each, over
 one common denominator, from a unit basis its caller names, and returns
-ints over that denominator; ``helpers.reference_integer_simplex_min`` is
-the two-phase list-of-ints tableau it replaced, and
-``helpers.reference_simplex_min`` the two-phase Fraction tableau before
-that. On the systems below, with rhs >= 0 and the start columns in
-ascending order ahead of every other column they could displace, phase 1
-of the references ends at the start basis with every row unchanged, so all
-three take Bland's phase-2 path through the same tableau values and must
-return the same vertex, dual and objective, or raise the same exception. A
-rational system goes to ``simplex_min`` scaled to ints, and its answer is
-read back through ``helpers.rational_simplex_min``.
+ints over that denominator; ``helpers.reference_simplex_min`` is the
+two-phase Fraction tableau. On the systems below, with rhs >= 0 and the
+start columns in ascending order ahead of every other column they could
+displace, phase 1 of the reference ends at the start basis with every row
+unchanged, so both take Bland's phase-2 path through the same tableau
+values and must return the same vertex, dual and objective, or raise the
+same exception. A rational system goes to ``simplex_min`` scaled to ints,
+and its answer is read back through ``helpers.rational_simplex_min``.
 """
 
 import random
@@ -39,7 +37,7 @@ from helpers import (
     LpInfeasibleError,
     admissible,
     rational_simplex_min,
-    reference_integer_simplex_min,
+    rationals,
     reference_simplex_min,
 )
 
@@ -53,14 +51,12 @@ def outcome(fn, *system):
         return type(exc)
 
 
-def assert_same_outcome(matrix, rhs, costs, start, fraction_tableau=True):
+def assert_same_outcome(matrix, rhs, costs, start):
     # rational_simplex_min asserts that simplex_min returns only ints and
     # den > 0, and reads back (z / den, y / den, objective / den), with the
-    # scaling undone, for the comparison. The references run both phases.
+    # scaling undone, for the comparison. The reference runs both phases.
     new = outcome(rational_simplex_min, matrix, rhs, costs, start)
-    assert new == outcome(reference_integer_simplex_min, matrix, rhs, costs)
-    if fraction_tableau:
-        assert new == outcome(reference_simplex_min, matrix, rhs, costs)
+    assert new == outcome(reference_simplex_min, matrix, rhs, costs)
     return new
 
 
@@ -115,8 +111,7 @@ def test_every_library_call_matches_reference(name, source, active, monkeypatch)
         assert_same_outcome(*call)
 
 
-# The widest fields: m = 7 and 8 at A = M and |A| = 3. The Fraction tableau
-# is too slow here, so the list-of-ints tableau is the reference.
+# The widest fields: m = 7 and 8 at A = M and |A| = 3.
 WIDE = [
     (f"m{m}-a{active:b}-s{seed}", random_linear_source(m, m, 2, seed), active)
     for m in (7, 8)
@@ -138,11 +133,11 @@ def test_wide_library_calls_match_integer_reference(
 
     assert len(calls) >= 2
     for call in calls:
-        assert_same_outcome(*call, fraction_tableau=False)
+        assert_same_outcome(*call)
 
 
-cells = st.fractions(-3, 3, max_denominator=4)
-nonnegative = st.fractions(0, 3, max_denominator=4)
+cells = st.sampled_from(rationals(-3, 3, 4))
+nonnegative = st.sampled_from(rationals(0, 3, 4))
 
 
 def unit_first(matrix, rhs, costs):

@@ -1,11 +1,11 @@
-"""The integer-table validity scan and I(A) loop against the Fraction ones.
+"""The integer-table validity scan and I(A) loop against the references.
 
 ``check_validity`` and ``mutual_dependence_bound`` run on the oracle's
 joint entropies scaled to exact ints, and an exact table skips the pair
-listing when every elemental square holds. Both must give exactly what the
-Fraction-arithmetic reference scans in ``helpers`` give: the same report
+listing when every elemental square holds. Both must give exactly what
+``helpers`` gives: the all-pairs ``reference_check_validity`` report
 (violating pairs, their order and their Fraction sides, and the message),
-and the same bound with the same minimizers in the same order.
+and the brute-force bound with the same minimizers in the same order.
 """
 
 import random
@@ -29,9 +29,9 @@ from omniscio.sources import EntropyVector, TabularSource
 from omniscio.subsets import full_mask
 
 from helpers import (
+    brute_force_mutual_dependence_bound,
     oracle_from_table,
     reference_check_validity,
-    reference_mutual_dependence_bound,
 )
 
 F = Fraction
@@ -142,7 +142,7 @@ class TestBoundMatchesReference:
         oracle = make_oracle(random_linear_source(m, m, 2, seed))
         for active in (full_mask(m), 0b111):
             assert mutual_dependence_bound(oracle, active) == (
-                reference_mutual_dependence_bound(oracle, active)
+                brute_force_mutual_dependence_bound(oracle, active)
             )
 
     def test_counterexamples(self):
@@ -150,13 +150,13 @@ class TestBoundMatchesReference:
         paper = make_oracle(counterexample_entropy_vector(), validate=False)
         for oracle in (make_oracle(source), paper):
             assert mutual_dependence_bound(oracle, active) == (
-                reference_mutual_dependence_bound(oracle, active)
+                brute_force_mutual_dependence_bound(oracle, active)
             )
 
     def test_tabular_oracle(self):
         oracle = make_oracle(tabular_source(4, 0))
         assert mutual_dependence_bound(oracle, 0b1111) == (
-            reference_mutual_dependence_bound(oracle, 0b1111)
+            brute_force_mutual_dependence_bound(oracle, 0b1111)
         )
 
 
@@ -171,4 +171,4 @@ class TestUnnormalisedTable:
         values = (F(1, 8), F(1), F(1), F(2))
         oracle = oracle_from_table(2, values, 0.25)
         bound, _ = mutual_dependence_bound(oracle, 0b11)
-        assert bound == reference_mutual_dependence_bound(oracle, 0b11)[0]
+        assert bound == brute_force_mutual_dependence_bound(oracle, 0b11)[0]

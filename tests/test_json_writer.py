@@ -45,13 +45,13 @@ def dumps(value):
     return json.dumps(value, indent=2) + "\n"
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(TEXT, VALUES, max_size=5))
 def test_reports_match_json_dumps(report):
     assert render_json(report) == dumps(report)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(VALUES)
 def test_any_value_matches_json_dumps(value):
     assert render_json(value) == dumps(value)

@@ -4,6 +4,10 @@
 one equality row per terminal; ``helpers.reference_*`` keep the equational
 forms with one row per constraint. Both are exact, so every quantity that
 does not depend on which optimal vertex is picked must agree bit for bit.
+A partition's feasibility system has a point exactly when its mutual
+dependence equals C_SK (the witness identity in ``tightness``), so
+``feasible_point``'s verdicts are checked against that, with C_SK from the
+reference dual solve.
 """
 
 import math
@@ -20,6 +24,7 @@ from omniscio import (
     make_counterexample,
     make_oracle,
     make_system,
+    partition_dependence,
     random_linear_source,
     solve,
     uniqueness_test,
@@ -31,8 +36,8 @@ from omniscio.subsets import complement, full_mask
 from helpers import (
     admissible,
     brute_force_lp_min,
+    rationals,
     reference_dual_solve,
-    reference_feasible_point,
     reference_solve,
     reference_uniqueness_test,
 )
@@ -74,22 +79,22 @@ def test_solve_and_uniqueness_match_reference(name, source, active):
     assert new_cert.auxiliary_value == old_cert.auxiliary_value
 
 
-# The reference feasibility LP has a row per constraint and runs for every
-# admissible partition (202 at m = 6, A = M), so it gets one seed per shape.
 @over(list(instances([0])))
 def test_feasible_point_verdicts_match_reference(name, source, active):
     # Every admissible partition, not only those passing the witness
     # search's arithmetic filter, so infeasible systems are covered too.
     oracle, family = oracle_and_family(source, active)
     m = oracle.m
+    system = family.system(oracle)
+    c_sk = oracle.total_entropy() - reference_dual_solve(system).objective
     b = [oracle.cond_entropy(mask) for mask in family.masks]
     found = 0
     for partition in admissible(m, active):
         comps = [complement(block, m) for block in partition]
         eq_b = [oracle.cond_entropy(c) for c in comps]
         new = feasible_point(m, family.masks, b, comps, eq_b)
-        old = reference_feasible_point(m, family.masks, b, comps, eq_b)
-        assert (new is None) == (old is None), partition
+        meets = partition_dependence(oracle, partition) == c_sk
+        assert (new is not None) == meets, partition
         found += new is not None
     if active == full_mask(m):
         assert found  # the bound is tight when every terminal is active
@@ -99,7 +104,7 @@ small_systems = st.integers(2, 4).flatmap(
     lambda m: st.tuples(
         st.just(m),
         st.sets(st.integers(1, full_mask(m) - 1)),
-        st.lists(st.fractions(0, 3, max_denominator=4), min_size=1 << m,
+        st.lists(st.sampled_from(rationals(0, 3, 4)), min_size=1 << m,
                  max_size=1 << m),
         st.lists(st.integers(1, 3), min_size=m, max_size=m),
     )
@@ -121,9 +126,9 @@ rate_systems = st.integers(2, 4).flatmap(
     lambda m: st.tuples(
         st.just(m),
         st.sets(st.integers(1, full_mask(m) - 1), max_size=4),
-        st.lists(st.fractions(0, 3, max_denominator=4), min_size=1 << m,
+        st.lists(st.sampled_from(rationals(0, 3, 4)), min_size=1 << m,
                  max_size=1 << m),
-        st.lists(st.fractions(0, 3, max_denominator=3), min_size=m, max_size=m),
+        st.lists(st.sampled_from(rationals(0, 3, 3)), min_size=m, max_size=m),
     )
 )
 

@@ -1,9 +1,9 @@
-"""The packed validity scan against the two scans it replaced.
+"""The packed validity scan against the all-pairs reference scan.
 
 ``check_validity`` packs the h table into one int of w-bit fields and reads
 monotonicity, the elemental squares and the violating pairs off the fields'
-sign bits. It must give exactly the report of the list-of-ints scan that
-preceded it and of the Fraction scan before that: the same violations in
+sign bits. It must give exactly the report of ``reference_check_validity``,
+which compares every pair of subsets one by one: the same violations in
 the same order, with the same Fraction sides. Asked for the first
 violation only, as ``make_oracle`` asks, it must list exactly the first of
 those pairs. The width-edge tables put 2R + t, R the table's range and t
@@ -24,11 +24,7 @@ from omniscio import check_validity, counterexample_entropy_vector, make_oracle
 from omniscio.errors import ValidationError
 from omniscio.sources import EntropyVector
 
-from helpers import (
-    oracle_from_table,
-    reference_check_validity,
-    reference_integer_check_validity,
-)
+from helpers import oracle_from_table, reference_check_validity
 from test_integer_tables import linear_joint, perturbed_vector, tabular_source
 
 F = Fraction
@@ -36,11 +32,9 @@ F = Fraction
 
 def assert_same_report(oracle):
     report = check_validity(oracle)
-    assert report == reference_integer_check_validity(oracle)
-    assert report == reference_check_validity(oracle)
-    assert report.describe_first() == (
-        reference_check_validity(oracle).describe_first()
-    )
+    reference = reference_check_validity(oracle)
+    assert report == reference
+    assert report.describe_first() == reference.describe_first()
     # The first-only scan lists the least violated pair and nothing else.
     assert check_validity(oracle, first=True) == replace(
         report, supermodularity_violations=report.supermodularity_violations[:1]
@@ -103,13 +97,10 @@ def test_lowered_by_slack_plus_half(m):
 def test_load_stops_at_first_violation(vector):
     # make_oracle asks only for the first violated pair; its error must be
     # the full report's first violation, and the full report must still
-    # list every pair (the Fraction reference is too slow past m = 8).
+    # list every pair.
     oracle = make_oracle(vector, validate=False)
     full = check_validity(oracle)
-    if oracle.m <= 8:
-        assert full == reference_check_validity(oracle)
-    else:
-        assert full == reference_integer_check_validity(oracle)
+    assert full == reference_check_validity(oracle)
     only = check_validity(oracle, first=True)
     assert full.supermodularity_violations
     assert only.supermodularity_violations == full.supermodularity_violations[:1]

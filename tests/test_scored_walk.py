@@ -6,13 +6,12 @@ L = lcm(1, ..., |A|-1), and ``mutual_dependence_bound`` keeps the least
 key. These tests check the bound and its minimizers against the brute
 force over unfiltered partitions (tables whose minimizers span several
 block counts, tabular oracles and non-monotone tables read without
-validation), check that the walk on a zero table yields the same
-partitions in the same order, and for each block count those of the
-recursive reference enumerator (up to m = 9, with active sets that give
-the two terminals of the walk's last leaf every active/inactive pattern),
-and check that every call drains the module binding
-``dependence.enumerate_admissible`` exactly once, over every admissible
-partition, as the benchmark's tracer counts it.
+validation), check that the walk, on a table and on a zero table, yields
+the partitions of ``helpers.admissible`` in the same order (up to m = 9,
+with active sets that give the two terminals of the walk's last leaf every
+active/inactive pattern), and check that every call drains the module
+binding ``dependence.enumerate_admissible`` exactly once, over every
+admissible partition, as the benchmark's tracer counts it.
 """
 
 import math
@@ -34,12 +33,7 @@ from omniscio.cli import main
 from omniscio.sources import EntropyVector, LinearGF2Source, TabularSource
 from omniscio.subsets import full_mask
 
-from helpers import (
-    admissible,
-    brute_force_mutual_dependence_bound,
-    brute_force_partitions,
-    reference_enumerate_partitions,
-)
+from helpers import admissible, brute_force_mutual_dependence_bound
 
 GOLDEN_INPUT = str(Path(__file__).parent / "golden" / "counterexample.input.json")
 
@@ -75,15 +69,6 @@ def random_table_oracle(m, seed):
 def active_sets(m):
     full = full_mask(m)
     return sorted({full, 0b11, 0b101 & full, (full >> 1) | 1} - {1})
-
-
-def admissible_count(m, active):
-    size_a = active.bit_count()
-    return sum(
-        1
-        for p in brute_force_partitions(m)
-        if 2 <= len(p) <= size_a and all(b & active for b in p)
-    )
 
 
 SPANNING = [
@@ -151,12 +136,9 @@ class TestKeys:
             oracle = random_table_oracle(m, seed)
             for active in active_sets(m):
                 scored = list(dependence.enumerate_admissible(m, active, oracle.joint))
-                plain = admissible(m, active)
-                assert plain == [p for _, p in scored]
-                for k in range(2, active.bit_count() + 1):
-                    assert list(reference_enumerate_partitions(m, active, k)) == [
-                        p for p in plain if len(p) == k
-                    ]
+                plain = dependence.enumerate_admissible(m, active, bytes(1 << m))
+                assert [p for _, p in scored] == admissible(m, active)
+                assert [p for _, p in plain] == admissible(m, active)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_key_is_scaled_dependence(self, m):
@@ -199,13 +181,7 @@ class TestTwoTerminalLeaf:
                 scored = list(
                     dependence.enumerate_admissible(m, active, oracle.joint)
                 )
-                walked = [p for _, p in scored]
-                assert walked == admissible(m, active)
-                assert walked == [
-                    p
-                    for k in range(2, active.bit_count() + 1)
-                    for p in reference_enumerate_partitions(m, active, k)
-                ]
+                assert [p for _, p in scored] == admissible(m, active)
                 lcm = math.lcm(*range(1, active.bit_count()))
                 for key, p in scored:
                     assert Fraction(key, lcm * oracle.scale) == (
@@ -238,7 +214,7 @@ class TestTracedBinding:
         for active in active_sets(m):
             drains.clear()
             mutual_dependence_bound(oracle, active)
-            assert drains == [admissible_count(m, active)]
+            assert drains == [len(admissible(m, active))]
 
     def test_cli_mdb_and_tight_drain_once(self, drains, capsys):
         # The six-terminal counterexample with A = {1,2,3}: 51 partitions.

@@ -1,12 +1,12 @@
 """The entropy-table verbs' one integer pass against the paths it replaced.
 
 ``enumerate_admissible`` walks restricted-growth strings in one generator
-frame per block count k and must yield exactly what the recursive
-reference enumerator in ``helpers`` yields for each k, in the same order;
-the elemental squares that let an exact table skip the pair listing are
-checked on the packed table and must decide supermodularity as every pair
-does. ``parse_fraction`` reads plain ASCII ``p`` and ``p/q`` with ``int``
-and must agree with ``Fraction`` on everything else. The oracle's data is
+frame per block count k and must yield exactly ``helpers.admissible``, the
+admissible ones of every set partition, in the same order; the elemental
+squares that let an exact table skip the pair listing are checked on the
+packed table and must decide supermodularity as every pair does.
+``parse_fraction`` reads plain ASCII ``p`` and ``p/q`` with ``int`` and
+must agree with ``Fraction`` on everything else. The oracle's data is
 one integer table over one scale: its Fraction reads must be built from
 that table, a linear source and its own table loaded as an entropy vector
 must give the same oracle, and every reader of the table (the rate LP's
@@ -43,10 +43,9 @@ from omniscio.subsets import full_mask
 from helpers import (
     admissible,
     brute_force_joint_entropy,
+    brute_force_mutual_dependence_bound,
     fraction_b,
     oracle_from_table,
-    reference_enumerate_partitions,
-    reference_mutual_dependence_bound,
 )
 from test_integer_tables import perturbed_vector, tabular_source
 
@@ -54,12 +53,8 @@ F = Fraction
 
 
 def assert_same_partitions(m, active):
-    partitions = admissible(m, active)
-    for k in range(2, active.bit_count() + 1):
-        got = [p for p in partitions if len(p) == k]
-        assert got == list(reference_enumerate_partitions(m, active, k)), (
-            m, active, k
-        )
+    walked = [p for _, p in enumerate_admissible(m, active, bytes(1 << m))]
+    assert walked == admissible(m, active), (m, active)
 
 
 class TestEnumeratorMatchesReference:
@@ -86,8 +81,6 @@ class TestEnumeratorMatchesReference:
     def test_bad_arguments_raise_on_call(self, m, active, k):
         with pytest.raises(InvalidInputError):
             enumerate_admissible(m, active, bytes(1 << m))  # not iterated
-        with pytest.raises(InvalidInputError):
-            reference_enumerate_partitions(m, active, k)
 
     def test_out_of_range_active_set_raises_on_call(self):
         with pytest.raises(ValueError):
@@ -181,7 +174,7 @@ class TestOracleTable:
         oracle = oracle_from_table(5, values, 0.25)
         for active in (full_mask(5), 0b10110):
             assert mutual_dependence_bound(oracle, active) == (
-                reference_mutual_dependence_bound(oracle, active)
+                brute_force_mutual_dependence_bound(oracle, active)
             )
 
 

@@ -1,12 +1,13 @@
-"""The witness search over I(A)'s minimizers against the full partition scan.
+"""The witness search over I(A)'s minimizers against the brute-force I(A).
 
 ``tightness.witness_by_partition_search`` takes the rate LP's optimum as
 the witness rates for the first minimizer of I(A), when I(A) = C_SK, and
-solves no LP of its own; ``helpers.reference_witness_by_partition_search``
-scans every admissible partition, skips those failing
-sum_i h(C_i^c) = (k-1) R_CO and asks ``feasible_point`` for the rest. Both
-must give the same verdict, gap and witness partition on every oracle:
-exact or tabular, valid or not.
+solves no LP of its own. A partition hosts a witness exactly when its
+mutual dependence equals C_SK, and none is below C_SK, so the search must
+say tight exactly when the brute-force I(A) equals C_SK, give the gap
+I(A) - C_SK and, when tight, name the first brute-force minimizer, on
+every oracle: exact or tabular, valid or not. The identity itself is
+checked against ``feasible_point`` on every admissible partition.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from omniscio.simplex import feasible_point
 from omniscio.sources import EntropyVector, TabularSource
 from omniscio.subsets import complement, full_mask
 
-from helpers import admissible, reference_witness_by_partition_search
+from helpers import admissible, brute_force_mutual_dependence_bound
 
 F = Fraction
 
@@ -113,24 +114,26 @@ def recorded(monkeypatch):
 def test_same_verdict_witness_and_calls_as_the_full_scan(
     name, oracle, active, monkeypatch
 ):
-    # The same verdict, gap, C_SK, bound and witness partition as the
-    # reference scan, with no LP call: the witness rates are the report's.
+    # The verdict, gap, C_SK, bound and witness partition that the
+    # brute-force I(A) gives, with no LP call: the witness rates are the
+    # report's.
     try:
         report = r_co(oracle, active)
     except OmniscioError as exc:  # a table the rate LP rejects
         with pytest.raises(type(exc)):
             witness_by_partition_search(oracle, active)
         return
-    old = reference_witness_by_partition_search(oracle, active, report=report)
+    bound, minimizers = brute_force_mutual_dependence_bound(oracle, active)
+    tight = bound == report.c_sk
     calls = recorded(monkeypatch)
     new = witness_by_partition_search(oracle, active, report=report)
     assert calls == []
     assert (new.tight, new.gap, new.c_sk, new.bound) == (
-        old.tight, old.gap, old.c_sk, old.bound,
+        tight, bound - report.c_sk, report.c_sk, bound,
     )
-    assert (new.witness is None) == (old.witness is None)
+    assert (new.witness is None) == (not tight)
     if new.witness is not None:
-        assert new.witness[0] == old.witness[0]
+        assert new.witness[0] == minimizers[0]
         assert new.witness[1] == report.rates
         assert all(type(v) is Fraction for v in new.witness[1])
 
