@@ -16,7 +16,10 @@ x_j >= b_{j} >= 0 at every feasible point and no LP needs x >= 0 rows.
   LP's optimal dual y, and its simplex multipliers are -x.
 * ``uniqueness_test`` maximizes, over the optimal face, the slacks of the
   rows tight at x plus the coordinates where x is zero (Mangasarian,
-  "Uniqueness of solution in linear programming", 1979).
+  "Uniqueness of solution in linear programming", 1979). It hands
+  ``_optimum`` the rows tight at x first, so Bland's rule enters the rows
+  of the optimal face before any other; the optimum does not depend on
+  the order.
 * ``feasible_point`` decides a system of inequality and equality rows with
   objective 0: the dual is unbounded exactly when the system has no point.
 
@@ -29,7 +32,8 @@ table of the point's sums over every subset mask. Fractions are built only
 for returned values.
 
 ``simplex_min`` starts from a unit basis that its caller names, the dual's
-singleton columns, so it has no phase 1. It pivots a
+singleton columns, so it has no phase 1, and it reads the dual off the
+z-row's fields at those columns. It pivots a
 fraction-free tableau: integer cells over one common denominator, the
 determinant of the basis, updated by the exact divisions of Edmonds
 ("Systems of distinct representatives and linear algebra", 1967) and
@@ -189,7 +193,8 @@ def simplex_min(
     n_cols = len(costs)
     if len(start) != n_rows or min(rhs, default=0) < 0 or any(
         not 0 <= k < n_cols
-        or any(row[k] != (r == i) for r, row in enumerate(matrix))
+        or (col := [row[k] for row in matrix])[i] != 1
+        or col.count(0) != n_rows - 1
         for i, k in enumerate(start)
     ):
         raise InternalContractError("simplex start is not a feasible unit basis")
@@ -280,8 +285,13 @@ def simplex_min(
     for k, v in zip(basis, right):
         z[k] = v
     # Column start[i] is the unit vector of row i, so its reduced cost is
-    # its cost minus y_i: the z-row field there is denom * (c_k - y_i).
-    y = [denom * costs[k] - column(k)[n_rows] for k in start]
+    # its cost minus y_i: the z-row field there is denom * (c_k - y_i). Only
+    # the z-row's field is read, as ``column`` reads it.
+    zrow = packed[n_rows]
+    y = []
+    for k in start:
+        r = ((zrow >> (k * w - 1)) + 1) >> 1 if k else zrow
+        y.append(denom * costs[k] - (((r & low) ^ half) - half))
     return z, y, -right[n_rows], denom
 
 
@@ -427,11 +437,16 @@ def uniqueness_test(
     needs; it solves and certifies min (lam c - d).z over those rows, so
     strong duality proves both the verdict and the auxiliary value. A
     maximum of 0 certifies uniqueness; otherwise z is the alternative
-    optimum. The rows go over in ints: c.z = R as c_num.z = R c_den, with b
-    and R c_den over one denominator q, so the point comes back as q z. A
-    weight c_j <= 0 where d_j > 0 leaves the face unbounded in a direction
-    d rewards, and it, or any negative weight, raises InvalidInputError, as
-    do a negative b and a missing singleton row (``_optimum``'s contract).
+    optimum. The rows tight at x go to ``_optimum`` first, in mask order,
+    then the rest, so Bland's rule enters the rows of the optimal face
+    before any other. The LP's optimum is the auxiliary value, so neither
+    it nor the verdict depends on that order; only which alternative
+    vertex comes back can. The rows go over in ints: c.z = R as
+    c_num.z = R c_den, with b and R c_den over one denominator q, so the
+    point comes back as q z. A weight c_j <= 0 where d_j > 0 leaves the
+    face unbounded in a direction d rewards, and it, or any negative
+    weight, raises InvalidInputError, as do a negative b and a missing
+    singleton row (``_optimum``'s contract).
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
@@ -459,9 +474,11 @@ def uniqueness_test(
     lam = max((-(-dj // cj) for cj, dj in zip(c, d) if cj), default=0)
     # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
     q = math.lcm(b_den, r_den)
+    order = tight + [i for i, v in enumerate(slacks) if v]
     z_num, _, _, den = _optimum(
-        m, masks, [q // b_den * v for v in b], [c],
-        [r_num * c_den * (q // r_den)], [lam * cj - dj for cj, dj in zip(c, d)],
+        m, [masks[i] for i in order], [q // b_den * b[i] for i in order],
+        [c], [r_num * c_den * (q // r_den)],
+        [lam * cj - dj for cj, dj in zip(c, d)],
     )
     # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
     z_den = q * den

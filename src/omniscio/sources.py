@@ -193,7 +193,15 @@ def make_oracle(source: SourceLike, *, validate: bool = True) -> EntropyOracle:
         raise InvalidInputError(f"unsupported source type {type(source).__name__}")
     m = source.m
     if isinstance(source, LinearGF2Source):
-        ranks = tuple(gf2_rank(source.stacked_rows(s)) for s in range(1 << m))
+        # stacked_rows of every subset of the low m // 2 terminals and of
+        # the high ones, built by doubling. stacked_rows(S_lo | S_hi) is
+        # S_lo's list then S_hi's, and the pairs run in mask order.
+        low: List[List[int]] = [[]]
+        high: List[List[int]] = [[]]
+        for j in range(m):
+            half = low if j < m // 2 else high
+            half += [[*rows, *source.rows[j]] for rows in half]
+        ranks = tuple(gf2_rank(lo + hi) for hi in high for lo in low)
         return EntropyOracle(m, 1, ranks, 0)
     if isinstance(source, TabularSource):
         entropies = [source.joint_entropy(s) for s in range(1 << m)]

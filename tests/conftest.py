@@ -1,8 +1,41 @@
-"""Prints one summary line per acceptance criterion after the run."""
+"""Prints one summary line per acceptance criterion after the run, and
+fails any test whose body runs past a wall-clock limit."""
+
+import signal
 
 import pytest
 
+# The slowest test takes a few seconds; a test past this limit is stuck (a
+# simplex that cycles, say), and failing it lets the rest of the run go on.
+TEST_WALL_LIMIT_S = 120
+
 _acceptance_results = {}
+
+
+class WallLimitExceeded(BaseException):
+    """Raised in a test body at the wall limit. Not an Exception, so that
+    hypothesis does not catch it and replay the stuck example to shrink it."""
+
+
+def _over_the_limit(signum, frame):
+    raise WallLimitExceeded(f"test ran past {TEST_WALL_LIMIT_S} s")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):  # no alarm signal on Windows
+        return (yield)
+    previous = signal.signal(signal.SIGALRM, _over_the_limit)
+    signal.setitimer(signal.ITIMER_REAL, TEST_WALL_LIMIT_S)
+    try:
+        return (yield)
+    except WallLimitExceeded as exc:
+        # The interrupted frame may have no line number, and pytest cannot
+        # render such a traceback: report the limit without it.
+        raise WallLimitExceeded(*exc.args) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.hookimpl

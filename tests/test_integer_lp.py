@@ -190,24 +190,35 @@ general_systems = st.integers(2, 4).flatmap(
 )
 
 
+def general_system(data):
+    m, extra, b_pool, c = data
+    masks = sorted(extra | {1 << j for j in range(m)})
+    return make_system(m, masks, [b_pool[mask] for mask in masks], c)
+
+
+def assert_alternative_is_optimal(system, sol, cert):
+    """A NotUnique alternative is >= 0, meets every row, has c.z = R and
+    is not x."""
+    if cert.unique:
+        return
+    alt = cert.alternative
+    assert alt != sol.x and min(alt) >= 0
+    b, c = fraction_b(system), fraction_c(system)
+    assert sum(cj * v for cj, v in zip(c, alt)) == sol.objective
+    assert all(row_sum(system, alt, i) >= b[i] for i in range(system.l))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(general_systems)
 def test_uniqueness_matches_reference_for_general_objectives(data):
-    m, extra, b_pool, c = data
-    masks = sorted(extra | {1 << j for j in range(m)})
-    system = make_system(m, masks, [b_pool[mask] for mask in masks], c)
+    system = general_system(data)
     sol = solve(system)
     assert sol.objective == brute_force_lp_min(system)
     new = uniqueness_test(system, sol)
     old = reference_uniqueness_test(system, sol)
     assert new.verdict == old.verdict
     assert new.auxiliary_value == old.auxiliary_value
-    if not new.unique:
-        alt = new.alternative
-        assert alt != sol.x and min(alt) >= 0
-        b, c = fraction_b(system), fraction_c(system)
-        assert sum(cj * v for cj, v in zip(c, alt)) == sol.objective
-        assert all(row_sum(system, alt, i) >= b[i] for i in range(system.l))
+    assert_alternative_is_optimal(system, sol, new)
 
 
 def tabular_oracle():
@@ -258,6 +269,42 @@ def test_table_scale_gives_the_fraction_system_results(index):
             # holds and every block complement is tight.
             assert all(sw_gap(point, mask, oracle) >= 0 for mask in family.masks)
             assert all(sw_gap(point, c, oracle) == 0 for c in comps)
+
+
+def permuted(system, order):
+    """The system with row order[i] as its row i."""
+    return ConstraintSystem(
+        system.m,
+        tuple(system.row_masks[i] for i in order),
+        tuple(system.b_num[i] for i in order),
+        system.b_den,
+        system.c_num,
+        system.c_den,
+    )
+
+
+# The general systems above and the family systems, so both verdicts.
+any_system = st.one_of(
+    general_systems.map(general_system),
+    st.sampled_from([family.system(oracle) for family, oracle in family_systems()]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(any_system.flatmap(
+    lambda system: st.tuples(st.just(system), st.permutations(range(system.l)))
+))
+def test_uniqueness_verdict_and_value_do_not_depend_on_the_row_order(data):
+    # uniqueness_test hands _optimum the rows tight at x first; the optimum
+    # of its LP is the auxiliary value whatever the order of the rows.
+    system, order = data
+    sol = solve(system)
+    base = uniqueness_test(system, sol)
+    shuffled = uniqueness_test(permuted(system, order), sol)
+    assert shuffled.verdict == base.verdict
+    assert shuffled.auxiliary_value == base.auxiliary_value
+    assert_alternative_is_optimal(system, sol, base)
+    assert_alternative_is_optimal(system, sol, shuffled)
 
 
 integer_cells = st.integers(-3, 3)

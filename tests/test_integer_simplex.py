@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omniscio.omniscience as omniscience
 import omniscio.simplex as simplex
 from omniscio import (
     build_family,
@@ -134,6 +135,47 @@ def test_wide_library_calls_match_integer_reference(
     assert len(calls) >= 2
     for call in calls:
         assert_same_outcome(*call)
+
+
+def count_calls(monkeypatch, *bindings):
+    """Calls per name of every (module, name) binding given, until
+    ``monkeypatch.undo()``."""
+    counts = dict.fromkeys([name for _, name in bindings], 0)
+
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+COUNTED = [
+    (f"m{m}-a{active:b}", random_linear_source(m, m, 2, 0), active)
+    for m in range(4, 9)
+    for active in (full_mask(m), 0b111)
+] + CASES[-2:]  # generative and paper-h
+
+
+@pytest.mark.parametrize(
+    "name,source,active", COUNTED, ids=[case[0] for case in COUNTED]
+)
+def test_one_r_co_runs_one_solve_one_uniqueness_test_and_two_lps(
+    name, source, active, monkeypatch
+):
+    oracle = make_oracle(source, validate=False)
+    counts = count_calls(
+        monkeypatch,
+        (omniscience, "solve"),
+        (omniscience, "uniqueness_test"),
+        (simplex, "simplex_min"),
+    )
+    r_co(oracle, active)
+    monkeypatch.undo()
+    assert counts == {"solve": 1, "uniqueness_test": 1, "simplex_min": 2}
 
 
 cells = st.sampled_from(rationals(-3, 3, 4))

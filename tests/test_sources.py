@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import omniscio.sources as sources
 from omniscio import (
     EntropyVector,
     InvalidInputError,
@@ -19,6 +20,7 @@ from omniscio import (
     partition_dependence,
     random_linear_source,
 )
+from omniscio.gf2 import gf2_rank
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import complement, full_mask, mask_from_terminals
 
@@ -82,6 +84,25 @@ class TestOracleBasics:
         oracle = make_oracle(src)
         for s in range(1 << 4):
             assert oracle.joint_entropy(s) == brute_force_joint_entropy(src, s)
+
+    @pytest.mark.parametrize(
+        "src",
+        [random_linear_source(m, m, 2, seed) for m in range(2, 9) for seed in (0, 1)]
+        + [make_counterexample()[0], shared_bit_source()],
+    )
+    def test_linear_oracle_ranks_every_subset_once_in_mask_order(
+        self, src, monkeypatch
+    ):
+        calls = []
+
+        def recording(rows):
+            calls.append(list(rows))
+            return gf2_rank(rows)
+
+        monkeypatch.setattr(sources, "gf2_rank", recording)
+        make_oracle(src)
+        monkeypatch.undo()
+        assert calls == [src.stacked_rows(s) for s in range(1 << src.m)]
 
     def test_conditional_entropy_identity(self):
         src = random_linear_source(4, 4, 2, seed=9)
