@@ -18,7 +18,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
 from .sources import EntropyOracle
-from .subsets import check_active, check_admissible, full_mask
+from .subsets import check_active, check_partition
 
 # Bell-number growth makes exhaustive enumeration explode; refuse beyond
 # this many terminals unless OMNISCIO_MAX_M raises the cap.
@@ -44,8 +44,10 @@ def enumerate_admissible(
     their smallest element. For each k the strings are walked in
     lexicographic order by one generator frame with O(m) state. It keeps a
     running count of open blocks with no active terminal and skips every
-    assignment after which the unassigned terminals can no longer open the
-    missing blocks and give each activeless block its own active terminal.
+    assignment after which the unassigned active terminals can no longer
+    open the missing blocks and give each activeless block its own; so
+    every prefix it extends is one of an admissible partition, and it
+    reads two table entries per block count and two per prefix.
 
     The arguments are checked when this is called, not when the result is
     first iterated.
@@ -104,7 +106,7 @@ def _restricted_growth(
                         ep += 1
                 elif pen_active and not blocks[p] & active:
                     ep -= 1
-                if op + 1 < k or last_active < ep + k - op:
+                if last_active < ep + k - op:
                     continue
                 block = blocks[p]
                 blocks[p] = block | pen_bit
@@ -123,8 +125,8 @@ def _restricted_growth(
                     )
                     blocks[t] = tail
                 blocks[p] = block
-            if not pen:
-                return
+            # With m = 2 the root is the leaf, and j = 0 with
+            # c = 1 > opened[0] ends the walk at the next test.
             leaf = False
             blocks[c] ^= 1 << j
             c += 1
@@ -140,9 +142,10 @@ def _restricted_growth(
                 e -= 1
             block = blocks[c] = blocks[c] | bit
             nxt = j + 1
-            # Enough terminals left to open the missing blocks, and enough
-            # active ones for every block still without one.
-            if o + m - nxt >= k and active_left[nxt] >= e + k - o:
+            # Enough active terminals left to open the k - o missing blocks
+            # and give each of the e open blocks without one its own (so
+            # enough terminals of any kind, too).
+            if active_left[nxt] >= e + k - o:
                 h = held[j] + joint[block] - joint[block ^ bit]
                 if nxt == pen:
                     leaf = True
@@ -168,7 +171,7 @@ def partition_dependence(
     """I(C_1,...,C_k) = (sum_i H(X_{C_i}) - H(X_M)) / (k-1), from the
     oracle's integer table."""
     m = oracle.m
-    check_admissible(partition, m, full_mask(m))
+    check_partition(partition, m)
     _check_normalised(oracle)
     joint = oracle.joint
     n = sum(joint[block] for block in partition) - joint[-1]

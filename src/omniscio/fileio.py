@@ -48,10 +48,13 @@ from .subsets import (
 
 
 def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, with plain ASCII ``p`` and ``p/q`` read by ``int``.
+    """``Fraction(text)``, with digit-only ``p`` and ``p/q`` read by ``int``.
 
-    Anything else (signs, spaces, decimals, exponents, underscores,
-    non-ASCII digits, a zero denominator, JSON numbers) goes to
+    A digit is a character for which ``str.isdigit`` holds; ``int`` reads
+    every such string as ``Fraction`` does, to the same value or to the
+    same refusal (a superscript digit, say, which neither reads), and a
+    zero denominator raises in both. Anything else (signs, spaces,
+    decimals, exponents, underscores, JSON numbers) goes to
     ``Fraction(text)`` itself, so the accepted inputs are those of
     ``Fraction`` except JSON ``true`` and ``false``, values whose numerator
     or denominator has more digits than ``sys.get_int_max_str_digits()``
@@ -67,11 +70,12 @@ def parse_fraction(text: str) -> Fraction:
     try:
         if isinstance(text, str):
             num, slash, den = text.partition("/")
-            # int() refuses more digits than the limit.
-            if num.isascii() and num.isdigit():
+            # int() refuses more digits than the limit, and Fraction(p, 0)
+            # raises ZeroDivisionError.
+            if num.isdigit():
                 if not slash:
                     return Fraction(int(num))
-                if den.isascii() and den.isdigit() and int(den):
+                if den.isdigit():
                     return Fraction(int(num), int(den))
             # Python before 3.10.7 has no limit (0, as when switched off).
             limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -170,8 +174,6 @@ def source_from_document(doc: Dict[str, Any]) -> Tuple[SourceLike, int]:
     if kind == "linear_gf2":
         n = _require(spec, "base_bits", int)
         terminals = _require(spec, "terminals", list, list)
-        if len(terminals) != m:
-            raise InvalidInputError(f"expected {m} terminal row lists")
         rows = tuple(
             tuple(parse_bit_string(s, n) for s in terminal_rows)
             for terminal_rows in terminals

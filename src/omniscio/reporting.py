@@ -130,15 +130,19 @@ def validate_report(
         for b1, b2 in report.monotonicity_violations
     ]
     out["supermodularity_violations"] = [
-        {
-            "b1": terminals_of(b1),
-            "b2": terminals_of(b2),
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-        }
-        for b1, b2, lhs, rhs in report.supermodularity_violations
+        _violation(*v) for v in report.supermodularity_violations
     ]
     return out
+
+
+def _violation(b1: int, b2: int, lhs: Fraction, rhs: Fraction) -> Dict[str, Any]:
+    """One supermodularity violation h(B1) + h(B2) = lhs > rhs."""
+    return {
+        "b1": terminals_of(b1),
+        "b2": terminals_of(b2),
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+    }
 
 
 def _counterexample_instance(mode: str):
@@ -233,13 +237,9 @@ def audit_report() -> Dict[str, Any]:
             "supermodularity_violations": len(report.supermodularity_violations),
         }
         if report.supermodularity_violations:
-            b1, b2, lhs, rhs = report.supermodularity_violations[0]
-            fields["first_violation"] = {
-                "b1": terminals_of(b1),
-                "b2": terminals_of(b2),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
+            fields["first_violation"] = _violation(
+                *report.supermodularity_violations[0]
+            )
         return fields
 
     out = _header("audit", {"builtin": "counterexample"})

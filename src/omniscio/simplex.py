@@ -443,10 +443,11 @@ def uniqueness_test(
     it nor the verdict depends on that order; only which alternative
     vertex comes back can. The rows go over in ints: c.z = R as
     c_num.z = R c_den, with b and R c_den over one denominator q, so the
-    point comes back as q z. A weight c_j <= 0 where d_j > 0 leaves the
-    face unbounded in a direction d rewards, and it, or any negative
-    weight, raises InvalidInputError, as do a negative b and a missing
-    singleton row (``_optimum``'s contract).
+    point comes back as q z. A weight c_j <= 0 leaves the face unbounded:
+    raising x_j keeps every row and does not raise c.x. It raises
+    InvalidInputError, as do a negative b and a missing singleton row
+    (``_optimum``'s contract). The verdict needs x to be a vertex, as
+    ``solve`` returns it: there the tight rows fix x, so every d_j >= 1.
     """
     m, masks = system.m, system.row_masks
     b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
@@ -466,12 +467,12 @@ def uniqueness_test(
         (not v) + sum(mask >> j & 1 for mask in tight_masks)
         for j, v in enumerate(x_num)
     ]
-    if any(cj < 0 or cj == 0 < dj for cj, dj in zip(c, d)):
+    if any(cj <= 0 for cj in c):
         raise InvalidInputError(
             "the optimal face is unbounded: the optimum is not unique and "
             "the auxiliary value has no finite maximum"
         )
-    lam = max((-(-dj // cj) for cj, dj in zip(c, d) if cj), default=0)
+    lam = max((-(-dj // cj) for cj, dj in zip(c, d)), default=0)
     # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
     q = math.lcm(b_den, r_den)
     order = tight + [i for i, v in enumerate(slacks) if v]

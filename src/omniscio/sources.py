@@ -26,12 +26,11 @@ from .errors import InvalidInputError, ValidationError
 from .gf2 import gf2_rank
 from .simplex import _over_common_denominator, _pack, _subset_sums
 from .subsets import (
-    check_admissible,
     check_mask,
+    check_partition,
     check_terminal_count,
     complement,
     format_mask,
-    full_mask,
     iter_bits,
 )
 
@@ -276,18 +275,19 @@ def check_validity(
     instructions", 1975): field S holds u(S) = h(S) - min h, in [0, R] with
     R = max H - min H. Each check is a few whole-int shifts and sums whose
     field S holds one inequality's slack plus a bias; one AND against the
-    fields' sign bits reads every verdict at once. An exact h is
-    supermodular exactly when its C(m,2)*2^(m-2) elemental squares are
-    (Yeung, *Information Theory and Network Coding*, 2008, ch. 14), so the
-    O(4^m) pair listing runs only when a square fails or the oracle is
-    inexact: squares that hold within a tolerance need not compose to pairs
-    that do.
+    fields' sign bits reads every verdict at once. An h is supermodular
+    exactly when its C(m,2)*2^(m-2) elemental squares are (Yeung,
+    *Information Theory and Network Coding*, 2008, ch. 14), so the O(4^m)
+    pair listing runs only when a square fails. The squares are judged
+    with no tolerance, even on an inexact oracle: when they all hold, every
+    pair holds with no tolerance, hence within any. (Squares that held
+    only within a tolerance need not compose to pairs that do.)
 
     Width. Let t = tol. Every checked quantity is v + c in one field, v a
     signed sum of at most four table values, so |v| <= 2R, and c a bias in
     [2^(w-1) - 1 - t, 2^(w-1) + t]: the monotonicity fields
     u(S+j) - u(S) + t + 2^(w-1), the square fields
-    u(S+i+j) + u(S) - u(S+i) - u(S+j) + 2^(w-1) (t = 0 on an exact oracle)
+    u(S+i+j) + u(S) - u(S+i) - u(S+j) + 2^(w-1) (no t there)
     and the pair fields u(B1) + u(B2) - u(B1|B2) - u(B1&B2) - t + 2^(w-1) - 1.
     With w = bitlen(2R + t) + 1, 2R + t < 2^(w-1), so every v + c lies in
     [0, 2^w) and its sign bit (bit w-1) tells whether the inequality holds.
@@ -332,9 +332,7 @@ def check_validity(
     )
 
     pairs: List[Tuple[int, int]] = []
-    if not oracle.exact or not _packed_squares_hold(
-        table + signs, shifted, clear_signs, w
-    ):
+    if not _packed_squares_hold(table + signs, shifted, clear_signs, w):
         pairs = _violating_pairs(
             table, ones, clear, (half - 1 - tol) * ones + table, w, m, first
         )
@@ -448,7 +446,7 @@ def merge_terminals(source: SourceLike, blocks: Sequence[int]) -> SourceLike:
 
     The merged terminal observes everything its block's members observe.
     """
-    check_admissible(blocks, source.m, full_mask(source.m))
+    check_partition(blocks, source.m)
     k = len(blocks)
 
     if isinstance(source, LinearGF2Source):

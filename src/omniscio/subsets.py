@@ -36,21 +36,19 @@ def check_active(active: int, m: int) -> None:
     check_mask(active, m)
 
 
-def check_admissible(partition: Sequence[int], m: int, active: int) -> None:
-    """Check that the blocks partition {1, ..., m} into 2 to |A| blocks
-    that each meet the active set A."""
+def check_partition(partition: Sequence[int], m: int) -> None:
+    """Check that the blocks partition {1, ..., m} into at least two
+    blocks."""
     union = 0
     for block in partition:
         check_mask(block, m)
         if block == 0 or union & block:
             raise InvalidInputError("blocks must be nonempty and disjoint")
-        if not block & active:
-            raise InvalidInputError("every block must meet the active set")
         union |= block
     if union != full_mask(m):
         raise InvalidInputError("blocks must cover all terminals")
-    if not 2 <= len(partition) <= active.bit_count():
-        raise InvalidInputError("block count outside [2, |A|]")
+    if len(partition) < 2:
+        raise InvalidInputError("a partition needs at least two blocks")
 
 
 def complement(mask: int, m: int) -> int:

@@ -13,13 +13,17 @@ When all users are active the bound is always tight, and
 constructively from the dual support, machine-checking every step of the
 argument (tight rows, identical-column classes, complements as unions of
 tight constraints, no dominated column patterns).
+
+Both constructive paths certify their rates with one check on the
+oracle's integer table, ``_certify_rates``: every rate is >= 0, every row
+listed holds, and every block complement of the partition is tight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 # enumerate_admissible and partition_dependence are not called in this
 # module; they stay bound here because perfbench/tracer.py wraps them under
@@ -41,7 +45,7 @@ from .simplex import (  # noqa: F401
     feasible_point,
 )
 from .sources import EntropyOracle
-from .subsets import check_admissible, format_mask, full_mask
+from .subsets import check_partition, format_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,9 @@ def witness_by_partition_search(
     h, every C_i^c is tight. Its rates are >= 0 because the singleton rows
     are in the family and the rate LP refuses a negative h. Nothing here
     uses the validity of the entropy table, so this holds for every
-    oracle, exact or tabular. The witness is certified on the oracle's
-    integer table, from one table of the rates' subset sums over their
-    common denominator: every rate >= 0, every row of the family holds and
-    every block complement of the first minimizer, in canonical order, is
-    tight.
+    oracle, exact or tabular. ``_certify_rates`` checks the witness: every
+    rate is >= 0, every row of the family holds, and every block complement
+    of the first minimizer, in canonical order, is tight.
     """
     if report is None:
         report = r_co(oracle, active)
@@ -109,23 +111,7 @@ def witness_by_partition_search(
     witness: Optional[Tuple[Partition, RateVector]] = None
     if bound == report.c_sk:
         partition = minimizers[0]
-        x, den = _over_common_denominator(report.rates)
-        sums = _subset_sums(x)
-        scale, joint, full = oracle.scale, oracle.joint, full_mask(oracle.m)
-        if min(x) < 0:
-            raise InternalContractError("witness rate below zero")
-        # x(B) >= h(B) reads sums[B] * scale >= (H(M) - H(B^c)) * den.
-        for mask in report.family.masks:
-            if sums[mask] * scale < (joint[-1] - joint[full ^ mask]) * den:
-                raise InternalContractError(
-                    f"witness violates constraint {format_mask(mask)}"
-                )
-        for block in partition:
-            if sums[full ^ block] * scale != (joint[-1] - joint[block]) * den:
-                raise InternalContractError(
-                    f"block-complement constraint {format_mask(full ^ block)} "
-                    "not tight at the witness"
-                )
+        _certify_rates(oracle, report.rates, report.family.masks, partition)
         witness = (partition, report.rates)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
@@ -178,27 +164,48 @@ def construct_partition_from_dual(
                 )
 
     # Each block complement must be the union of the retained rows that
-    # miss the block, and tight at the primal optimum: x(C^c) = h(C^c)
-    # reads sums[C^c] * scale == (H(M) - H(C)) * den.
-    x, den = _over_common_denominator(solution.x)
-    sums = _subset_sums(x)
-    scale, joint = oracle.scale, oracle.joint
+    # miss the block, and tight at the primal optimum.
     for column, block in classes.items():
         union = 0
         for r, mask in enumerate(rows):
             if not column >> r & 1:
                 union |= mask
-        comp = full ^ block
-        if union != comp:
+        if union != full ^ block:
             raise InternalContractError(
                 f"complement of block {format_mask(block)} is not a "
                 "union of retained tight rows"
             )
-        if sums[comp] * scale != (joint[-1] - joint[block]) * den:
-            raise InternalContractError(
-                f"block-complement constraint {format_mask(comp)} not tight"
-            )
-
     partition = tuple(classes.values())
-    check_admissible(partition, m, full)
+    _certify_rates(oracle, solution.x, (), partition)
+    check_partition(partition, m)
     return partition
+
+
+def _certify_rates(
+    oracle: EntropyOracle,
+    rates: RateVector,
+    rows: Sequence[int],
+    partition: Partition,
+) -> None:
+    """Certify rates on the oracle's integer table, from one table of their
+    subset sums over their common denominator: every rate is >= 0, every
+    row B of ``rows`` holds, x(B) >= h(B), and the complement of every
+    block C of ``partition`` is tight, x(C^c) = h(C^c). Any failure raises
+    InternalContractError."""
+    x, den = _over_common_denominator(rates)
+    if min(x) < 0:
+        raise InternalContractError("witness rate below zero")
+    sums = _subset_sums(x)
+    scale, joint, full = oracle.scale, oracle.joint, full_mask(oracle.m)
+    # x(B) >= h(B) reads sums[B] * scale >= (H(M) - H(B^c)) * den.
+    for mask in rows:
+        if sums[mask] * scale < (joint[-1] - joint[full ^ mask]) * den:
+            raise InternalContractError(
+                f"witness violates constraint {format_mask(mask)}"
+            )
+    for block in partition:
+        if sums[full ^ block] * scale != (joint[-1] - joint[block]) * den:
+            raise InternalContractError(
+                f"block-complement constraint {format_mask(full ^ block)} "
+                "not tight"
+            )

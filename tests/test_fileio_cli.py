@@ -9,9 +9,12 @@ import pytest
 
 from omniscio import (
     counterexample_entropy_vector,
+    fileio,
     make_counterexample,
     make_oracle,
     parse_source_file,
+    r_co,
+    reporting,
 )
 from omniscio.cli import HELP, USAGE, main
 from omniscio.errors import InvalidInputError, ValidationError
@@ -22,7 +25,7 @@ from omniscio.fileio import (
     source_from_document,
 )
 from omniscio.sources import EntropyVector, LinearGF2Source, TabularSource
-from omniscio.subsets import format_mask
+from omniscio.subsets import format_mask, terminals_of
 
 from helpers import render_bit_string
 
@@ -101,6 +104,21 @@ class TestFractions:
                      f".{'0' * (limit - 1)}1", f"0e{2 * limit}"):
             with pytest.raises(InvalidInputError, match="bad rational"):
                 parse_fraction(text)
+        # An exponent up to the limit plus the text's length is read, even
+        # on a zero mantissa; one more is refused before 10^exp is built.
+        bound = next(e for e in range(limit, 2 * limit) if e == limit + len(f"0e{e}"))
+        assert parse_fraction(f"0e{bound}") == 0
+        with pytest.raises(InvalidInputError, match="bad rational"):
+            parse_fraction(f"0e{bound + 1}")
+
+    def test_long_text_is_quoted_by_its_first_40_characters(self):
+        for text, shown in (
+            ("x" * 40, repr("x" * 40)),
+            ("x" * 41, f"{'x' * 40!r}... (41 characters)"),
+        ):
+            with pytest.raises(InvalidInputError) as info:
+                parse_fraction(text)
+            assert str(info.value) == f"bad rational {shown}"
 
 
 class TestBitStrings:
@@ -332,6 +350,8 @@ class TestCli:
              "field 'values' must be an object"),
             ([1, 2], {"type": "linear_gf2", "base_bits": 2, "terminals": 5},
              "field 'terminals' must be a list"),
+            ([1, 2], {"type": "linear_gf2", "base_bits": 2, "terminals": [["10"]]},
+             "expected 2 terminal row lists, got 1"),
             (3, vector_source({}), "field 'active' must be a list"),
             ([1, 2], {"type": "linear_gf2", "base_bits": "2",
                       "terminals": [["10"], ["01"]]},
@@ -355,9 +375,9 @@ class TestCli:
              "bad rational -inf"),
         ],
         ids=["value-null", "prob-null", "source-string", "values-list",
-             "terminals-int", "active-int", "base-bits-string", "value-true",
-             "prob-true", "subset-twice", "value-inf", "value-minus-inf",
-             "prob-inf", "prob-minus-inf"],
+             "terminals-int", "terminals-count", "active-int",
+             "base-bits-string", "value-true", "prob-true", "subset-twice",
+             "value-inf", "value-minus-inf", "prob-inf", "prob-minus-inf"],
     )
     def test_malformed_document_exits_two(
         self, tmp_path, capsys, active, source, message
@@ -471,6 +491,48 @@ class TestCli:
         assert gen["mutual_dependence_bound"] == "1"
         assert gen["gap"] == "1/4" and gen["strict_gap"] is True
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("PUBLISHED_R_CO", F(5, 2), "R_CO = 9/4, expected 5/2"),
+            ("PUBLISHED_C_SK", F(2), "C_SK = 7/4, expected 2"),
+            ("PUBLISHED_BOUND", F(3), "I(A) = 2, expected 3"),
+            ("PUBLISHED_RATES", (F(1, 4),) * 6, "optimal rates"),
+            ("PUBLISHED_TIGHT_MASKS", (frozenset({1}),),
+             "published six constraints must be among the tight ones"),
+        ],
+        ids=["r-co", "c-sk", "bound", "rates", "tight-masks"],
+    )
+    def test_wrong_published_value_exits_one(
+        self, capsys, monkeypatch, name, value, message
+    ):
+        monkeypatch.setattr(reporting, name, value)
+        for argv in (["counterexample", "--mode", "paper-h"], ["audit"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("omniscio: error: ") and message in err
+
+    def test_published_rows_may_be_every_tight_row(self, capsys, monkeypatch):
+        # The check asks for containment: the twelve rows tight at the
+        # published vertex pass as well as the published six.
+        oracle = make_oracle(counterexample_entropy_vector(), validate=False)
+        tight = r_co(oracle, 0b111).tight_masks
+        assert len(tight) == 12
+        published = tuple(frozenset(terminals_of(mask)) for mask in tight)
+        monkeypatch.setattr(reporting, "PUBLISHED_TIGHT_MASKS", published)
+        assert main(["counterexample", "--mode", "paper-h"]) == 0
+        capsys.readouterr()
+
+    def test_generative_mode_without_a_gap_exits_one(self, capsys, monkeypatch):
+        # At A = M the bound is always tight.
+        source = LinearGF2Source(3, 2, ((0b01,), (0b10,), (0b11,)))
+        monkeypatch.setattr(reporting, "make_counterexample", lambda: (source, 0b111))
+        assert main(["counterexample", "--mode", "generative"]) == 1
+        assert capsys.readouterr().err == (
+            "omniscio: error: expected a strict gap, got C_SK = 1/2, I(A) = 1/2\n"
+        )
+
     def test_audit(self, capsys):
         assert main(["audit", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -529,6 +591,20 @@ class TestCli:
             assert out == ""
             assert err == f"omniscio: error: JSON object repeats key {key!r} in {path}\n"
 
+    def test_repeated_key_scan_runs_only_on_a_repeat(self, monkeypatch):
+        # Only cost depends on it: dict() keeps fewer keys than pairs
+        # exactly when one repeats, and only then is the set built that
+        # names the key.
+        built = []
+        monkeypatch.setattr(
+            fileio, "set", lambda: built.append(1) or set(), raising=False
+        )
+        assert fileio._unique_keys([("a", 1), ("b", 2)]) == {"a": 1, "b": 2}
+        assert built == []
+        with pytest.raises(InvalidInputError, match="repeats key 'a'"):
+            fileio._unique_keys([("a", 1), ("b", 2), ("a", 3)])
+        assert built == [1]
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
         reason="no integer digit limit before Python 3.10.7",
@@ -556,6 +632,18 @@ class TestCli:
             assert out == ""
             assert err == f"omniscio: error: bad rational {shown}\n"
             assert len(err) < 100
+
+    @pytest.mark.parametrize("content", ["5", '"m"', "[1]"])
+    def test_document_that_is_not_an_object_exits_two(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "source.json"
+        path.write_text(content)
+        for verb in ("solve", "mdb", "validate"):
+            assert main([verb, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "omniscio: error: source document must be a JSON object\n"
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/source.json"]) == 2

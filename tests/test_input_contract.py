@@ -15,6 +15,8 @@ from omniscio import (
     construct_partition_from_dual,
     enumerate_admissible,
     make_oracle,
+    make_sunflower,
+    merge_terminals,
     mutual_dependence_bound,
     partition_dependence,
     r_co,
@@ -135,6 +137,15 @@ CALLS = {
         ),
         "optimal face is unbounded",
     ),
+    # (0, 5) is optimal but no vertex: no tight row holds x2, so d_2 = 0.
+    # Its weight 0 is refused all the same, as the face is unbounded in x2.
+    "uniqueness-zero-weight-off-a-vertex": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [0, 0], [1, 0]),
+            LpSolution(F(0), (F(0), F(5)), (F(1), F(0)), (0,)),
+        ),
+        "optimal face is unbounded",
+    ),
     # The zero point holds both systems' rows and has the claimed objective
     # 0, so only the contract of the LP underneath refuses them.
     "uniqueness-missing-singleton": (
@@ -183,6 +194,46 @@ CALLS = {
         lambda: ConstraintSystem(2, (1, 2), (0, 0), 1, (1, 1), 0),
         "denominators must be positive",
     ),
+    "system-b-denominator": (
+        lambda: ConstraintSystem(2, (1, 2), (0, 0), 0, (1, 1), 1),
+        "denominators must be positive",
+    ),
+    "vector-length": (
+        lambda: EntropyVector(2, (F(0), F(1), F(1))),
+        "entropy vector needs 4 values, got 3",
+    ),
+    "oracle-type": (
+        lambda: make_oracle((F(0), F(1), F(1), F(2))),
+        "unsupported source type tuple",
+    ),
+    "sunflower-negative-core": (
+        lambda: make_sunflower(3, -1, 1),
+        "bit counts must be nonnegative",
+    ),
+    "sunflower-negative-petal": (
+        lambda: make_sunflower(3, 1, -1),
+        "bit counts must be nonnegative",
+    ),
+    "random-no-base-bits": (
+        lambda: random_linear_source(3, 0, 1, 0),
+        "n and rows_per_terminal must be positive",
+    ),
+    "random-no-rows": (
+        lambda: random_linear_source(3, 3, 0, 0),
+        "n and rows_per_terminal must be positive",
+    ),
+    "one-block-partition-dependence": (
+        lambda: partition_dependence(oracle3(), (0b111,)),
+        "a partition needs at least two blocks",
+    ),
+    "empty-block": (
+        lambda: partition_dependence(oracle3(), (0b111, 0)),
+        "blocks must be nonempty and disjoint",
+    ),
+    "one-block-merge": (
+        lambda: merge_terminals(random_linear_source(3, 3, 2, 0), (0b111,)),
+        "a partition needs at least two blocks",
+    ),
     "enumerate-short-table": (
         lambda: enumerate_admissible(3, 0b111, [0]),
         "entropy table has 1 entries; m=3 needs 8",
@@ -192,6 +243,12 @@ CALLS = {
         "entropy table has 16 entries; m=3 needs 8",
     ),
 }
+
+
+def test_terminal_count_bounds_are_accepted():
+    for m in (2, 20):
+        check_terminal_count(m)
+        assert LinearGF2Source(m, 1, ((1,),) * m).m == m
 
 
 @pytest.mark.parametrize("call,message", CALLS.values(), ids=CALLS.keys())

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omniscio.omniscience as omniscience
@@ -200,8 +200,18 @@ def rational_systems(draw):
     return unit_first(matrix, rhs, costs)
 
 
+# A [I | +-1] system whose z-row holds a cell past half the bound that
+# sets the field width, so a field one bit narrower reads it wrong.
+WIDTH_EDGE = unit_first(
+    [[1, -1, 1, 1, 1], [1, 1, 1, -1, 1], [1, 1, -1, 1, 1]],
+    [F(1), F(0), F(0)],
+    [F(v) for v in (0, 1, 0, -1, -1, -1, -1, 1)],
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(rational_systems())
+@example(WIDTH_EDGE)
 def test_random_rational_systems_match_reference(system):
     assert_same_outcome(*system)
 

@@ -11,7 +11,10 @@ the partitions of ``helpers.admissible`` in the same order (up to m = 9,
 with active sets that give the two terminals of the walk's last leaf every
 active/inactive pattern), and check that every call drains the module
 binding ``dependence.enumerate_admissible`` exactly once, over every
-admissible partition, as the benchmark's tracer counts it.
+admissible partition, as the benchmark's tracer counts it. The walk's
+pruning decides only its cost, so the number of table entries it reads is
+pinned too: two per block count and two per prefix of an admissible
+partition, counted by brute force.
 """
 
 import math
@@ -224,3 +227,58 @@ class TestTracedBinding:
         assert main(["tight", GOLDEN_INPUT]) == 0
         assert drains == [51]
         capsys.readouterr()
+
+
+class CountingTable(tuple):
+    """An entropy table that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def growth_code(partition, m):
+    """The partition's restricted-growth string as an int, four bits per
+    terminal, terminal 1's block index the highest digit."""
+    code = 0
+    for j in range(m):
+        index = next(i for i, block in enumerate(partition) if block >> j & 1)
+        code = code << 4 | index
+    return code
+
+
+class TestWalkCost:
+    """The walk reads two table entries per block count k, and two per
+    prefix it extends, so with exact pruning it reads 2 + 2 P_k for each k,
+    P_k the number of distinct restricted-growth prefixes, of lengths 1 to
+    m, of the admissible k-partitions. A looser prune reads more: it
+    extends prefixes that no admissible partition has."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_reads_two_per_block_count_and_per_prefix(self, m):
+        by_k = {}
+        for p in admissible(m, full_mask(m)):
+            by_k.setdefault(len(p), []).append((p, growth_code(p, m)))
+        for active in range(1 << m):
+            if active.bit_count() < 2:
+                continue
+            table = CountingTable(bytes(1 << m))
+            for _ in dependence.enumerate_admissible(m, active, table):
+                pass
+            # A k's partitions come in lexicographic order of their strings,
+            # so each adds its length less the prefix it shares with the
+            # one before: the digits up to the highest where the two differ.
+            expected = 0
+            for k in range(2, active.bit_count() + 1):
+                prefixes, before = 0, None
+                for p, code in by_k[k]:
+                    if all(map(active.__and__, p)):
+                        if before is None:
+                            prefixes += m
+                        else:
+                            prefixes += ((code ^ before).bit_length() + 3) // 4
+                        before = code
+                expected += 2 + 2 * prefixes
+            assert table.reads == expected, active

@@ -94,6 +94,7 @@ class TestTightRows:
             for i, w in enumerate(sol.y):
                 if w > 0:
                     assert i in tight
+            assert sol.support_size == len(sol.y) - sol.y.count(0) < len(sol.y)
 
     def test_two_terminal_system_both_tight(self):
         system = make_system(2, [0b01, 0b10], [F(1), F(1)])

@@ -88,7 +88,9 @@ class TestOracleBasics:
     @pytest.mark.parametrize(
         "src",
         [random_linear_source(m, m, 2, seed) for m in range(2, 9) for seed in (0, 1)]
-        + [make_counterexample()[0], shared_bit_source()],
+        + [make_counterexample()[0], shared_bit_source()]
+        # Zero rows: terminal 1 observes nothing, terminal 2 one bit.
+        + [LinearGF2Source(3, 2, ((0,), (0b01, 0), (0b11,)))],
     )
     def test_linear_oracle_ranks_every_subset_once_in_mask_order(
         self, src, monkeypatch
@@ -141,6 +143,14 @@ class TestOracleBasics:
             direct += p2 * -sum(q * math.log2(q) for q in cond)
         assert abs(float(oracle.cond_entropy(0b01)) - direct) < 1e-9
         assert not oracle.exact
+        # A zero-probability entry is allowed and changes no entropy.
+        padded = TabularSource(3, (2, 2, 2), tuple(
+            ((a, b, 0), p) for (a, b), p in pmf
+        ) + (((0, 0, 1), F(0)),))
+        padded_oracle = make_oracle(padded)
+        for s in range(4):
+            assert padded_oracle.joint_entropy(s) == oracle.joint_entropy(s)
+            assert padded_oracle.joint_entropy(s | 0b100) == oracle.joint_entropy(s)
 
 
 class TestValidity:
@@ -167,6 +177,16 @@ class TestValidity:
     def test_invalid_vector_rejected_at_load(self):
         with pytest.raises(ValidationError):
             make_oracle(counterexample_entropy_vector())
+
+    def test_unnormalised_vector_rejected_at_load(self):
+        # H(S) = |S| + 1: monotone and supermodular, but H(X_emptyset) = 1.
+        values = tuple(F(s.bit_count() + 1) for s in range(8))
+        report = check_validity(make_oracle(EntropyVector(3, values), validate=False))
+        assert not report.normalized and not report.ok
+        assert not report.monotonicity_violations
+        assert not report.supermodularity_violations
+        with pytest.raises(ValidationError, match=r"H\(X_emptyset\) != 0"):
+            make_oracle(EntropyVector(3, values))
 
     def test_non_monotone_vector_reported(self):
         values = [F(0), F(3), F(1), F(2)]  # H({1}) > H({1,2})

@@ -5,16 +5,18 @@ frame per block count k and must yield exactly ``helpers.admissible``, the
 admissible ones of every set partition, in the same order; the elemental
 squares that let an exact table skip the pair listing are checked on the
 packed table and must decide supermodularity as every pair does.
-``parse_fraction`` reads plain ASCII ``p`` and ``p/q`` with ``int`` and
-must agree with ``Fraction`` on everything else. The oracle's data is
-one integer table over one scale: its Fraction reads must be built from
-that table, a linear source and its own table loaded as an entropy vector
-must give the same oracle, and every reader of the table (the rate LP's
-right-hand side, I(A)) must see the values the Fraction reads give.
+``parse_fraction`` reads digit-only ``p`` and ``p/q`` with ``int`` and
+must agree with ``Fraction`` everywhere, on every Unicode digit too. The
+oracle's data is one integer table over one scale: its Fraction reads
+must be built from that table, a linear source and its own table loaded
+as an entropy vector must give the same oracle, and every reader of the
+table (the rate LP's right-hand side, I(A)) must see the values the
+Fraction reads give.
 """
 
 import random
 import re
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from omniscio import (
 from omniscio.errors import InvalidInputError
 from omniscio.fileio import parse_fraction
 from omniscio.simplex import make_system
-from omniscio import sources
+from omniscio import fileio, sources
 from omniscio.sources import (
     DEFAULT_TOLERANCE,
     EntropyOracle,
@@ -89,7 +91,7 @@ class TestEnumeratorMatchesReference:
 
 CORPUS = [
     "3", "-3", "+3", "0/5", "6/4", " 1/2 ", "1 / 2", "1_000/3", "1/0", "/",
-    "1/", "", "٣/٤", "1.5", "1e3", "two",
+    "1/", "", "٣/٤", "1.5", "1e3", "two", "1/-3", "1/+3", "²", "0/0",
 ]
 
 
@@ -110,6 +112,51 @@ class TestParseFraction:
     def test_json_numbers_still_parse(self):
         assert parse_fraction(3) == 3
         assert parse_fraction(0.5) == F(1, 2)
+
+    def test_digit_only_text_skips_fraction_parsing(self, monkeypatch):
+        # Only cost depends on the fast path: Fraction(text) reads the same
+        # value, so this checks that no text reaches it.
+        texts = []
+
+        def recording(*args):
+            texts.extend(a for a in args if isinstance(a, str))
+            return Fraction(*args)
+
+        monkeypatch.setattr(fileio, "Fraction", recording)
+        assert parse_fraction("12") == 12
+        assert parse_fraction("6/4") == F(3, 2)
+        assert texts == []
+        assert parse_fraction("1.5") == F(3, 2)
+        assert texts == ["1.5"]
+
+    def test_every_unicode_digit_reads_as_fraction_reads_it(self):
+        # str.isdigit holds on decimal digits of every script, which int
+        # and Fraction both read, and on superscripts and circled digits,
+        # which both refuse.
+        digits = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdigit()]
+        assert len(digits) > 700
+        for digit in digits:
+            for text in (digit, f"{digit}/3", f"3/{digit}", f"{digit}7/{digit}"):
+                try:
+                    expected = Fraction(text)
+                except (ValueError, ZeroDivisionError):
+                    with pytest.raises(InvalidInputError, match="bad rational"):
+                        parse_fraction(text)
+                else:
+                    assert parse_fraction(text) == expected, text
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no integer digit limit before Python 3.10.7",
+    )
+    def test_no_digit_limit_reads_any_exponent(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_fraction(f"1e{limit + 10}") == 10 ** (limit + 10)
+            assert parse_fraction("1" * (limit + 1)) == (10 ** (limit + 1) - 1) // 9
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def oracles():

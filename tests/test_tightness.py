@@ -1,5 +1,6 @@
 """Tightness deciders, closure checks, and constructive extraction."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,3 +289,37 @@ class TestConstructiveContract:
         solution, family = crafted((0b101, 0b011), (1, 1))
         with pytest.raises(InternalContractError, match="column class 2 dominated by 1"):
             construct_partition_from_dual(solution, family, self.ORACLE)
+
+
+class TestWitnessCertificate:
+    """The witness search certifies the rates of the report it is given:
+    rates that break a row, go below zero, or leave a block complement
+    slack are refused, whatever the values say."""
+
+    @pytest.fixture
+    def instance(self):
+        oracle = make_oracle(random_linear_source(4, 4, 2, 0))
+        return oracle, r_co(oracle, full_mask(4))
+
+    @pytest.mark.parametrize(
+        "rates,message",
+        [
+            ((F(-1), F(9), F(9), F(9)), "witness rate below zero"),
+            ((F(0),) * 4, "witness violates constraint"),
+            (None, "block-complement constraint .* not tight"),
+        ],
+        ids=["below-zero", "breaks-a-row", "slack-complement"],
+    )
+    def test_bad_rates_raise(self, instance, rates, message):
+        oracle, report = instance
+        if rates is None:  # every row holds, none is tight
+            rates = tuple(v + 1 for v in report.rates)
+        with pytest.raises(InternalContractError, match=message):
+            witness_by_partition_search(
+                oracle, full_mask(4), report=replace(report, rates=rates)
+            )
+
+    def test_the_rate_lp_optimum_is_a_witness(self, instance):
+        oracle, report = instance
+        verdict = witness_by_partition_search(oracle, full_mask(4), report=report)
+        assert verdict.tight and verdict.witness[1] == report.rates
