@@ -49,7 +49,7 @@ class ConstraintFamily:
         scale, joint = oracle.scale, oracle.joint
         total, full = joint[-1], full_mask(self.m)
         b = tuple(total - joint[full ^ mask] for mask in self.masks)
-        return ConstraintSystem(self.m, self.masks, b, scale, (1,) * self.m, 1)
+        return ConstraintSystem(self.m, self.masks, b, scale)
 
 
 def build_family(m: int, active: int) -> ConstraintFamily:

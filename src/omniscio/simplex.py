@@ -1,14 +1,15 @@
 """Exact rational simplex for Slepian-Wolf style linear programs.
 
-The rate LP  min c.x  s.t.  A x >= b  (x free) has a 0/1 incidence matrix A
-whose l rows are subset masks: l is about 2^m for m terminals, while x has
-only m coordinates. Every LP therefore goes through one routine,
-``_optimum``: it writes  min c.x  s.t.  A x >= b, E x = e  as the dual with
-one equality row per terminal, hands that to ``simplex_min`` once and
-certifies the answer.
+The rate LP  min sum x  s.t.  A x >= b  (x free), the paper's R_CO, has a
+0/1 incidence matrix A whose l rows are subset masks: l is about 2^m for m
+terminals, while x has only m coordinates. Every LP therefore goes through
+one routine, ``_optimum``: it writes  min c.x  s.t.  A x >= b, E x = e  as
+the dual with one equality row per terminal, hands that to ``simplex_min``
+once and certifies the answer. Its cost c is all ones for the rate LP and
+is chosen by the other two entry points.
 
 Every LP of the package is a rate system, and ``_optimum`` refuses any
-other: b >= 0, c >= 0 and every singleton row {j} present. The Slepian-Wolf
+other: b >= 0 and every singleton row {j} present. The Slepian-Wolf
 region always holds these rows, since |A| >= 2 and h({j}) >= 0, so
 x_j >= b_{j} >= 0 at every feasible point and no LP needs x >= 0 rows.
 
@@ -16,10 +17,11 @@ x_j >= b_{j} >= 0 at every feasible point and no LP needs x >= 0 rows.
   LP's optimal dual y, and its simplex multipliers are -x.
 * ``uniqueness_test`` maximizes, over the optimal face, the slacks of the
   rows tight at x plus the coordinates where x is zero (Mangasarian,
-  "Uniqueness of solution in linear programming", 1979). It hands
-  ``_optimum`` the rows tight at x first, so Bland's rule enters the rows
-  of the optimal face before any other; the optimum does not depend on
-  the order.
+  "Uniqueness of solution in linear programming", 1979), and reports
+  Unique exactly when the vertex z of the face that this LP returns is x.
+  It hands ``_optimum`` the rows tight at x first, so Bland's rule enters
+  the rows of the optimal face before any other; the optimum does not
+  depend on the order.
 * ``feasible_point`` decides a system of inequality and equality rows with
   objective 0: the dual is unbounded exactly when the system has no point.
 
@@ -70,27 +72,23 @@ class LpUnboundedError(Exception):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Data of the rate LP: one row per subset mask, right-hand side b.
+    """Data of the rate LP  min sum x  s.t.  A x >= b: one row per subset
+    mask, right-hand side b.
 
-    The incidence row for mask B is its 0/1 indicator vector. b and the
-    objective c are held as ints over positive common denominators,
-    b_i = b_num[i] / b_den and c_j = c_num[j] / c_den, the form in which the
-    LP entry points solve and certify.
+    The incidence row for mask B is its 0/1 indicator vector. b is held as
+    ints over a positive common denominator, b_i = b_num[i] / b_den, the
+    form in which the LP entry points solve and certify.
     """
 
     m: int
     row_masks: Tuple[int, ...]
     b_num: Tuple[int, ...]
     b_den: int
-    c_num: Tuple[int, ...]
-    c_den: int
 
     def __post_init__(self) -> None:
         if len(self.b_num) != len(self.row_masks):
             raise InvalidInputError("row count mismatch between masks and b")
-        if len(self.c_num) != self.m:
-            raise InvalidInputError("objective length must equal m")
-        if self.b_den <= 0 or self.c_den <= 0:
+        if self.b_den <= 0:
             raise InvalidInputError("denominators must be positive")
         full = full_mask(self.m)
         for mask in self.row_masks:
@@ -105,16 +103,10 @@ class ConstraintSystem:
 
 
 def make_system(
-    m: int,
-    row_masks: Sequence[int],
-    b: Sequence[Rational],
-    c: Optional[Sequence[Rational]] = None,
+    m: int, row_masks: Sequence[int], b: Sequence[Rational]
 ) -> ConstraintSystem:
-    """The system of rows (row_masks, b) and objective c (all ones if None)."""
-    return ConstraintSystem(
-        m, tuple(row_masks), *_over_common_denominator(b),
-        *_over_common_denominator([1] * m if c is None else c),
-    )
+    """The system of rows (row_masks, b)."""
+    return ConstraintSystem(m, tuple(row_masks), *_over_common_denominator(b))
 
 
 def _over_common_denominator(
@@ -338,9 +330,11 @@ def _optimum(
     of the row each column of the dual stands for.
 
     Every LP of the package is a rate system, and this is its contract,
-    checked first: b >= 0, c >= 0 and every singleton row {j} among masks;
-    anything else raises InvalidInputError. Then x_j >= b_{j} >= 0 at every
-    feasible point, so no x >= 0 row is needed.
+    checked first: b >= 0 and every singleton row {j} among masks; anything
+    else raises InvalidInputError. Then x_j >= b_{j} >= 0 at every feasible
+    point, so no x >= 0 row is needed. The callers pass c >= 0, which keeps
+    the objective bounded below on the rows; ``simplex_min`` refuses any
+    other c as a start that is not feasible.
 
     ``simplex_min`` gets the m-row dual, whose vertex is y and whose
     multipliers are -x:
@@ -357,11 +351,6 @@ def _optimum(
     """
     if any(v < 0 for v in b):
         raise InvalidInputError("right-hand side must be nonnegative")
-    if any(v < 0 for v in c):
-        raise InvalidInputError(
-            "the rows do not bound the objective c.x from below: "
-            "no dual weights y >= 0 have y.A = c"
-        )
     try:
         start = [masks.index(1 << j) for j in range(m)]
     except ValueError:
@@ -401,26 +390,26 @@ def _optimum(
 
 
 def solve(system: ConstraintSystem) -> LpSolution:
-    """Solve min c.x s.t. A x >= b (x free) exactly; verify all contracts.
+    """Solve min sum x s.t. A x >= b (x free) exactly; verify all contracts.
 
-    ``_optimum`` solves and certifies it with b and c as the system's ints,
-    so over its denominator d the point is b_den * x and the dual c_den * y.
-    It refuses, with InvalidInputError, a negative b or c and a missing
-    singleton row {j}.
+    ``_optimum`` solves and certifies it with b as the system's ints, so
+    over its denominator d the point is b_den * x and the dual is y. It
+    refuses, with InvalidInputError, a negative b and a missing singleton
+    row {j}.
     """
-    m, masks = system.m, system.row_masks
-    b, c = system.b_num, system.c_num
+    m = system.m
     try:
-        x_num, z, slacks, d = _optimum(m, masks, b, (), (), c)
+        x_num, z, slacks, d = _optimum(
+            m, system.row_masks, system.b_num, (), (), [1] * m
+        )
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
 
-    x_den, y_den = d * system.b_den, d * system.c_den
+    x_den = d * system.b_den
     x = tuple(Fraction(v, x_den) for v in x_num)
-    y = tuple(Fraction(v, y_den) if v else ZERO for v in z)
+    y = tuple(Fraction(v, d) if v else ZERO for v in z)
     tight = tuple(i for i, v in enumerate(slacks) if not v)
-    r = sum(map(mul, c, x_num))
-    return LpSolution(Fraction(r, x_den * system.c_den), x, y, tight)
+    return LpSolution(Fraction(sum(x_num), x_den), x, y, tight)
 
 
 def uniqueness_test(
@@ -429,28 +418,36 @@ def uniqueness_test(
     """Search the optimal face for a point differing from the solution.
 
     Maximizes the slacks of the rows tight at x plus the coordinates where
-    x is zero over {A z >= b, c.z = R}, R the optimal value; the singleton
-    rows and b >= 0 give z >= 0 there.
-    Written as d.z - K, with d = [x == 0] + A^T [row tight] and K the sum of
-    the tight rows' b. On the face that is lam R - K minus (lam c - d).z,
-    and lam = max ceil(d_j / c_j) makes that objective >= 0, as ``_optimum``
-    needs; it solves and certifies min (lam c - d).z over those rows, so
-    strong duality proves both the verdict and the auxiliary value. A
-    maximum of 0 certifies uniqueness; otherwise z is the alternative
-    optimum. The rows tight at x go to ``_optimum`` first, in mask order,
-    then the rest, so Bland's rule enters the rows of the optimal face
-    before any other. The LP's optimum is the auxiliary value, so neither
-    it nor the verdict depends on that order; only which alternative
-    vertex comes back can. The rows go over in ints: c.z = R as
-    c_num.z = R c_den, with b and R c_den over one denominator q, so the
-    point comes back as q z. A weight c_j <= 0 leaves the face unbounded:
-    raising x_j keeps every row and does not raise c.x. It raises
-    InvalidInputError, as do a negative b and a missing singleton row
-    (``_optimum``'s contract). The verdict needs x to be a vertex, as
-    ``solve`` returns it: there the tight rows fix x, so every d_j >= 1.
+    x is zero over the optimal face {A z >= b, sum z = R}, R the optimal
+    value; the singleton rows and b >= 0 give z >= 0 there. Written as
+    d.z - K, with d = [x == 0] + A^T [row tight] and K the sum of the tight
+    rows' b. On the face that is lam R - K minus (lam - d).z, and
+    lam = max d makes every cost lam - d_j >= 0, as ``_optimum`` needs; it
+    solves and certifies min (lam - d).z over those rows, so strong duality
+    proves the auxiliary value, the maximum of d.z - K.
+
+    The verdict is Unique exactly when the vertex z of the face that this LP
+    returns is x. If z = x, x is a vertex with maximum d.x - K = 0, which
+    makes it the only optimum (Mangasarian). If x is a vertex and not the
+    only optimum, the maximum is above 0 = d.x - K, so z != x; if x is no
+    vertex, it is not z either. Otherwise z is returned as an optimal
+    alternative to x.
+
+    The rows tight at x go to ``_optimum`` first, in mask order, then the
+    rest, so Bland's rule enters the rows of the optimal face before any
+    other. Neither the LP's optimum nor the verdict depends on that order;
+    only which alternative vertex comes back can. The rows go over in ints,
+    with b and R over one denominator q, so the point comes back as q z.
+    A point with other than m coordinates, one off the rows or one whose
+    objective is not the sum of its coordinates raises InvalidInputError,
+    as do a negative b and a missing singleton row (``_optimum``'s
+    contract).
     """
-    m, masks = system.m, system.row_masks
-    b, c, b_den, c_den = system.b_num, system.c_num, system.b_den, system.c_den
+    m, masks, b, b_den = system.m, system.row_masks, system.b_num, system.b_den
+    if len(solution.x) != m:
+        raise InvalidInputError(
+            f"solution has {len(solution.x)} coordinates, the system {m}"
+        )
     x_num, x_den = _over_common_denominator(solution.x)
     sums = _subset_sums(x_num)
     slacks = [sums[mask] * b_den - v * x_den for mask, v in zip(masks, b)]
@@ -458,7 +455,7 @@ def uniqueness_test(
         raise InvalidInputError("solution is not feasible for the system")
     objective = solution.objective
     r_num, r_den = objective.numerator, objective.denominator
-    if sum(map(mul, c, x_num)) * r_den != r_num * c_den * x_den:
+    if sum(x_num) * r_den != r_num * x_den:
         raise InvalidInputError("solution objective does not match the system")
 
     tight = [i for i, v in enumerate(slacks) if not v]
@@ -467,27 +464,21 @@ def uniqueness_test(
         (not v) + sum(mask >> j & 1 for mask in tight_masks)
         for j, v in enumerate(x_num)
     ]
-    if any(cj <= 0 for cj in c):
-        raise InvalidInputError(
-            "the optimal face is unbounded: the optimum is not unique and "
-            "the auxiliary value has no finite maximum"
-        )
-    lam = max((-(-dj // cj) for cj, dj in zip(c, d)), default=0)
-    # R c_den = r_num c_den / r_den, and q = lcm(b_den, r_den).
+    lam = max(d, default=0)
+    # R = r_num / r_den, and q = lcm(b_den, r_den).
     q = math.lcm(b_den, r_den)
     order = tight + [i for i, v in enumerate(slacks) if v]
     z_num, _, _, den = _optimum(
         m, [masks[i] for i in order], [q // b_den * b[i] for i in order],
-        [c], [r_num * c_den * (q // r_den)],
-        [lam * cj - dj for cj, dj in zip(c, d)],
+        [[1] * m], [r_num * (q // r_den)], [lam - dj for dj in d],
     )
-    # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
     z_den = q * den
-    d_z = sum(map(mul, d, z_num))
-    tight_b = sum(b[i] for i in tight)
-    if d_z * b_den == z_den * tight_b:
+    if all(u * z_den == v * x_den for u, v in zip(x_num, z_num)):
         return UniquenessCertificate(True, ZERO)
-    aux = Fraction(d_z, z_den) - Fraction(tight_b, b_den)
+    # aux = d.z_num / (q den) - (sum of the tight rows' b_num) / b_den.
+    aux = Fraction(sum(map(mul, d, z_num)), z_den) - Fraction(
+        sum(b[i] for i in tight), b_den
+    )
     return UniquenessCertificate(
         False, aux, tuple(Fraction(v, z_den) for v in z_num)
     )

@@ -1,7 +1,9 @@
 """Prints one summary line per acceptance criterion after the run, and
-fails any test whose body runs past a wall-clock limit."""
+fails any test module import, fixture set-up, test body or teardown that
+runs past a wall-clock limit."""
 
 import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,14 +23,17 @@ def _over_the_limit(signum, frame):
     raise WallLimitExceeded(f"test ran past {TEST_WALL_LIMIT_S} s")
 
 
-@pytest.hookimpl(wrapper=True)
-def pytest_runtest_call(item):
+@contextmanager
+def _wall_limit():
+    """Raises WallLimitExceeded in the block once it has run
+    TEST_WALL_LIMIT_S seconds."""
     if not hasattr(signal, "SIGALRM"):  # no alarm signal on Windows
-        return (yield)
+        yield
+        return
     previous = signal.signal(signal.SIGALRM, _over_the_limit)
     signal.setitimer(signal.ITIMER_REAL, TEST_WALL_LIMIT_S)
     try:
-        return (yield)
+        yield
     except WallLimitExceeded as exc:
         # The interrupted frame may have no line number, and pytest cannot
         # render such a traceback: report the limit without it.
@@ -36,6 +41,34 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    # A module is imported, and its class attributes computed, when it is
+    # collected.
+    if not isinstance(collector, pytest.Module):
+        return (yield)
+    with _wall_limit():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    with _wall_limit():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    with _wall_limit():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item):
+    with _wall_limit():
+        return (yield)
 
 
 @pytest.hookimpl

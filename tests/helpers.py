@@ -82,9 +82,9 @@ def _solve_square(
 
 
 def brute_force_lp_min(system: ConstraintSystem) -> Fraction:
-    """Minimum of c.x over {A x >= b} by enumerating basic points."""
+    """Minimum of sum x over {A x >= b} by enumerating basic points."""
     m, l = system.m, system.l
-    b, c = fraction_b(system), fraction_c(system)
+    b = fraction_b(system)
     incidence = []
     for mask in system.row_masks:
         incidence.append([Fraction(mask >> j & 1) for j in range(m)])
@@ -99,7 +99,7 @@ def brute_force_lp_min(system: ConstraintSystem) -> Fraction:
             sum(incidence[i][j] * x[j] for j in range(m)) >= b[i]
             for i in range(l)
         ):
-            obj = sum(c[j] * x[j] for j in range(m))
+            obj = sum(x)
             if best is None or obj < best:
                 best = obj
     assert best is not None, "no basic feasible point found"
@@ -370,16 +370,16 @@ def _incidence_row(mask: int, m: int) -> List[Fraction]:
 
 
 def reference_solve(system: ConstraintSystem) -> LpSolution:
-    """min c.x s.t. A x >= b with x = x+ - x- and l surplus columns."""
+    """min sum x s.t. A x >= b with x = x+ - x- and l surplus columns."""
     m, l = system.m, system.l
-    b, c = fraction_b(system), fraction_c(system)
+    b = fraction_b(system)
     matrix = []
     for i, mask in enumerate(system.row_masks):
         a = _incidence_row(mask, m)
         row = a + [-v for v in a]
         row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
         matrix.append(row)
-    costs = list(c) + [-v for v in c] + [Fraction(0)] * l
+    costs = [Fraction(1)] * m + [Fraction(-1)] * m + [Fraction(0)] * l
     z, y, objective = reference_simplex_min(matrix, b, costs)
     x = tuple(z[j] - z[m + j] for j in range(m))
     tight = tuple(i for i in range(l) if row_sum(system, x, i) == b[i])
@@ -387,23 +387,23 @@ def reference_solve(system: ConstraintSystem) -> LpSolution:
 
 
 def reference_dual_solve(system: ConstraintSystem) -> LpSolution:
-    """``solve``'s m-row dual form, max b.y s.t. y.A = c, y >= 0, on the
+    """``solve``'s m-row dual form, max b.y s.t. y.A = 1, y >= 0, on the
     two-phase Fraction tableau: its vertex is y and its multipliers -x."""
     m = system.m
-    b, c = fraction_b(system), fraction_c(system)
+    b = fraction_b(system)
     matrix = [[Fraction(mask >> j & 1) for mask in system.row_masks] for j in range(m)]
-    y, pi, _ = reference_simplex_min(matrix, c, [-v for v in b])
+    y, pi, _ = reference_simplex_min(matrix, [Fraction(1)] * m, [-v for v in b])
     x = tuple(-v for v in pi)
     tight = tuple(i for i in range(system.l) if row_sum(system, x, i) == b[i])
-    objective = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
-    return LpSolution(objective, x, tuple(y), tight)
+    return LpSolution(sum(x, ZERO), x, tuple(y), tight)
 
 
 def reference_uniqueness_test(
     system: ConstraintSystem, solution: LpSolution
 ) -> UniquenessCertificate:
     """Maximize the coordinates of (x, slacks) that vanish at the solution
-    over {[A | -I](x; s) = b, c.x = objective, x, s >= 0}."""
+    over {[A | -I](x; s) = b, sum x = objective, x, s >= 0}. The verdict
+    is Unique when that maximum is 0, which is right for a vertex only."""
     m, l = system.m, system.l
     b = fraction_b(system)
     slacks = [row_sum(system, solution.x, i) - b[i] for i in range(l)]
@@ -413,7 +413,7 @@ def reference_uniqueness_test(
         row = _incidence_row(mask, m)
         row.extend(Fraction(-1) if k == i else Fraction(0) for k in range(l))
         matrix.append(row)
-    matrix.append(list(fraction_c(system)) + [Fraction(0)] * l)
+    matrix.append([Fraction(1)] * m + [Fraction(0)] * l)
     rhs = list(b) + [solution.objective]
     costs = [Fraction(-1) if v == 0 else Fraction(0) for v in point]
     z, _, objective = reference_simplex_min(matrix, rhs, costs)
@@ -481,11 +481,6 @@ def reference_entropy_vector(values_map, m: int) -> EntropyVector:
 def fraction_b(system: ConstraintSystem) -> Tuple[Fraction, ...]:
     """The right-hand side b of a system as Fractions."""
     return tuple(Fraction(v, system.b_den) for v in system.b_num)
-
-
-def fraction_c(system: ConstraintSystem) -> Tuple[Fraction, ...]:
-    """The objective c of a system as Fractions."""
-    return tuple(Fraction(v, system.c_den) for v in system.c_num)
 
 
 def sw_gap(rates: Sequence[Fraction], mask: int, oracle: EntropyOracle) -> Fraction:

@@ -70,7 +70,7 @@ EQUIVALENT = {
         "the basis holds distinct columns and the ratio test compares "
         "distinct rows, so basis[i] == basis[pi] never holds there"
     ),
-    "simplex.py:_optimum: compare 'v < 0' -> 'v <= 0' #3": (
+    "simplex.py:_optimum: compare 'v < 0' -> 'v <= 0' #2": (
         "the certificate loop visits only the nonzero dual weights"
     ),
     "simplex.py:_optimum: raise never 'dual_value != sum(map(mul, c, x))'": (

@@ -45,7 +45,6 @@ from helpers import (
     brute_force_joint_entropy,
     brute_force_lp_min,
     fraction_b,
-    fraction_c,
     row_sum,
     sw_gap,
 )
@@ -210,7 +209,7 @@ def test_criterion_06_lp_contracts_and_brute_force():
             oracle = make_oracle(random_linear_source(m, m, 2, seed))
             family = build_family(m, full_mask(m))
             system = family.system(oracle)
-            b, c = fraction_b(system), fraction_c(system)
+            b = fraction_b(system)
             sol = solve(system)
             assert sum(sol.y[i] * b[i] for i in range(system.l)) == sol.objective
             for j in range(m):
@@ -218,7 +217,7 @@ def test_criterion_06_lp_contracts_and_brute_force():
                     sol.y[i]
                     for i in range(system.l)
                     if system.row_masks[i] >> j & 1
-                ) == c[j]
+                ) == 1
             for i in range(system.l):
                 slack = row_sum(system, sol.x, i) - b[i]
                 assert slack >= 0

@@ -90,7 +90,7 @@ CALLS = {
         r"subset mask 0b1001 out of range for m=3",
     ),
     "negative-row-mask": (
-        lambda: ConstraintSystem(2, (-1,), (0,), 1, (1, 1), 1),
+        lambda: ConstraintSystem(2, (-1,), (0,), 1),
         r"subset mask -0b1 out of range for m=2",
     ),
     "family-terminal-count": (
@@ -111,40 +111,29 @@ CALLS = {
         lambda: mutual_dependence_bound(unnormalised_oracle(), 0b11),
         r"H\(X_emptyset\) = 1 is not 0",
     ),
-    # x1 + x2 >= 0 and x3 >= 0 leave x1 + 2 x2 + x3 unbounded below; solve
-    # refuses the rows before that, for they lack {1} and {2}.
+    # x1 + x2 >= 0 and x2 + x3 >= 0 leave x1 + x2 + x3 unbounded below, at
+    # (-t, t, -t); solve refuses the rows before that, for they lack {1}.
     "solve-unbounded": (
-        lambda: solve(make_system(3, [0b011, 0b100], [0, 0], [1, 2, 1])),
+        lambda: solve(make_system(3, [0b011, 0b110], [0, 0])),
         r"every singleton row is needed, and \{1\} is missing",
     ),
-    "solve-negative-weight": (
-        lambda: solve(make_system(2, [0b01, 0b10], [0, 0], [-1, 1])),
-        "rows do not bound the objective",
-    ),
-    "uniqueness-unbounded-face": (
+    # (1, 0, 0) holds the rows with sum 1; cut to 2 coordinates, or padded
+    # to 4 with a 0, it is not a point of the system.
+    "uniqueness-short-point": (
         lambda: uniqueness_test(
-            make_system(2, [1, 2], [0, 0], [1, 0]),
-            solve(make_system(2, [1, 2], [0, 0], [1, 0])),
+            make_system(3, [1, 2, 4, 3], [0, 0, 0, 1]),
+            LpSolution(F(1), (F(1), F(0)), (F(0), F(0), F(1), F(1)), (1, 2, 3)),
         ),
-        "optimal face is unbounded",
+        "solution has 2 coordinates, the system 3",
     ),
-    # At x = (1, 0) only the row {2} is tight, so d = (0, 2): the weight -1
-    # sits where the auxiliary objective has none.
-    "uniqueness-negative-weight": (
+    "uniqueness-long-point": (
         lambda: uniqueness_test(
-            make_system(2, [1, 2], [0, 0], [-1, 1]),
-            LpSolution(F(-1), (F(1), F(0)), (F(0), F(1)), (1,)),
+            make_system(3, [1, 2, 4, 3], [0, 0, 0, 1]),
+            LpSolution(
+                F(1), (F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(1)), (1, 2, 3)
+            ),
         ),
-        "optimal face is unbounded",
-    ),
-    # (0, 5) is optimal but no vertex: no tight row holds x2, so d_2 = 0.
-    # Its weight 0 is refused all the same, as the face is unbounded in x2.
-    "uniqueness-zero-weight-off-a-vertex": (
-        lambda: uniqueness_test(
-            make_system(2, [1, 2], [0, 0], [1, 0]),
-            LpSolution(F(0), (F(0), F(5)), (F(1), F(0)), (0,)),
-        ),
-        "optimal face is unbounded",
+        "solution has 4 coordinates, the system 3",
     ),
     # The zero point holds both systems' rows and has the claimed objective
     # 0, so only the contract of the LP underneath refuses them.
@@ -183,19 +172,15 @@ CALLS = {
         "terminal 2 row 0b10 exceeds 1 base bits",
     ),
     "system-b-length": (
-        lambda: ConstraintSystem(2, (1, 2), (0,), 1, (1, 1), 1),
+        lambda: ConstraintSystem(2, (1, 2), (0,), 1),
         "row count mismatch between masks and b",
     ),
-    "system-c-length": (
-        lambda: ConstraintSystem(2, (1, 2), (0, 0), 1, (1,), 1),
-        "objective length must equal m",
-    ),
     "system-denominator": (
-        lambda: ConstraintSystem(2, (1, 2), (0, 0), 1, (1, 1), 0),
+        lambda: ConstraintSystem(2, (1, 2), (0, 0), -1),
         "denominators must be positive",
     ),
     "system-b-denominator": (
-        lambda: ConstraintSystem(2, (1, 2), (0, 0), 0, (1, 1), 1),
+        lambda: ConstraintSystem(2, (1, 2), (0, 0), 0),
         "denominators must be positive",
     ),
     "vector-length": (

@@ -15,6 +15,7 @@ from omniscio import (
     uniqueness_test,
 )
 from omniscio.errors import InvalidInputError
+from omniscio.simplex import LpSolution
 from omniscio.subsets import full_mask, mask_from_terminals
 
 from helpers import brute_force_lp_min, fraction_b, row_sum
@@ -170,6 +171,17 @@ class TestUniqueness:
         b = fraction_b(system)
         for i in range(system.l):
             assert row_sum(system, alt, i) >= b[i]
+
+    def test_optimal_point_off_a_vertex_is_not_unique(self):
+        # min x1+x2+x3 with x1 + x2 >= 1: the optimal face is the edge from
+        # (1, 0, 0) to (0, 1, 0). Along it the rows tight at the midpoint
+        # stay tight, so the largest slack there is 0, as at a unique
+        # vertex; the face LP's vertex is not the midpoint all the same.
+        system = make_system(3, [0b001, 0b010, 0b100, 0b011], [0, 0, 0, 1])
+        midpoint = LpSolution(F(1), (F(1, 2), F(1, 2), F(0)), (0, 0, 1, 1), (2, 3))
+        cert = uniqueness_test(system, midpoint)
+        assert cert.verdict == "NotUnique" and cert.auxiliary_value == 0
+        assert cert.alternative in {(1, 0, 0), (0, 1, 0)}
 
     def test_two_independent_bits_unique(self):
         system = make_system(2, [0b01, 0b10], [F(1), F(1)])
