@@ -28,10 +28,15 @@ x_j >= b_{j} >= 0 at every feasible point and no LP needs x >= 0 rows.
 ``simplex_min`` takes ints only: the entry points put right-hand sides and
 costs over common denominators. It returns ints too, the vertex, the dual
 and the objective as numerators over one denominator, and ``_optimum``
-checks them exactly in ints: every primal row, y >= 0, dual feasibility,
-complementary slackness and strong duality, the row sums x(B) read from one
-table of the point's sums over every subset mask. Fractions are built only
-for returned values.
+checks them exactly in ints, off the masks: every primal row, y >= 0, dual
+feasibility, complementary slackness and strong duality, the row sums x(B)
+read from one table of the point's sums over every subset mask. Fractions
+are built only for returned values. No dense matrix is built:
+``simplex_min`` takes each row packed in w-bit signed fields of one int,
+w from ``_width``'s Hadamard bound at t = 1 for the dual's 0/+-1 cells,
+and ``_dual_rows`` stacks the masks as w-bit fields of one int; w > m, so
+no mask carries into the next field, and row j is the stack shifted right
+by j and masked to bit 0 of each field.
 
 ``simplex_min`` starts from a unit basis that its caller names, the dual's
 singleton columns, so it has no phase 1, and it reads the dual off the
@@ -148,31 +153,34 @@ class UniquenessCertificate:
 
 
 def simplex_min(
-    matrix: Sequence[Sequence[int]],
+    rows: Sequence[int],
     rhs: Sequence[int],
     costs: Sequence[int],
     start: Sequence[int],
+    w: int,
 ) -> Tuple[List[int], List[int], int, int]:
-    """min costs.z  s.t.  matrix z = rhs, z >= 0  (Bland's rule), from the
-    basis whose column start[i] is the unit vector of row i.
+    """min costs.z  s.t.  A z = rhs, z >= 0  (Bland's rule), from the basis
+    whose column start[i] is the unit vector of row i.
 
-    Cells, right-hand sides and costs are ints, and rhs >= 0, so that basis
-    is feasible and the simplex has no phase 1; anything else raises
-    InternalContractError. Returns (z, y, objective, den): the vertex z, the
-    equality-form dual vector y and the objective, all int numerators over
-    the one denominator den > 0, |det| of the final basis. Raises
-    LpUnboundedError.
+    Row i of A comes packed in w-bit signed fields, rows[i] =
+    sum_k a_ik 2^(k w), one per cost. Right-hand sides and costs are ints,
+    and rhs >= 0, so the start basis is feasible and the simplex has no
+    phase 1; anything else raises InternalContractError, as does a run
+    that pivots comb(n_cols, n_rows) times: Bland's rule never returns to
+    a basis, so it has cycled. Returns (z, y, objective, den): the vertex
+    z, the equality-form dual vector y and the objective, all int
+    numerators over the one denominator den > 0, |det| of the final basis.
+    Raises LpUnboundedError.
 
-    Each tableau row keeps its cells packed in one int of w-bit fields,
-    sum_k v_k 2^(k w); its rhs cell, and the z-row's, are plain ints. The
-    Edmonds-Bareiss update is linear in the row, so it runs on whole packed
-    rows and yields exactly the cells of the unpacked tableau; only the
-    field reads below need every stored |v_k| < 2^(w-1).
+    The Edmonds-Bareiss update is linear in the row, so it runs on whole
+    packed rows; only the field reads need every stored |v_k| < 2^(w-1).
+    The caller picks w with ``_width``; no cell is read for it here, and
+    that w > n_rows lets ``_dual_rows`` stack masks exactly.
 
-    Width. Let A be the matrix, n = n_rows, B the current basis and T the
-    packed part of the tableau. The update keeps T = |det B| B^-1 A and the
-    z-row |det B| (c - c_B B^-1 A) (Edmonds 1967). By Cramer's rule every
-    cell of T is +-det of B with one column swapped for a column of A: an
+    Width. Let n = n_rows, B the current basis and T the packed part of
+    the tableau. The update keeps T = |det B| B^-1 A and the z-row
+    |det B| (c - c_B B^-1 A) (Edmonds 1967). By Cramer's rule every cell of
+    T is +-det of B with one column swapped for a column of A: an
     n x n minor of A. Each column of A has norm at most sqrt(n) t,
     t = max(1, max|a_ij|), so by Hadamard's inequality every such minor is
     below H = (isqrt(n^n) + 1) t^n. A z-row cell is +-det[B A_k; c_B c_k],
@@ -181,24 +189,30 @@ def simplex_min(
     every stored cell. The rhs column is never packed, so it does not
     enter t.
     """
-    n_rows = len(matrix)
+    n_rows = len(rows)
     n_cols = len(costs)
-    if len(start) != n_rows or min(rhs, default=0) < 0 or any(
-        not 0 <= k < n_cols
-        or (col := [row[k] for row in matrix])[i] != 1
-        or col.count(0) != n_rows - 1
-        for i, k in enumerate(start)
-    ):
-        raise InternalContractError("simplex start is not a feasible unit basis")
-
-    top = max([1, *(max(map(abs, row), default=0) for row in matrix)])
-    hadamard = (math.isqrt(n_rows**n_rows) + 1) * top**n_rows
-    top_cost = max(1, max(map(abs, costs), default=1))
-    w = ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
     low, half = (1 << w) - 1, 1 << (w - 1)
     # half in every field: the sign bits of a packed row once half is added
     # to each of its fields.
     signs = half * (((1 << (n_cols * w)) - 1) // low)
+    distinct = set(start)
+    if (
+        len(start) != n_rows
+        or len(distinct) != n_rows
+        or min(start, default=0) < 0
+        or min(rhs, default=0) < 0
+    ):
+        raise InternalContractError("simplex start is not a feasible unit basis")
+    # Column start[i] is the unit vector of row i when every row r, with
+    # half added to each field (so none borrows from the next), reads half
+    # at the start columns, plus 1 at start[r].
+    fields = sum(low << (k * w) for k in distinct)
+    halves = signs & fields
+    if any(
+        (row + signs) & fields != halves + (1 << (k * w))
+        for row, k in zip(rows, start)
+    ):
+        raise InternalContractError("simplex start is not a feasible unit basis")
 
     def column(j: int) -> List[int]:
         # Field j of every packed row. (r >> (jw - 1) + 1) >> 1 rounds
@@ -210,9 +224,9 @@ def simplex_min(
         s = j * w - 1
         return [((((r >> s) + 1) >> 1 & low) ^ half) - half for r in packed]
 
-    # The start basis B is the identity, so the tableau is the matrix
-    # itself and the z-row, which rides along as row n_rows, is c - c_B A.
-    packed = [_pack(row, w) for row in matrix]
+    # The start basis B is the identity, so the tableau is A itself and the
+    # z-row, which rides along as row n_rows, is c - c_B A.
+    packed = list(rows)
     right = list(rhs)
     zrow = _pack(costs, w)
     z_rhs = 0
@@ -226,6 +240,8 @@ def simplex_min(
     # The tableau's value is its cells / denom, denom > 0 shared by every
     # row and the z-row; denom is |det| of the basis, so every cell is an int.
     denom = 1
+    # Bases not yet visited: each pivot moves to one more.
+    unvisited = math.comb(n_cols, n_rows) - 1
 
     while True:
         # Bland: the least column whose z-row field is negative, i.e. whose
@@ -249,6 +265,9 @@ def simplex_min(
                     pi = i
         if pi < 0:
             raise LpUnboundedError()
+        if not unvisited:
+            raise InternalContractError("simplex cycled: more pivots than bases")
+        unvisited -= 1
         # Edmonds-Bareiss update: (row * p - row[pj] * prow) / denom is
         # exact, and p > 0 becomes the new denominator.
         p = col[pi]
@@ -287,6 +306,34 @@ def simplex_min(
     return z, y, -right[n_rows], denom
 
 
+def _width(n_rows: int, top: int, costs: Sequence[int]) -> int:
+    """``simplex_min``'s field width for n = n_rows rows of cells at most
+    top >= 1 in magnitude, under these costs. It exceeds n, since
+    (n + 1)(isqrt(n^n) + 1) >= 2^n."""
+    hadamard = (math.isqrt(n_rows**n_rows) + 1) * top**n_rows
+    top_cost = max(1, max(map(abs, costs), default=1))
+    return ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
+
+
+def _dual_rows(
+    m: int, masks: Sequence[int], eq_masks: Sequence[int], w: int
+) -> List[int]:
+    """The m rows of [A^T | E^T | -E^T] packed at width w > m, column k of
+    A^T (E^T) the 0/1 indicator of masks[k] (eq_masks[k]).
+
+    With every mask in a w-bit field of one int s, bit k w + j of s is bit
+    j of mask k, since a mask below 2^m < 2^w cannot carry into the next
+    field: row j is (s >> j) & ones. -E^T is E^T's fields moved up and
+    subtracted.
+    """
+    n = len(masks) + len(eq_masks)
+    stack = _pack([*masks, *eq_masks], w)
+    ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)
+    base, shift = len(masks) * w, len(eq_masks) * w
+    rows = [stack >> j & ones for j in range(m)]
+    return [r - ((r >> base) << (base + shift)) for r in rows]
+
+
 def _pack(values: Sequence[int], w: int) -> int:
     """sum_k values[k] 2^(k w): the values as signed w-bit fields.
 
@@ -320,12 +367,12 @@ def _optimum(
     m: int,
     masks: Sequence[int],
     b: Sequence[int],
-    eq_rows: Sequence[Sequence[int]],
+    eq_masks: Sequence[int],
     e: Sequence[int],
     c: Sequence[int],
 ) -> Tuple[List[int], List[int], List[int], int]:
-    """min c.x  s.t.  x(B) >= b_B for B in masks and r.x = e_r for r in
-    eq_rows; all data ints. Returns (x, y, slacks, d), ints over one
+    """min c.x  s.t.  x(B) >= b_B for B in masks and x(C) = e_C for C in
+    eq_masks; all data ints. Returns (x, y, slacks, d), ints over one
     denominator d > 0: an optimal x, an optimal dual y, and the slack at x
     of the row each column of the dual stands for.
 
@@ -339,15 +386,16 @@ def _optimum(
     ``simplex_min`` gets the m-row dual, whose vertex is y and whose
     multipliers are -x:
 
-        min -b.u - e.v + e.w  s.t.  A^T u + E^T (v - w) = c,  u, v, w >= 0.
+        min -b.u - e.v + e.w  s.t.  A^T u + E^T (v - w) = c,  u, v, w >= 0,
 
-    Its column k, of cost a_k, stands for the row  col_k . x >= -a_k:
-    x(B) >= b_B, or r.x = e_r as two rows. The columns of the singleton
-    rows, the first of each, are the unit vectors of the dual's rows, and
-    with c >= 0 they are its feasible start. The certificate checks that
-    every row holds, y >= 0, the columns on the support of y sum to c,
-    complementary slackness and strong duality. Raises LpUnboundedError
-    when no x is feasible (the dual is unbounded).
+    A and E the incidence matrices of masks and eq_masks, packed by
+    ``_dual_rows`` at t = 1. Its column k, of cost a_k, stands for the row
+    col_k . x >= -a_k: x(B) >= b_B, or x(C) = e_C as two rows. The
+    columns of the singleton rows, the first of each, are the unit vectors
+    of the dual's rows, and with c >= 0 they are its feasible start. The
+    certificate checks that every row holds, y >= 0, the columns on the
+    support of y sum to c, complementary slackness and strong duality.
+    Raises LpUnboundedError when no x is feasible (the dual is unbounded).
     """
     if any(v < 0 for v in b):
         raise InvalidInputError("right-hand side must be nonnegative")
@@ -358,20 +406,22 @@ def _optimum(
         raise InvalidInputError(
             f"every singleton row is needed, and {{{j + 1}}} is missing"
         ) from None
-    matrix = [[mask >> j & 1 for mask in masks] for j in range(m)]
-    for j, row in enumerate(matrix):
-        row += [r[j] for r in eq_rows] + [-r[j] for r in eq_rows]
     costs = [-v for v in b] + [-v for v in e] + [*e]
-    y, pi, _, d = simplex_min(matrix, c, costs, start)
+    w = _width(m, 1, costs)
+    rows = _dual_rows(m, masks, eq_masks, w)
+    y, pi, _, d = simplex_min(rows, c, costs, start, w)
 
     x = [-v for v in pi]
     sums = _subset_sums(x)
-    slacks = [sums[mask] - v * d for mask, v in zip(masks, b)]
-    eq_gaps = [sum(map(mul, r, x)) - v * d for r, v in zip(eq_rows, e)]
-    slacks += eq_gaps + [-v for v in eq_gaps]
+    columns = [*masks, *eq_masks]
+    slacks = [sums[mask] - v * d for mask, v in zip(columns, [*b, *e])]
+    slacks += [-v for v in slacks[len(masks):]]
     if min(slacks, default=0) < 0:
         raise InternalContractError("primal infeasibility in solution")
-    columns = [0] * m
+    # The dual's last columns are the equality masks' again, negated.
+    n_plus = len(columns)
+    columns += eq_masks
+    totals = [0] * m
     dual_value = 0
     for k in [k for k, v in enumerate(y) if v]:
         v = y[k]
@@ -380,9 +430,13 @@ def _optimum(
         if slacks[k]:
             raise InternalContractError("complementary slackness violated")
         dual_value -= costs[k] * v
-        for j, row in enumerate(matrix):
-            columns[j] += row[k] * v
-    if columns != [v * d for v in c]:
+        mask = columns[k]
+        if k >= n_plus:
+            v = -v
+        for j in range(m):
+            if mask >> j & 1:
+                totals[j] += v
+    if totals != [v * d for v in c]:
         raise InternalContractError("dual feasibility y.A = c violated")
     if dual_value != sum(map(mul, c, x)):
         raise InternalContractError("strong duality violated")
@@ -438,15 +492,20 @@ def uniqueness_test(
     other. Neither the LP's optimum nor the verdict depends on that order;
     only which alternative vertex comes back can. The rows go over in ints,
     with b and R over one denominator q, so the point comes back as q z.
-    A point with other than m coordinates, one off the rows or one whose
-    objective is not the sum of its coordinates raises InvalidInputError,
-    as do a negative b and a missing singleton row (``_optimum``'s
-    contract).
+    InvalidInputError refuses a point with other than m coordinates or l
+    dual weights, one off the rows, an objective other than its sum, a
+    dual y that does not prove it optimal (y >= 0, y.A = 1, b.y = R), a
+    negative b and a missing singleton row (``_optimum``'s contract).
     """
     m, masks, b, b_den = system.m, system.row_masks, system.b_num, system.b_den
     if len(solution.x) != m:
         raise InvalidInputError(
             f"solution has {len(solution.x)} coordinates, the system {m}"
+        )
+    y = solution.y
+    if len(y) != system.l:
+        raise InvalidInputError(
+            f"solution has {len(y)} dual weights, the system {system.l} rows"
         )
     x_num, x_den = _over_common_denominator(solution.x)
     sums = _subset_sums(x_num)
@@ -470,8 +529,25 @@ def uniqueness_test(
     order = tight + [i for i, v in enumerate(slacks) if v]
     z_num, _, _, den = _optimum(
         m, [masks[i] for i in order], [q // b_den * b[i] for i in order],
-        [[1] * m], [r_num * (q // r_den)], [lam - dj for dj in d],
+        [full_mask(m)], [r_num * (q // r_den)], [lam - dj for dj in d],
     )
+    # After ``_optimum``, so that its contract refuses a system first.
+    support = [i for i, v in enumerate(y) if v]
+    y_num, y_den = _over_common_denominator([y[i] for i in support])
+    totals = [0] * m
+    dual_value = 0
+    for i, v in zip(support, y_num):
+        if v < 0:
+            raise InvalidInputError("solution has a negative dual weight")
+        dual_value += v * b[i]
+        mask = masks[i]
+        for j in range(m):
+            if mask >> j & 1:
+                totals[j] += v
+    if totals != [y_den] * m or dual_value * r_den != r_num * y_den * b_den:
+        raise InvalidInputError(
+            "solution is not optimal: its dual does not prove it"
+        )
     z_den = q * den
     if all(u * z_den == v * x_den for u, v in zip(x_num, z_num)):
         return UniquenessCertificate(True, ZERO)
@@ -502,10 +578,9 @@ def feasible_point(
     """
     n_ineq = len(ineq_masks)
     b, den = _over_common_denominator([*ineq_b, *eq_b])
-    eq_rows = [[mask >> j & 1 for j in range(m)] for mask in eq_masks]
     try:
         x_num, _, _, x_den = _optimum(
-            m, ineq_masks, b[:n_ineq], eq_rows, b[n_ineq:], [0] * m
+            m, ineq_masks, b[:n_ineq], eq_masks, b[n_ineq:], [0] * m
         )
     except LpUnboundedError:
         return None

@@ -10,9 +10,11 @@
 - Validity: ``reference_check_validity``, every pair of the oracle's int table.
 - Entropy-vector documents: ``reference_entropy_vector``, one read per entry.
 
-The rest only adapts or reads data: ``rational_simplex_min`` hands a rational
-system to the library's int-only simplex, and ``sw_gap``, ``verify_closure``
-and their kin are Fraction row checks that only tests read.
+The rest only adapts or reads data: ``packed_system`` and ``unpack`` turn
+a dense int matrix into the packed rows the library's simplex takes and
+back, ``rational_simplex_min`` hands a rational system to that simplex,
+and ``sw_gap``, ``verify_closure`` and their kin are Fraction row checks
+that only tests read.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from omniscio.simplex import (
     Rational,
     UniquenessCertificate,
     _over_common_denominator,
+    _pack,
+    _width,
     simplex_min,
 )
 from omniscio.dependence import Partition
@@ -177,6 +181,33 @@ def oracle_from_table(
     return EntropyOracle(m, scale, nums[:-1], nums[-1])
 
 
+def packed_system(
+    matrix: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    costs: Sequence[int],
+    start: Sequence[int],
+) -> Tuple[List[int], Sequence[int], Sequence[int], Sequence[int], int]:
+    """The int system as ``simplex_min`` takes it: every row packed by
+    ``_pack`` at the ``_width`` that the largest |cell| and the costs set."""
+    top = max([1, *(abs(v) for row in matrix for v in row)])
+    w = _width(len(matrix), top, costs)
+    return [_pack(row, w) for row in matrix], rhs, costs, start, w
+
+
+def unpack(row: int, n: int, w: int) -> List[int]:
+    """The n signed w-bit fields of a packed row, lowest first; nothing may
+    be left above them."""
+    values = []
+    for _ in range(n):
+        v = row & ((1 << w) - 1)
+        if v >> (w - 1):
+            v -= 1 << w
+        values.append(v)
+        row = (row - v) >> w
+    assert row == 0, "the packed row holds fields past its columns"
+    return values
+
+
 def rational_simplex_min(
     matrix: Sequence[Sequence[Rational]],
     rhs: Sequence[Rational],
@@ -201,12 +232,12 @@ def rational_simplex_min(
     unit = [scale if k in start else 1 for k in range(len(costs))]
     costs = [Fraction(v) / u for v, u in zip(costs, unit)]
     cost_scale = math.lcm(*(v.denominator for v in costs))
-    z, y, objective, den = simplex_min(
+    z, y, objective, den = simplex_min(*packed_system(
         [[int(v * scale / u) for v, u in zip(row, unit)] for row in matrix],
         [int(v * scale) for v in rhs],
         [int(v * cost_scale) for v in costs],
         start,
-    )
+    ))
     assert den > 0 and all(type(v) is int for v in [*z, *y, objective, den])
     return (
         [Fraction(v, u * den) for v, u in zip(z, unit)],

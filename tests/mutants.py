@@ -73,6 +73,10 @@ EQUIVALENT = {
     "simplex.py:_optimum: compare 'v < 0' -> 'v <= 0' #2": (
         "the certificate loop visits only the nonzero dual weights"
     ),
+    "simplex.py:uniqueness_test: compare 'v < 0' -> 'v <= 0' #2": (
+        "the optimality check of the solution's dual visits only its nonzero "
+        "weights"
+    ),
     "simplex.py:_optimum: raise never 'dual_value != sum(map(mul, c, x))'": (
         "strong duality follows from y.A = c, complementary slackness and "
         "the primal rows, all checked before it; it stays as part of the "

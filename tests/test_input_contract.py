@@ -135,6 +135,42 @@ CALLS = {
         ),
         "solution has 4 coordinates, the system 3",
     ),
+    # A point needs as many dual weights as the system has rows.
+    "uniqueness-dual-length": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [1, 1]),
+            LpSolution(F(2), (F(1), F(1)), (F(1),), (0, 1)),
+        ),
+        "solution has 1 dual weights, the system 2 rows",
+    ),
+    # min x1 + x2 over x >= 1 is 2, at (1, 1); (2, 1) holds the rows and
+    # its objective 3 is its sum, but its dual proves only b.y = 2 ...
+    "uniqueness-point-not-optimal": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [1, 1]),
+            LpSolution(F(3), (F(2), F(1)), (F(1), F(1)), (0,)),
+        ),
+        "solution is not optimal",
+    ),
+    # ... and weights with b.y = 3 break y.A = 1 ...
+    "uniqueness-dual-not-feasible": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [1, 1]),
+            LpSolution(F(3), (F(2), F(1)), (F(3), F(0)), (0,)),
+        ),
+        "solution is not optimal",
+    ),
+    # ... or y >= 0: on x >= 1 and x1 + x2 >= 1 over three terminals,
+    # y = (2, 2, -1, 1) has y.A = 1 and b.y = 4, the sum of (2, 1, 1).
+    "uniqueness-negative-dual": (
+        lambda: uniqueness_test(
+            make_system(3, [1, 2, 3, 4], [1, 1, 1, 1]),
+            LpSolution(
+                F(4), (F(2), F(1), F(1)), (F(2), F(2), F(-1), F(1)), (1, 3)
+            ),
+        ),
+        "solution has a negative dual weight",
+    ),
     # The zero point holds both systems' rows and has the claimed objective
     # 0, so only the contract of the LP underneath refuses them.
     "uniqueness-missing-singleton": (

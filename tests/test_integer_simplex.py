@@ -10,10 +10,17 @@ unchanged, so both take Bland's phase-2 path through the same tableau
 values and must return the same vertex, dual and objective, or raise the
 same exception. A rational system goes to ``simplex_min`` scaled to ints,
 and its answer is read back through ``helpers.rational_simplex_min``.
+``simplex_min`` takes its rows packed: a dense system goes over through
+``helpers.packed_system``, and a recorded library call comes back to the
+reference through ``helpers.unpack``.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,9 +44,11 @@ from omniscio.subsets import complement, full_mask
 from helpers import (
     LpInfeasibleError,
     admissible,
+    packed_system,
     rational_simplex_min,
     rationals,
     reference_simplex_min,
+    unpack,
 )
 
 F = Fraction
@@ -66,12 +75,23 @@ def record_calls(monkeypatch):
     calls = []
     real = simplex.simplex_min
 
-    def recording(matrix, rhs, costs, start):
-        calls.append((matrix, rhs, costs, start))
-        return real(matrix, rhs, costs, start)
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(simplex, "simplex_min", recording)
     return calls
+
+
+def assert_call_matches_reference(rows, rhs, costs, start, w):
+    # The recorded call itself, and the reference on its rows unpacked: the
+    # same vertex, dual and objective, or the same exception.
+    new = outcome(simplex.simplex_min, rows, rhs, costs, start, w)
+    if not isinstance(new, type):
+        z, y, objective, den = new
+        new = [F(v, den) for v in z], [F(v, den) for v in y], F(objective, den)
+    matrix = [unpack(row, len(costs), w) for row in rows]
+    assert new == outcome(reference_simplex_min, matrix, rhs, costs)
 
 
 def instances():
@@ -109,7 +129,7 @@ def test_every_library_call_matches_reference(name, source, active, monkeypatch)
 
     assert len(calls) >= 2
     for call in calls:
-        assert_same_outcome(*call)
+        assert_call_matches_reference(*call)
 
 
 # The widest fields: m = 7 and 8 at A = M and |A| = 3.
@@ -134,7 +154,7 @@ def test_wide_library_calls_match_integer_reference(
 
     assert len(calls) >= 2
     for call in calls:
-        assert_same_outcome(*call)
+        assert_call_matches_reference(*call)
 
 
 def count_calls(monkeypatch, *bindings):
@@ -271,6 +291,99 @@ def test_sylvester_hadamard_systems_match_reference(order):
     assert "optimal" in outcomes
 
 
+def test_width_exceeds_the_row_count():
+    # _optimum packs the dual's m rows at _width(m, 1, costs), at least the
+    # width with no costs, and the mask stack is exact only above m bits.
+    assert all(simplex._width(m, 1, []) > m for m in range(1, 64))
+
+
+@st.composite
+def mask_families(draw):
+    """Rows of a rate system at m = 2..8, every singleton among them, in
+    any order, and up to three equality masks, the full one among the
+    choices."""
+    m = draw(st.integers(2, 8))
+    full = full_mask(m)
+    extra = draw(st.sets(st.integers(1, full - 1), max_size=40))
+    masks = draw(st.permutations(sorted(extra | {1 << j for j in range(m)})))
+    eq_masks = draw(
+        st.lists(st.one_of(st.just(full), st.integers(1, full)), max_size=3)
+    )
+    return m, masks, eq_masks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mask_families())
+def test_dual_rows_are_the_incidence_matrix_at_the_least_width(family):
+    # Field by field, at w = m + 1, row j is [A^T | E^T | -E^T]'s row j,
+    # with nothing above its columns.
+    m, masks, eq_masks = family
+    w = m + 1
+    rows = simplex._dual_rows(m, masks, eq_masks, w)
+    assert len(rows) == m
+    for j, row in enumerate(rows):
+        a = [mask >> j & 1 for mask in masks]
+        e = [mask >> j & 1 for mask in eq_masks]
+        dense = a + e + [-v for v in e]
+        assert unpack(row, len(dense), w) == dense
+
+
+# A feasibility LP of the witness search at m = 5 (rhs 0, so every vertex
+# is degenerate), cut down to 14 of its columns. Bland's rule finds it
+# unbounded; with the ratio tie-break reversed, so that the larger basic
+# index leaves, the run cycles.
+CYCLING = (
+    [
+        [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, -1],
+        [0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, -1],
+        [0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, -1],
+        [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, -1],
+        [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, -1, 0],
+    ],
+    [0, 0, 0, 0, 0],
+    [0, 0, 0, 0, -1, -2, 0, -1, -3, -1, -3, -3, 0, 3],
+    [0, 1, 2, 3, 6],
+)
+
+# simplex_min's own source with the tie-break reversed, as the mutation
+# sweep (tests/mutants.py) would build it, run on the packed CYCLING. The
+# comparison is matched in either strictness: the ratio test compares two
+# distinct basic columns, so both forms break ties the same way.
+REVERSED_TIE_BREAK = """
+import inspect
+import re
+import omniscio.simplex as simplex
+from omniscio.errors import InternalContractError
+
+source = inspect.getsource(simplex.simplex_min)
+source, n = re.subn(r"basis\\[i\\] <=? basis\\[pi\\]", "basis[i] > basis[pi]", source)
+assert n == 1
+namespace = dict(vars(simplex))
+exec(source, namespace)
+try:
+    namespace["simplex_min"](*{args!r})
+except InternalContractError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_simplex_min_refuses_a_run_that_cycles():
+    assert assert_same_outcome(*CYCLING) is LpUnboundedError
+    script = REVERSED_TIE_BREAK.format(args=packed_system(*CYCLING))
+    src = Path(simplex.__file__).resolve().parent.parent
+    # Without the cap on its pivots the run never ends, and the timeout
+    # fails the test.
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "refused: simplex cycled: more pivots than bases\n"
+
+
 ROWS = [[1, 0, 1], [0, 1, 1]]
 
 
@@ -282,18 +395,20 @@ ROWS = [[1, 0, 1], [0, 1, 1]]
         (ROWS, [1, 1], [0, 2]),
         ([[2, 0, 1], [0, 1, 1]], [1, 1], [0, 1]),
         (ROWS, [1, 1], [0]),
-        (ROWS, [1, 1], [0, 1, 2]),
+        (ROWS, [1, 1], [0, 1, 1]),
+        ([[1, 0, 1], [1, 1, 1]], [1, 1], [0, 0]),
         (ROWS, [1, 1], [0, 3]),
         (ROWS, [1, 1], [0, -2]),
         ([[], []], [0, 0], []),
     ],
     ids=[
         "negative-rhs", "swapped", "not-unit", "scaled-unit", "short",
-        "long", "past-the-columns", "negative-index", "no-columns",
+        "long", "repeated", "past-the-columns", "negative-index", "no-columns",
     ],
 )
 def test_simplex_min_refuses_a_start_that_is_not_a_feasible_unit_basis(
     matrix, rhs, start
 ):
+    costs = [1, 1, 1][: len(matrix[0])]
     with pytest.raises(InternalContractError):
-        simplex.simplex_min(matrix, rhs, [1, 1, 1][: len(matrix[0])], start)
+        simplex.simplex_min(*packed_system(matrix, rhs, costs, start))

@@ -153,10 +153,10 @@ def test_alternative_optimum_is_certified(monkeypatch):
     assert not uniqueness_test(system, sol).unique
     real = simplex.simplex_min
 
-    def returns_the_solution(matrix, rhs, costs, start):
+    def returns_the_solution(rows, rhs, costs, start, w):
         # sol.x as the multipliers: everything over den * k, k the lcm of
         # x's denominators, so that x * den * k is an int vector.
-        z, _, objective, den = real(matrix, rhs, costs, start)
+        z, _, objective, den = real(rows, rhs, costs, start, w)
         k = math.lcm(*(v.denominator for v in sol.x))
         multipliers = [int(v * den * k) for v in sol.x]
         return [v * k for v in z], multipliers, objective * k, den * k
@@ -177,8 +177,8 @@ def test_unique_verdict_is_certified(monkeypatch):
     assert uniqueness_test(system, sol).auxiliary_value == 3
     real = simplex.simplex_min
 
-    def returns_the_optimum(matrix, rhs, costs, start):
-        z, _, _, den = real(matrix, rhs, costs, start)
+    def returns_the_optimum(rows, rhs, costs, start, w):
+        z, _, _, den = real(rows, rhs, costs, start, w)
         k = math.lcm(*(v.denominator for v in sol.x))
         # The multipliers are -x, so they carry the point as -sol.x, and
         # the objective is their value multipliers.rhs.
@@ -197,8 +197,8 @@ def test_feasible_point_is_certified(monkeypatch):
     assert feasible_point(*args) == (F(2), F(1))
     real = simplex.simplex_min
 
-    def shifted(matrix, rhs, costs, start):
-        z, pi, objective, den = real(matrix, rhs, costs, start)
+    def shifted(rows, rhs, costs, start, w):
+        z, pi, objective, den = real(rows, rhs, costs, start, w)
         return z, [v - den for v in pi], objective, den
 
     monkeypatch.setattr(simplex, "simplex_min", shifted)

@@ -192,7 +192,7 @@ class TestUniqueness:
         system = make_system(2, [0b01, 0b10], [F(1), F(1)])
         sol = solve(system)
         fake = type(sol)(sol.objective + 1, sol.x, sol.y, sol.tight_rows)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="objective does not match"):
             uniqueness_test(system, fake)
 
     @pytest.mark.parametrize(
