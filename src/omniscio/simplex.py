@@ -27,10 +27,15 @@ x_j >= b_{j} >= 0 at every feasible point and no LP needs x >= 0 rows.
 
 ``simplex_min`` takes ints only: the entry points put right-hand sides and
 costs over common denominators. It returns ints too, the vertex, the dual
-and the objective as numerators over one denominator, and ``_optimum``
-checks them exactly in ints, off the masks: every primal row, y >= 0, dual
-feasibility, complementary slackness and strong duality, the row sums x(B)
-read from one table of the point's sums over every subset mask. Fractions
+and the objective as numerators over one denominator. One routine,
+``_unproven``, holds the optimality proof and returns the first of its
+conditions that fails: every primal row, y >= 0, complementary slackness,
+dual feasibility y.A = c and strong duality, checked exactly in ints off
+the masks, with the row sums x(B) read from one table of the point's sums
+over every subset mask (``_slacks``) and y.A summed over the nonzero
+weights only (``_column_sums``). ``_optimum`` runs it on the simplex's
+answer and raises InternalContractError on a failure; ``uniqueness_test``
+runs it on the solution it is given and raises InvalidInputError. Fractions
 are built only for returned values. No dense matrix is built:
 ``simplex_min`` takes each row packed in w-bit signed fields of one int,
 w from ``_width``'s Hadamard bound at t = 1 for the dual's 0/+-1 cells,
@@ -61,7 +66,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
 from .subsets import check_mask, full_mask
@@ -121,8 +126,8 @@ def _over_common_denominator(
     values[i] == nums[i] / den. A value that is neither an int nor a
     Fraction is read as ``Fraction(value)``."""
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    den = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
 
 
 @dataclass(frozen=True)
@@ -315,21 +320,19 @@ def _width(n_rows: int, top: int, costs: Sequence[int]) -> int:
     return ((n_rows + 1) * top_cost * hadamard).bit_length() + 1
 
 
-def _dual_rows(
-    m: int, masks: Sequence[int], eq_masks: Sequence[int], w: int
-) -> List[int]:
+def _dual_rows(m: int, masks: Sequence[int], n: int, w: int) -> List[int]:
     """The m rows of [A^T | E^T | -E^T] packed at width w > m, column k of
-    A^T (E^T) the 0/1 indicator of masks[k] (eq_masks[k]).
+    [A^T | E^T] the 0/1 indicator of masks[k]: A^T's columns are the first
+    n masks, E^T's the rest.
 
     With every mask in a w-bit field of one int s, bit k w + j of s is bit
     j of mask k, since a mask below 2^m < 2^w cannot carry into the next
     field: row j is (s >> j) & ones. -E^T is E^T's fields moved up and
     subtracted.
     """
-    n = len(masks) + len(eq_masks)
-    stack = _pack([*masks, *eq_masks], w)
-    ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)
-    base, shift = len(masks) * w, len(eq_masks) * w
+    stack = _pack(masks, w)
+    ones = ((1 << (len(masks) * w)) - 1) // ((1 << w) - 1)
+    base, shift = n * w, (len(masks) - n) * w
     rows = [stack >> j & ones for j in range(m)]
     return [r - ((r >> base) << (base + shift)) for r in rows]
 
@@ -363,83 +366,113 @@ def _subset_sums(x: Sequence[int]) -> List[int]:
     return sums
 
 
+def _slacks(
+    x: Sequence[int], masks: Sequence[int], b: Sequence[int], scale: int
+) -> List[int]:
+    """x(B) - scale b_B for every mask B, all ints."""
+    sums = _subset_sums(x)
+    return [sums[mask] - v * scale for mask, v in zip(masks, b)]
+
+
+def _column_sums(m: int, masks: Sequence[int], y: Dict[int, int]) -> List[int]:
+    """y.A: for each terminal j, the sum of the weights y[k] of the masks
+    masks[k] that hold j."""
+    totals = [0] * m
+    for k, v in y.items():
+        mask = masks[k]
+        while mask:
+            low = mask & -mask
+            totals[low.bit_length() - 1] += v
+            mask ^= low
+    return totals
+
+
+def _unproven(
+    masks: Sequence[int], b: Sequence[int], scale: int, n: int, x: Sequence[int],
+    slacks: Sequence[int], y: Dict[int, int], den: int, c: Sequence[int],
+) -> Optional[str]:
+    """The first condition of the optimality proof of x that fails, or None
+    when the dual y proves x optimal.
+
+    The program is  min c.x  s.t.  x(B) >= scale b_B for the first n masks
+    and x(C) = scale b_C for the rest, all ints, and slacks is
+    ``_slacks(x, masks, b, scale)``. y maps each row of nonzero dual weight
+    to that weight, an int over den > 0; the proof reads only these. Its
+    conditions, in this order: every row holds, y >= 0 on the first n
+    masks (the equality rows' weights are free), complementary slackness
+    (weight only on tight rows), y.A = c, and strong duality
+    scale b.y = c.x, cross-multiplied. Strong duality cannot fail alone:
+    once the others hold, c.x = y.(A x) = scale b.y + y.slacks.
+    """
+    if min(slacks, default=0) < 0 or any(slacks[n:]):
+        return "primal row violated"
+    for k, v in y.items():
+        if v < 0 and k < n:
+            return "negative dual weight"
+    dual = 0
+    for k, v in y.items():
+        if slacks[k]:
+            return "complementary slackness violated"
+        dual += b[k] * v
+    if _column_sums(len(c), masks, y) != [v * den for v in c]:
+        return "dual feasibility y.A = c violated"
+    if dual * scale != den * sum(map(mul, c, x)):
+        return "strong duality violated"
+    return None
+
+
 def _optimum(
-    m: int,
-    masks: Sequence[int],
-    b: Sequence[int],
-    eq_masks: Sequence[int],
-    e: Sequence[int],
-    c: Sequence[int],
+    m: int, masks: Sequence[int], b: Sequence[int], n: int, c: Sequence[int]
 ) -> Tuple[List[int], List[int], List[int], int]:
-    """min c.x  s.t.  x(B) >= b_B for B in masks and x(C) = e_C for C in
-    eq_masks; all data ints. Returns (x, y, slacks, d), ints over one
-    denominator d > 0: an optimal x, an optimal dual y, and the slack at x
-    of the row each column of the dual stands for.
+    """min c.x  s.t.  x(B) >= b_B for the first n masks B and x(C) = b_C for
+    the rest; all data ints. Returns (x, y, slacks, d), ints over one
+    denominator d > 0: an optimal x, an optimal dual y and the slacks at x,
+    one per mask.
 
     Every LP of the package is a rate system, and this is its contract,
-    checked first: b >= 0 and every singleton row {j} among masks; anything
-    else raises InvalidInputError. Then x_j >= b_{j} >= 0 at every feasible
-    point, so no x >= 0 row is needed. The callers pass c >= 0, which keeps
-    the objective bounded below on the rows; ``simplex_min`` refuses any
-    other c as a start that is not feasible.
+    checked first: b >= 0 and every singleton row {j} among the first n
+    rows; anything else raises InvalidInputError. Then x_j >= b_{j} >= 0 at
+    every feasible point, so no x >= 0 row is needed. The callers pass
+    c >= 0, which keeps the objective bounded below on the rows;
+    ``simplex_min`` refuses any other c as a start that is not feasible.
 
     ``simplex_min`` gets the m-row dual, whose vertex is y and whose
     multipliers are -x:
 
         min -b.u - e.v + e.w  s.t.  A^T u + E^T (v - w) = c,  u, v, w >= 0,
 
-    A and E the incidence matrices of masks and eq_masks, packed by
-    ``_dual_rows`` at t = 1. Its column k, of cost a_k, stands for the row
-    col_k . x >= -a_k: x(B) >= b_B, or x(C) = e_C as two rows. The
+    A and E the incidence matrices of the inequality and equality rows,
+    packed by ``_dual_rows`` at t = 1, and e the equality rows' b. The
     columns of the singleton rows, the first of each, are the unit vectors
     of the dual's rows, and with c >= 0 they are its feasible start. The
-    certificate checks that every row holds, y >= 0, the columns on the
-    support of y sum to c, complementary slackness and strong duality.
-    Raises LpUnboundedError when no x is feasible (the dual is unbounded).
+    dual weight of row x(C) = e_C is v_C - w_C. ``_unproven`` then proves x
+    optimal with y; the first condition that fails raises
+    InternalContractError. Raises LpUnboundedError when no x is feasible
+    (the dual is unbounded).
     """
-    if any(v < 0 for v in b):
+    if any(v < 0 for v in b[:n]):
         raise InvalidInputError("right-hand side must be nonnegative")
     try:
-        start = [masks.index(1 << j) for j in range(m)]
+        start = [masks.index(1 << j, 0, n) for j in range(m)]
     except ValueError:
-        j = next(j for j in range(m) if 1 << j not in masks)
+        j = next(j for j in range(m) if 1 << j not in masks[:n])
         raise InvalidInputError(
             f"every singleton row is needed, and {{{j + 1}}} is missing"
         ) from None
-    costs = [-v for v in b] + [-v for v in e] + [*e]
+    costs = [-v for v in b] + [*b[n:]]
     w = _width(m, 1, costs)
-    rows = _dual_rows(m, masks, eq_masks, w)
-    y, pi, _, d = simplex_min(rows, c, costs, start, w)
+    rows = _dual_rows(m, masks, n, w)
+    u, pi, _, d = simplex_min(rows, c, costs, start, w)
 
     x = [-v for v in pi]
-    sums = _subset_sums(x)
-    columns = [*masks, *eq_masks]
-    slacks = [sums[mask] - v * d for mask, v in zip(columns, [*b, *e])]
-    slacks += [-v for v in slacks[len(masks):]]
-    if min(slacks, default=0) < 0:
-        raise InternalContractError("primal infeasibility in solution")
-    # The dual's last columns are the equality masks' again, negated.
-    n_plus = len(columns)
-    columns += eq_masks
-    totals = [0] * m
-    dual_value = 0
-    for k in [k for k, v in enumerate(y) if v]:
-        v = y[k]
-        if v < 0:
-            raise InternalContractError("negative dual weight")
-        if slacks[k]:
-            raise InternalContractError("complementary slackness violated")
-        dual_value -= costs[k] * v
-        mask = columns[k]
-        if k >= n_plus:
-            v = -v
-        for j in range(m):
-            if mask >> j & 1:
-                totals[j] += v
-    if totals != [v * d for v in c]:
-        raise InternalContractError("dual feasibility y.A = c violated")
-    if dual_value != sum(map(mul, c, x)):
-        raise InternalContractError("strong duality violated")
+    y = u[:len(masks)]
+    for k in range(n, len(masks)):
+        y[k] -= u[k + len(masks) - n]
+    slacks = _slacks(x, masks, b, d)
+    support = {i: v for i, v in enumerate(y) if v}
+    reason = _unproven(masks, b, d, n, x, slacks, support, d, c)
+    if reason:
+        raise InternalContractError(reason)
     return x, y, slacks, d
 
 
@@ -454,7 +487,7 @@ def solve(system: ConstraintSystem) -> LpSolution:
     m = system.m
     try:
         x_num, z, slacks, d = _optimum(
-            m, system.row_masks, system.b_num, (), (), [1] * m
+            m, system.row_masks, system.b_num, system.l, [1] * m
         )
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
@@ -492,10 +525,13 @@ def uniqueness_test(
     other. Neither the LP's optimum nor the verdict depends on that order;
     only which alternative vertex comes back can. The rows go over in ints,
     with b and R over one denominator q, so the point comes back as q z.
+
     InvalidInputError refuses a point with other than m coordinates or l
     dual weights, one off the rows, an objective other than its sum, a
-    dual y that does not prove it optimal (y >= 0, y.A = 1, b.y = R), a
-    negative b and a missing singleton row (``_optimum``'s contract).
+    negative b and a missing singleton row (``_optimum``'s contract), and
+    then, naming the first condition that fails, a dual y that
+    ``_unproven`` does not accept as a proof that x is optimal: y >= 0,
+    complementary slackness, y.A = 1 and b.y = R.
     """
     m, masks, b, b_den = system.m, system.row_masks, system.b_num, system.b_den
     if len(solution.x) != m:
@@ -508,46 +544,36 @@ def uniqueness_test(
             f"solution has {len(y)} dual weights, the system {system.l} rows"
         )
     x_num, x_den = _over_common_denominator(solution.x)
-    sums = _subset_sums(x_num)
-    slacks = [sums[mask] * b_den - v * x_den for mask, v in zip(masks, b)]
-    if any(v < 0 for v in slacks):
-        raise InvalidInputError("solution is not feasible for the system")
-    objective = solution.objective
-    r_num, r_den = objective.numerator, objective.denominator
+    # The slacks over x_den b_den: x(B) b_den - b_B x_den.
+    x_int = [v * b_den for v in x_num]
+    slacks = _slacks(x_int, masks, b, x_den)
+    if min(slacks, default=0) < 0:
+        raise InvalidInputError("solution is not feasible: primal row violated")
+    r_num, r_den = solution.objective.as_integer_ratio()
     if sum(x_num) * r_den != r_num * x_den:
         raise InvalidInputError("solution objective does not match the system")
 
     tight = [i for i, v in enumerate(slacks) if not v]
-    tight_masks = [masks[i] for i in tight]
-    d = [
-        (not v) + sum(mask >> j & 1 for mask in tight_masks)
-        for j, v in enumerate(x_num)
-    ]
+    in_tight = _column_sums(m, masks, dict.fromkeys(tight, 1))
+    d = [(not v) + t for v, t in zip(x_num, in_tight)]
     lam = max(d, default=0)
     # R = r_num / r_den, and q = lcm(b_den, r_den).
     q = math.lcm(b_den, r_den)
     order = tight + [i for i, v in enumerate(slacks) if v]
     z_num, _, _, den = _optimum(
-        m, [masks[i] for i in order], [q // b_den * b[i] for i in order],
-        [full_mask(m)], [r_num * (q // r_den)], [lam - dj for dj in d],
+        m, [masks[i] for i in order] + [full_mask(m)],
+        [q // b_den * b[i] for i in order] + [r_num * (q // r_den)],
+        system.l, [lam - dj for dj in d],
     )
-    # After ``_optimum``, so that its contract refuses a system first.
+    # After ``_optimum``, so that its contract refuses a system first. Only
+    # the nonzero weights go over a common denominator, so that the cost
+    # follows the dual's support rather than the l rows.
     support = [i for i, v in enumerate(y) if v]
-    y_num, y_den = _over_common_denominator([y[i] for i in support])
-    totals = [0] * m
-    dual_value = 0
-    for i, v in zip(support, y_num):
-        if v < 0:
-            raise InvalidInputError("solution has a negative dual weight")
-        dual_value += v * b[i]
-        mask = masks[i]
-        for j in range(m):
-            if mask >> j & 1:
-                totals[j] += v
-    if totals != [y_den] * m or dual_value * r_den != r_num * y_den * b_den:
-        raise InvalidInputError(
-            "solution is not optimal: its dual does not prove it"
-        )
+    nums, y_den = _over_common_denominator([y[i] for i in support])
+    y_int = dict(zip(support, nums))
+    reason = _unproven(masks, b, x_den, system.l, x_int, slacks, y_int, y_den, [1] * m)
+    if reason:
+        raise InvalidInputError(f"solution is not optimal: {reason}")
     z_den = q * den
     if all(u * z_den == v * x_den for u, v in zip(x_num, z_num)):
         return UniquenessCertificate(True, ZERO)
@@ -576,11 +602,10 @@ def feasible_point(
     be >= 0, or InvalidInputError is raised; then x_j >= b_{j} >= 0 holds
     at every point with no x >= 0 row.
     """
-    n_ineq = len(ineq_masks)
     b, den = _over_common_denominator([*ineq_b, *eq_b])
     try:
         x_num, _, _, x_den = _optimum(
-            m, ineq_masks, b[:n_ineq], eq_masks, b[n_ineq:], [0] * m
+            m, [*ineq_masks, *eq_masks], b, len(ineq_masks), [0] * m
         )
     except LpUnboundedError:
         return None

@@ -404,40 +404,37 @@ def _violating_pairs(
     highest open bit: each child updates one of them by projecting bit k,
     and the child that sets bit k drops the 2^k fields below its prefix.
     At leaf B1 the fields start at B2 = B1, whose slack 0 is never listed,
-    so only B2 > B1 is read. A walk that may stop returns True once it
-    has its pair, and the nodes above it return without visiting more.
+    so only B2 > B1 is read. A walk that may stop returns at its first
+    pair.
     """
     out: List[Tuple[int, int]] = []
     low = (1 << w) - 1
     signs = ones << (w - 1)
     fields = ones * low
     setbits = [fields ^ c for c in clear]
-
-    def leaf(b1: int, join: int, meet: int) -> bool:
+    # A loop on a stack, not a recursive closure, so that a call leaves no
+    # reference cycle to hold its tables until the collector runs. Each
+    # entry (k, b1, join, meet) is a node, k its highest open bit. From it
+    # the walk goes down to the child that leaves the open bit 0, level by
+    # level, to the leaf at k = -1, and stacks each child that sets the bit,
+    # so the stack holds the subtrees still to walk in the order they come.
+    stack = [(m - 1, 0, table, table)]
+    while stack:
+        k, b1, join, meet = stack.pop()
+        while k >= 0:
+            s = w << k
+            below = meet & clear[k]
+            above = join & setbits[k]
+            stack.append((k - 1, b1 | 1 << k, (above | above >> s) >> s, meet >> s))
+            k, meet = k - 1, below | below << s
         # Field 0 of join is u(B1 | B1) = u(B1), spread over every field.
         shift = b1 * w
         slack = (floor >> shift) + (join & low) * (ones >> shift) - join - meet
         bad = slack & signs
-        if not bad:
-            return False
-        if first:
-            bad &= -bad  # the least B2
-        out.extend((b1, b1 + t) for t in _field_indices(bad, w))
-        return first
-
-    def walk(k: int, b1: int, join: int, meet: int) -> bool:
-        s = w << k
-        below = meet & clear[k]
-        above = join & setbits[k]
-        if k:
-            return walk(k - 1, b1, join, below | below << s) or walk(
-                k - 1, b1 | 1 << k, (above | above >> s) >> s, meet >> s
-            )
-        return leaf(b1, join, below | below << s) or leaf(
-            b1 | 1, (above | above >> s) >> s, meet >> s
-        )
-
-    walk(m - 1, 0, table, table)
+        if bad:
+            if first:
+                return [(b1, b1 + _field_indices(bad & -bad, w)[0])]  # least B2
+            out.extend((b1, b1 + t) for t in _field_indices(bad, w))
     return out
 
 

@@ -5,8 +5,10 @@
 For each seed from A to B it runs ``perfbench/run.py --trace 0`` once in
 each checkout, one run at a time, for the ``run_seconds`` of CHANGE's
 ``BENCHMARK.json``; the parent goes first on the first seed, and the side
-that goes first alternates from seed to seed. Each run's result line is
-printed as it comes. At the end it prints, for every end-to-end metric of
+that goes first alternates from seed to seed. Every run, on either side,
+gets a new, empty ``PYTHONPYCACHEPREFIX``, so no run reads bytecode left
+in a checkout's ``__pycache__``. Each run's result line is printed as it
+comes. At the end it prints, for every end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of both sides and the number
 of pairs in which the change is better (ties count for neither side),
 then one JSON line with the summary and every result line.
@@ -24,6 +26,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -104,7 +107,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> Dict:
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    # Each run gets a new, empty bytecode cache, inherited by the benchmark's
+    # workers, so that neither side reads bytecode that a working tree's
+    # __pycache__ or an earlier run left behind: both compile alike.
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(
+            cmd, cwd=checkout, capture_output=True, text=True, env=env
+        )
     if proc.returncode != 0:
         raise ValueError(f"exit {proc.returncode}: {proc.stderr.strip()}")
     result = parse_result(proc.stdout)

@@ -70,14 +70,11 @@ EQUIVALENT = {
         "the basis holds distinct columns and the ratio test compares "
         "distinct rows, so basis[i] == basis[pi] never holds there"
     ),
-    "simplex.py:_optimum: compare 'v < 0' -> 'v <= 0' #2": (
-        "the certificate loop visits only the nonzero dual weights"
+    "simplex.py:_unproven: compare 'v < 0' -> 'v <= 0'": (
+        "the optimality proof reads only the nonzero dual weights"
     ),
-    "simplex.py:uniqueness_test: compare 'v < 0' -> 'v <= 0' #2": (
-        "the optimality check of the solution's dual visits only its nonzero "
-        "weights"
-    ),
-    "simplex.py:_optimum: raise never 'dual_value != sum(map(mul, c, x))'": (
+    "simplex.py:_unproven: return 'return \"strong duality violated\"' under "
+    "'dual * scale != den * sum(map(mul, c, x))'": (
         "strong duality follows from y.A = c, complementary slackness and "
         "the primal rows, all checked before it; it stays as part of the "
         "certificate the package states"

@@ -5,9 +5,12 @@ prints its last one.
 """
 
 import json
+import os
+import subprocess
 
 import pytest
 
+import bench_pairs
 from bench_pairs import (
     check_result,
     format_summary,
@@ -92,3 +95,37 @@ def test_seed_ranges():
     assert parse_seeds("7") == [7]
     with pytest.raises(ValueError):
         parse_seeds("9-3")
+
+
+def test_every_run_gets_its_own_empty_bytecode_cache(tmp_path, monkeypatch):
+    # A stale __pycache__ in one checkout must not be read on one side only:
+    # each run, parent and change alike, compiles into a new, empty cache.
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench" / "__pycache__").mkdir(parents=True)
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "latency_p50_ms", "better": "lower"}],
+    }))
+    runs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(cache) and not os.listdir(cache)
+        rest = {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"}
+        runs.append((cwd, cache, rest))
+        return subprocess.CompletedProcess(cmd, 0, result_line(0.3, 2000.0), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    argv = [str(sides["parent"]), str(sides["change"]), "--workload", "w"]
+    assert bench_pairs.main([*argv, "--seeds", "1-2"]) == 0
+    assert [cwd for cwd, _, _ in runs] == [
+        str(sides[side]) for side in ("parent", "change", "change", "parent")
+    ]
+    caches = [cache for _, cache, _ in runs]
+    assert len(set(caches)) == 4
+    # None of them inside a checkout, and every one gone after its run.
+    assert not any(cache.startswith(str(tmp_path)) for cache in caches)
+    assert all(env == runs[0][2] for _, _, env in runs)
+    assert not any(os.path.exists(cache) for cache in caches)

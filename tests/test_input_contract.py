@@ -144,7 +144,9 @@ CALLS = {
         "solution has 1 dual weights, the system 2 rows",
     ),
     # min x1 + x2 over x >= 1 is 2, at (1, 1); (2, 1) holds the rows and
-    # its objective 3 is its sum, but its dual proves only b.y = 2 ...
+    # its objective 3 is its sum, but its dual proves only b.y = 2 ... (Both
+    # duals here weigh the slack row {1}, so the proof refuses them first at
+    # complementary slackness.)
     "uniqueness-point-not-optimal": (
         lambda: uniqueness_test(
             make_system(2, [1, 2], [1, 1]),
@@ -169,7 +171,7 @@ CALLS = {
                 F(4), (F(2), F(1), F(1)), (F(2), F(2), F(-1), F(1)), (1, 3)
             ),
         ),
-        "solution has a negative dual weight",
+        "solution is not optimal: negative dual weight",
     ),
     # The zero point holds both systems' rows and has the claimed objective
     # 0, so only the contract of the LP underneath refuses them.

@@ -8,6 +8,7 @@ against the constraint-per-row reference on random systems, and check that
 the integer forms give the values the Fraction forms give.
 """
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,8 +26,8 @@ from omniscio import (
     solve,
     uniqueness_test,
 )
-from omniscio.errors import InternalContractError
-from omniscio.simplex import ConstraintSystem, feasible_point
+from omniscio.errors import InternalContractError, InvalidInputError
+from omniscio.simplex import ConstraintSystem, LpSolution, feasible_point
 from omniscio.sources import TabularSource
 from omniscio.subsets import complement, full_mask
 
@@ -171,6 +172,51 @@ def test_untampered_scaled_system_is_certified():
     sol = solve(system)
     assert sol.objective == brute_force_lp_min(system)
     assert all(type(v) is Fraction for v in [*sol.x, *sol.y, sol.objective])
+
+
+# One optimality proof, ``simplex._unproven``, certifies the answers of the
+# simplex and the solutions handed to ``uniqueness_test``. Each case plants
+# an answer (x, y) on THREE, with b, at which the named condition is the
+# first of the proof to fail: every row holds, y >= 0, complementary
+# slackness, y.A = 1. Strong duality b.y = sum x cannot fail first: once
+# the others hold, sum x = y.(A x) = b.y + y.slack = b.y, which is why
+# tests/mutants.py lists its refusal as equivalent. On FACE the optimal
+# face is x1 + x2 = 1, x3 = 1, and y = 1 on the rows {1,2} and {3} proves it.
+FACE = [0, 0, 1, 1, 1, 1]
+PLANTED = {
+    # x2 < 0 off the face, with sum x and the dual's rows kept.
+    "row": (FACE, (2, -1, 1), (0, 0, 1, 1, 0, 0), "primal row violated"),
+    # The dual of test_solve_rejects_a_negative_dual_weight.
+    "negative-weight": (
+        [1, 1, 2, 1, 0, 0], (1, 1, 1), (-1, -1, 2, 1, 0, 0),
+        "negative dual weight",
+    ),
+    # A point above the optimum: the row {1,2} is slack under its weight.
+    "slackness": (
+        FACE, (1, 1, 1), (0, 0, 1, 1, 0, 0), "complementary slackness violated"
+    ),
+    # A unit more on the tight row {2}, of b = 0: b.y stays 2 = sum x.
+    "y.A": (
+        FACE, (1, 0, 1), (0, 1, 1, 1, 0, 0), "dual feasibility y.A = c violated"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_fault_is_refused_by_both_callers(name, monkeypatch):
+    b, x, y, condition = PLANTED[name]
+    system = make_system(3, THREE, b)
+    solution = LpSolution(F(sum(x)), tuple(map(F, x)), tuple(map(F, y)), ())
+    with pytest.raises(InvalidInputError, match=re.escape(condition)):
+        uniqueness_test(system, solution)
+
+    def answers(rows, rhs, costs, start, w):
+        # x and y as the vertex and the multipliers -x, over den = 1.
+        return list(y), [-v for v in x], sum(x), 1
+
+    monkeypatch.setattr(simplex, "simplex_min", answers)
+    with pytest.raises(InternalContractError, match=f"^{re.escape(condition)}$"):
+        solve(system)
 
 
 # Singleton rows with small right-hand sides, and up to three rows on two

@@ -319,7 +319,7 @@ def test_dual_rows_are_the_incidence_matrix_at_the_least_width(family):
     # with nothing above its columns.
     m, masks, eq_masks = family
     w = m + 1
-    rows = simplex._dual_rows(m, masks, eq_masks, w)
+    rows = simplex._dual_rows(m, [*masks, *eq_masks], len(masks), w)
     assert len(rows) == m
     for j, row in enumerate(rows):
         a = [mask >> j & 1 for mask in masks]

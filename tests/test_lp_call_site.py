@@ -5,6 +5,10 @@
 in ``src/omniscio`` would be a hand-built dual form with a certificate of
 its own, so the package may name it in exactly one place: the callee of
 one call inside ``_optimum``.
+
+The optimality proof is written once too, in ``simplex._unproven``: it is
+called on the simplex's answer in ``_optimum`` and on the caller's solution
+in ``uniqueness_test``, and nowhere else.
 """
 
 import ast
@@ -57,3 +61,10 @@ def uses(name):
 def test_simplex_min_has_one_call_site():
     assert uses("simplex_min") == [("simplex.py", "_optimum", True)]
 
+
+
+def test_the_optimality_proof_has_two_call_sites():
+    assert uses("_unproven") == [
+        ("simplex.py", "_optimum", True),
+        ("simplex.py", "uniqueness_test", True),
+    ]

@@ -12,6 +12,7 @@ chosen for, and reach |v| = 2R in a field, so a field one bit narrower
 reads a wrong sign.
 """
 
+import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omniscio import check_validity, counterexample_entropy_vector, make_oracle
+from omniscio import check_validity, cli, counterexample_entropy_vector, make_oracle
 from omniscio.errors import ValidationError
 from omniscio.sources import EntropyVector
 
@@ -123,6 +124,24 @@ def test_paper_h_table():
     )
     assert report.supermodularity_violations
     assert not report.monotonicity_violations
+
+
+def test_paper_h_scan_leaves_no_cyclic_garbage(capsys):
+    # A reference cycle would keep a request's packed tables alive until the
+    # collector runs, so peak memory would follow its timing. With automatic
+    # collection off, a collection right after each call finds nothing.
+    oracle = make_oracle(counterexample_entropy_vector(), validate=False)
+    gc.collect()
+    gc.disable()
+    try:
+        for first in (False, True):
+            assert not check_validity(oracle, first=first).ok
+            assert gc.collect() == 0, first
+        assert cli.main(["audit", "--json"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out
 
 
 def assert_at_width_edge(span, tol):

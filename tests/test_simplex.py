@@ -198,8 +198,8 @@ class TestUniqueness:
     @pytest.mark.parametrize(
         "x,message",
         [
-            ((F(-1), F(3)), "not feasible for the system"),
-            ((F(1, 2), F(3, 2)), "not feasible for the system"),
+            ((F(-1), F(3)), "not feasible: primal row violated"),
+            ((F(1, 2), F(3, 2)), "not feasible: primal row violated"),
         ],
         ids=["negative", "outside-region"],
     )
