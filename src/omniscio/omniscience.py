@@ -66,16 +66,24 @@ def build_family(m: int, active: int) -> ConstraintFamily:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Everything the rate LP yields for one (source, active set) instance."""
+    """Everything the rate LP yields for one (source, active set) instance.
+
+    ``rates`` and ``dual`` are the solution's Fraction views of x and y."""
 
     r_co: Fraction
     c_sk: Fraction
-    rates: RateVector
-    dual: Tuple[Fraction, ...]
     tight_masks: Tuple[int, ...]
     uniqueness: UniquenessCertificate
     solution: LpSolution
     family: ConstraintFamily
+
+    @property
+    def rates(self) -> RateVector:
+        return self.solution.x
+
+    @property
+    def dual(self) -> Tuple[Fraction, ...]:
+        return self.solution.y
 
 
 def r_co(oracle: EntropyOracle, active: int) -> CapacityReport:
@@ -85,11 +93,10 @@ def r_co(oracle: EntropyOracle, active: int) -> CapacityReport:
     solution = solve(system)
     cert = uniqueness_test(system, solution)
     tight = tuple(family.masks[i] for i in solution.tight_rows)
+    objective = solution.objective
     return CapacityReport(
-        r_co=solution.objective,
-        c_sk=oracle.total_entropy() - solution.objective,
-        rates=solution.x,
-        dual=solution.y,
+        r_co=objective,
+        c_sk=oracle.total_entropy() - objective,
         tight_masks=tight,
         uniqueness=cert,
         solution=solution,

@@ -7,6 +7,7 @@ sorted 1-based terminal lists.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence
@@ -36,12 +37,22 @@ def _partition(blocks: Sequence[int]) -> List[List[int]]:
     return [terminals_of(b) for b in blocks]
 
 
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, with no Fraction built."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _capacity_fields(report: CapacityReport) -> Dict[str, Any]:
+    # The rates and dual weights are written straight from the solution's
+    # ints, which costs a fifth of building and printing a Fraction each.
+    solution = report.solution
+    x_den, y_den = solution.x_den, solution.y_den
     return {
         "r_co": str(report.r_co),
         "c_sk": str(report.c_sk),
-        "rates": list(map(str, report.rates)),
-        "dual": list(map(str, report.dual)),
+        "rates": [_ratio(v, x_den) for v in solution.x_num],
+        "dual": [_ratio(v, y_den) for v in solution.y_num],
         "tight_constraints": [terminals_of(mask) for mask in report.tight_masks],
         "uniqueness": {
             "verdict": report.uniqueness.verdict,

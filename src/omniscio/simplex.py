@@ -33,10 +33,13 @@ conditions that fails: every primal row, y >= 0, complementary slackness,
 dual feasibility y.A = c and strong duality, checked exactly in ints off
 the masks, with the row sums x(B) read from one table of the point's sums
 over every subset mask (``_slacks``) and y.A summed over the nonzero
-weights only (``_column_sums``). ``_optimum`` runs it on the simplex's
-answer and raises InternalContractError on a failure; ``uniqueness_test``
-runs it on the solution it is given and raises InvalidInputError. Fractions
-are built only for returned values. No dense matrix is built:
+weights only (``_column_sums``). ``_optimum`` runs it on the
+simplex's answer and raises InternalContractError on a failure;
+``uniqueness_test`` runs it on the solution it is given and raises
+InvalidInputError. ``solve`` returns the ints it proved, x and y each over
+one positive denominator, in an ``LpSolution``; ``uniqueness_test`` reads
+those ints, and Fractions are built only when a caller reads the
+solution's ``x``, ``y`` or ``objective``. No dense matrix is built:
 ``simplex_min`` takes each row packed in w-bit signed fields of one int,
 w from ``_width``'s Hadamard bound at t = 1 for the dual's 0/+-1 cells,
 and ``_dual_rows`` stacks the masks as w-bit fields of one int; w > m, so
@@ -69,7 +72,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContractError, InvalidInputError
-from .subsets import check_mask, full_mask
+from .subsets import check_mask, check_terminal_count, full_mask
 
 ZERO = Fraction(0)
 
@@ -96,6 +99,7 @@ class ConstraintSystem:
     b_den: int
 
     def __post_init__(self) -> None:
+        check_terminal_count(self.m)
         if len(self.b_num) != len(self.row_masks):
             raise InvalidInputError("row count mismatch between masks and b")
         if self.b_den <= 0:
@@ -132,16 +136,36 @@ def _over_common_denominator(
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A vertex primal optimum with its basis dual."""
+    """A vertex primal optimum with its basis dual, as the ints the LP
+    solved and proved: x_j = x_num[j] / x_den and y_k = y_num[k] / y_den,
+    both denominators positive. ``objective`` (the sum of x), ``x`` and
+    ``y`` are Fraction views, built each time they are read."""
 
-    objective: Fraction
-    x: Tuple[Fraction, ...]
-    y: Tuple[Fraction, ...]
+    x_num: Tuple[int, ...]
+    x_den: int
+    y_num: Tuple[int, ...]
+    y_den: int
     tight_rows: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.x_den <= 0 or self.y_den <= 0:
+            raise InvalidInputError("denominators must be positive")
+
+    @property
+    def objective(self) -> Fraction:
+        return Fraction(sum(self.x_num), self.x_den)
+
+    @property
+    def x(self) -> Tuple[Fraction, ...]:
+        return tuple([Fraction(v, self.x_den) for v in self.x_num])
+
+    @property
+    def y(self) -> Tuple[Fraction, ...]:
+        return tuple([Fraction(v, self.y_den) if v else ZERO for v in self.y_num])
 
     @property
     def support_size(self) -> int:
-        return sum(1 for v in self.y if v > 0)
+        return sum(1 for v in self.y_num if v > 0)
 
 
 @dataclass(frozen=True)
@@ -179,6 +203,10 @@ def simplex_min(
 
     The Edmonds-Bareiss update is linear in the row, so it runs on whole
     packed rows; only the field reads need every stored |v_k| < 2^(w-1).
+    A read adds half = 2^(w-1) to every field at once, so each field is
+    v_k + half in [0, 2^w) and none borrows from the next; field j is then
+    ((row + signs) >> j w & (2^w - 1)) - half, with no branch for j = 0
+    and no rounding.
     The caller picks w with ``_width``; no cell is read for it here, and
     that w > n_rows lets ``_dual_rows`` stack masks exactly.
 
@@ -220,14 +248,12 @@ def simplex_min(
         raise InternalContractError("simplex start is not a feasible unit basis")
 
     def column(j: int) -> List[int]:
-        # Field j of every packed row. (r >> (jw - 1) + 1) >> 1 rounds
-        # r / 2^(jw) to the nearest int, which drops the fields below j:
-        # they sum to less than 2^(jw - 1) in magnitude. Field j is the low
-        # w bits of that, read in two's complement.
-        if not j:
-            return [((r & low) ^ half) - half for r in packed]
-        s = j * w - 1
-        return [((((r >> s) + 1) >> 1 & low) ^ half) - half for r in packed]
+        # Field j of every packed row: with half added to each field, every
+        # field lies in [0, 2^w) and none borrows from the next, so field j
+        # is the low w bits of the biased row shifted right by j w, less
+        # half.
+        s = j * w
+        return [((r + signs) >> s & low) - half for r in packed]
 
     # The start basis B is the identity, so the tableau is A itself and the
     # z-row, which rides along as row n_rows, is c - c_B A.
@@ -303,11 +329,8 @@ def simplex_min(
     # Column start[i] is the unit vector of row i, so its reduced cost is
     # its cost minus y_i: the z-row field there is denom * (c_k - y_i). Only
     # the z-row's field is read, as ``column`` reads it.
-    zrow = packed[n_rows]
-    y = []
-    for k in start:
-        r = ((zrow >> (k * w - 1)) + 1) >> 1 if k else zrow
-        y.append(denom * costs[k] - (((r & low) ^ half) - half))
+    zrow = packed[n_rows] + signs
+    y = [denom * costs[k] - ((zrow >> (k * w) & low) - half) for k in start]
     return z, y, -right[n_rows], denom
 
 
@@ -480,9 +503,10 @@ def solve(system: ConstraintSystem) -> LpSolution:
     """Solve min sum x s.t. A x >= b (x free) exactly; verify all contracts.
 
     ``_optimum`` solves and certifies it with b as the system's ints, so
-    over its denominator d the point is b_den * x and the dual is y. It
-    refuses, with InvalidInputError, a negative b and a missing singleton
-    row {j}.
+    over its denominator d the point is b_den * x and the dual is y: the
+    solution keeps those ints, x over d * b_den and y over d, and builds
+    no Fraction. It refuses, with InvalidInputError, a negative b and a
+    missing singleton row {j}.
     """
     m = system.m
     try:
@@ -492,11 +516,8 @@ def solve(system: ConstraintSystem) -> LpSolution:
     except LpUnboundedError as exc:
         raise InternalContractError("rate LP reported infeasible") from exc
 
-    x_den = d * system.b_den
-    x = tuple(Fraction(v, x_den) for v in x_num)
-    y = tuple(Fraction(v, d) if v else ZERO for v in z)
     tight = tuple(i for i, v in enumerate(slacks) if not v)
-    return LpSolution(Fraction(sum(x_num), x_den), x, y, tight)
+    return LpSolution(tuple(x_num), d * system.b_den, tuple(z), d, tight)
 
 
 def uniqueness_test(
@@ -526,52 +547,51 @@ def uniqueness_test(
     only which alternative vertex comes back can. The rows go over in ints,
     with b and R over one denominator q, so the point comes back as q z.
 
-    InvalidInputError refuses a point with other than m coordinates or l
-    dual weights, one off the rows, an objective other than its sum, a
-    negative b and a missing singleton row (``_optimum``'s contract), and
-    then, naming the first condition that fails, a dual y that
-    ``_unproven`` does not accept as a proof that x is optimal: y >= 0,
-    complementary slackness, y.A = 1 and b.y = R.
+    The solution is read as its ints: R is sum(x_num) / x_den by
+    construction, and the dual's nonzero weights go to the proof over
+    y_den as they are. InvalidInputError refuses a solution whose
+    numerators and denominators are not all ints, a point with other than m
+    coordinates or l dual weights, one off the rows, a negative b and a
+    missing singleton row (``_optimum``'s contract), and then, naming the
+    first condition that fails, a dual y that ``_unproven`` does not accept
+    as a proof that x is optimal: y >= 0, complementary slackness, y.A = 1
+    and b.y = R.
     """
     m, masks, b, b_den = system.m, system.row_masks, system.b_num, system.b_den
-    if len(solution.x) != m:
+    x_num, x_den, y = solution.x_num, solution.x_den, solution.y_num
+    if not all(isinstance(v, int) for v in (x_den, solution.y_den, *x_num, *y)):
+        raise InvalidInputError("solution numerators and denominators must be ints")
+    if len(x_num) != m:
         raise InvalidInputError(
-            f"solution has {len(solution.x)} coordinates, the system {m}"
+            f"solution has {len(x_num)} coordinates, the system {m}"
         )
-    y = solution.y
     if len(y) != system.l:
         raise InvalidInputError(
             f"solution has {len(y)} dual weights, the system {system.l} rows"
         )
-    x_num, x_den = _over_common_denominator(solution.x)
     # The slacks over x_den b_den: x(B) b_den - b_B x_den.
     x_int = [v * b_den for v in x_num]
     slacks = _slacks(x_int, masks, b, x_den)
     if min(slacks, default=0) < 0:
         raise InvalidInputError("solution is not feasible: primal row violated")
-    r_num, r_den = solution.objective.as_integer_ratio()
-    if sum(x_num) * r_den != r_num * x_den:
-        raise InvalidInputError("solution objective does not match the system")
 
     tight = [i for i, v in enumerate(slacks) if not v]
     in_tight = _column_sums(m, masks, dict.fromkeys(tight, 1))
     d = [(not v) + t for v, t in zip(x_num, in_tight)]
     lam = max(d, default=0)
-    # R = r_num / r_den, and q = lcm(b_den, r_den).
-    q = math.lcm(b_den, r_den)
+    # R = sum(x_num) / x_den, and q = lcm(b_den, x_den).
+    q = math.lcm(b_den, x_den)
     order = tight + [i for i, v in enumerate(slacks) if v]
     z_num, _, _, den = _optimum(
         m, [masks[i] for i in order] + [full_mask(m)],
-        [q // b_den * b[i] for i in order] + [r_num * (q // r_den)],
+        [q // b_den * b[i] for i in order] + [sum(x_num) * (q // x_den)],
         system.l, [lam - dj for dj in d],
     )
-    # After ``_optimum``, so that its contract refuses a system first. Only
-    # the nonzero weights go over a common denominator, so that the cost
-    # follows the dual's support rather than the l rows.
-    support = [i for i, v in enumerate(y) if v]
-    nums, y_den = _over_common_denominator([y[i] for i in support])
-    y_int = dict(zip(support, nums))
-    reason = _unproven(masks, b, x_den, system.l, x_int, slacks, y_int, y_den, [1] * m)
+    # After ``_optimum``, so that its contract refuses a system first.
+    support = {i: v for i, v in enumerate(y) if v}
+    reason = _unproven(
+        masks, b, x_den, system.l, x_int, slacks, support, solution.y_den, [1] * m
+    )
     if reason:
         raise InvalidInputError(f"solution is not optimal: {reason}")
     z_den = q * den

@@ -38,12 +38,7 @@ from .errors import ComputationError, InternalContractError, InvalidInputError
 from .omniscience import CapacityReport, ConstraintFamily, RateVector, r_co
 # feasible_point is not called in this module either; it stays bound here
 # because perfbench/tracer.py wraps it under this module's name.
-from .simplex import (  # noqa: F401
-    LpSolution,
-    _over_common_denominator,
-    _subset_sums,
-    feasible_point,
-)
+from .simplex import LpSolution, _subset_sums, feasible_point  # noqa: F401
 from .sources import EntropyOracle
 from .subsets import check_partition, format_mask, full_mask
 
@@ -111,7 +106,10 @@ def witness_by_partition_search(
     witness: Optional[Tuple[Partition, RateVector]] = None
     if bound == report.c_sk:
         partition = minimizers[0]
-        _certify_rates(oracle, report.rates, report.family.masks, partition)
+        solution = report.solution
+        _certify_rates(
+            oracle, solution.x_num, solution.x_den, report.family.masks, partition
+        )
         witness = (partition, report.rates)
     gap = bound - report.c_sk
     return TightnessVerdict(witness is not None, gap, report.c_sk, bound, witness)
@@ -136,7 +134,7 @@ def construct_partition_from_dual(
         raise InvalidInputError("constructive extraction requires A = M")
     if oracle.m != m:
         raise InvalidInputError("oracle terminal count mismatch")
-    rows = [mask for mask, w in zip(family.masks, solution.y) if w > 0]
+    rows = [mask for mask, w in zip(family.masks, solution.y_num) if w > 0]
     if len(rows) < 2:
         raise InternalContractError(f"dual support size {len(rows)} < 2")
     if 0 in rows or full in rows:
@@ -176,23 +174,23 @@ def construct_partition_from_dual(
                 "union of retained tight rows"
             )
     partition = tuple(classes.values())
-    _certify_rates(oracle, solution.x, (), partition)
+    _certify_rates(oracle, solution.x_num, solution.x_den, (), partition)
     check_partition(partition, m)
     return partition
 
 
 def _certify_rates(
     oracle: EntropyOracle,
-    rates: RateVector,
+    x: Sequence[int],
+    den: int,
     rows: Sequence[int],
     partition: Partition,
 ) -> None:
-    """Certify rates on the oracle's integer table, from one table of their
-    subset sums over their common denominator: every rate is >= 0, every
-    row B of ``rows`` holds, x(B) >= h(B), and the complement of every
-    block C of ``partition`` is tight, x(C^c) = h(C^c). Any failure raises
+    """Certify the rates x_j / den, den > 0, on the oracle's integer table,
+    from one table of the subset sums of x: every rate is >= 0, every row
+    B of ``rows`` holds, x(B) >= h(B), and the complement of every block C
+    of ``partition`` is tight, x(C^c) = h(C^c). Any failure raises
     InternalContractError."""
-    x, den = _over_common_denominator(rates)
     if min(x) < 0:
         raise InternalContractError("witness rate below zero")
     sums = _subset_sums(x)

@@ -13,14 +13,16 @@
 The rest only adapts or reads data: ``packed_system`` and ``unpack`` turn
 a dense int matrix into the packed rows the library's simplex takes and
 back, ``rational_simplex_min`` hands a rational system to that simplex,
-and ``sw_gap``, ``verify_closure`` and their kin are Fraction row checks
-that only tests read.
+``lp_solution`` and ``with_rates`` put rationals into a solution's or a
+report's int form, ``solution_values`` reads a solution back as
+Fractions, and ``sw_gap``, ``verify_closure`` and their kin are Fraction
+row checks that only tests read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -39,7 +41,7 @@ from omniscio.simplex import (
     simplex_min,
 )
 from omniscio.dependence import Partition
-from omniscio.omniscience import ConstraintFamily, build_family
+from omniscio.omniscience import CapacityReport, ConstraintFamily, build_family
 from omniscio.fileio import parse_fraction
 from omniscio.sources import (
     EntropyOracle,
@@ -413,8 +415,9 @@ def reference_solve(system: ConstraintSystem) -> LpSolution:
     costs = [Fraction(1)] * m + [Fraction(-1)] * m + [Fraction(0)] * l
     z, y, objective = reference_simplex_min(matrix, b, costs)
     x = tuple(z[j] - z[m + j] for j in range(m))
+    assert objective == sum(x)
     tight = tuple(i for i in range(l) if row_sum(system, x, i) == b[i])
-    return LpSolution(objective, x, tuple(y), tight)
+    return lp_solution(x, y, tight)
 
 
 def reference_dual_solve(system: ConstraintSystem) -> LpSolution:
@@ -426,7 +429,7 @@ def reference_dual_solve(system: ConstraintSystem) -> LpSolution:
     y, pi, _ = reference_simplex_min(matrix, [Fraction(1)] * m, [-v for v in b])
     x = tuple(-v for v in pi)
     tight = tuple(i for i in range(system.l) if row_sum(system, x, i) == b[i])
-    return LpSolution(sum(x, ZERO), x, tuple(y), tight)
+    return lp_solution(x, y, tight)
 
 
 def reference_uniqueness_test(
@@ -512,6 +515,29 @@ def reference_entropy_vector(values_map, m: int) -> EntropyVector:
 def fraction_b(system: ConstraintSystem) -> Tuple[Fraction, ...]:
     """The right-hand side b of a system as Fractions."""
     return tuple(Fraction(v, system.b_den) for v in system.b_num)
+
+
+def lp_solution(
+    x: Sequence[Rational], y: Sequence[Rational], tight_rows: Sequence[int] = ()
+) -> LpSolution:
+    """The ``LpSolution`` of the rationals x and y: each over the lcm of its
+    denominators."""
+    return LpSolution(
+        *_over_common_denominator(x), *_over_common_denominator(y), tuple(tight_rows)
+    )
+
+
+def solution_values(solution: LpSolution):
+    """(x, y, tight rows) of a solution, x and y as Fractions: equal for
+    two solutions of the same values over any denominators."""
+    return solution.x, solution.y, solution.tight_rows
+
+
+def with_rates(report: CapacityReport, rates: Sequence[Rational]) -> CapacityReport:
+    """The report with its solution's rates replaced by ``rates``."""
+    x_num, x_den = _over_common_denominator(rates)
+    solution = replace(report.solution, x_num=x_num, x_den=x_den)
+    return replace(report, solution=solution)
 
 
 def sw_gap(rates: Sequence[Fraction], mask: int, oracle: EntropyOracle) -> Fraction:

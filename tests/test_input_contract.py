@@ -39,6 +39,8 @@ from omniscio.subsets import (
     parse_mask_spec,
 )
 
+from helpers import lp_solution
+
 F = Fraction
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "omniscio"
 
@@ -122,16 +124,14 @@ CALLS = {
     "uniqueness-short-point": (
         lambda: uniqueness_test(
             make_system(3, [1, 2, 4, 3], [0, 0, 0, 1]),
-            LpSolution(F(1), (F(1), F(0)), (F(0), F(0), F(1), F(1)), (1, 2, 3)),
+            lp_solution((1, 0), (0, 0, 1, 1), (1, 2, 3)),
         ),
         "solution has 2 coordinates, the system 3",
     ),
     "uniqueness-long-point": (
         lambda: uniqueness_test(
             make_system(3, [1, 2, 4, 3], [0, 0, 0, 1]),
-            LpSolution(
-                F(1), (F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(1)), (1, 2, 3)
-            ),
+            lp_solution((1, 0, 0, 0), (0, 0, 1, 1), (1, 2, 3)),
         ),
         "solution has 4 coordinates, the system 3",
     ),
@@ -139,18 +139,18 @@ CALLS = {
     "uniqueness-dual-length": (
         lambda: uniqueness_test(
             make_system(2, [1, 2], [1, 1]),
-            LpSolution(F(2), (F(1), F(1)), (F(1),), (0, 1)),
+            lp_solution((1, 1), (1,), (0, 1)),
         ),
         "solution has 1 dual weights, the system 2 rows",
     ),
-    # min x1 + x2 over x >= 1 is 2, at (1, 1); (2, 1) holds the rows and
-    # its objective 3 is its sum, but its dual proves only b.y = 2 ... (Both
-    # duals here weigh the slack row {1}, so the proof refuses them first at
-    # complementary slackness.)
+    # min x1 + x2 over x >= 1 is 2, at (1, 1); (2, 1) holds the rows with
+    # sum 3, but its dual proves only b.y = 2 ... (Both duals here weigh the
+    # slack row {1}, so the proof refuses them first at complementary
+    # slackness.)
     "uniqueness-point-not-optimal": (
         lambda: uniqueness_test(
             make_system(2, [1, 2], [1, 1]),
-            LpSolution(F(3), (F(2), F(1)), (F(1), F(1)), (0,)),
+            lp_solution((2, 1), (1, 1), (0,)),
         ),
         "solution is not optimal",
     ),
@@ -158,7 +158,7 @@ CALLS = {
     "uniqueness-dual-not-feasible": (
         lambda: uniqueness_test(
             make_system(2, [1, 2], [1, 1]),
-            LpSolution(F(3), (F(2), F(1)), (F(3), F(0)), (0,)),
+            lp_solution((2, 1), (3, 0), (0,)),
         ),
         "solution is not optimal",
     ),
@@ -167,25 +167,23 @@ CALLS = {
     "uniqueness-negative-dual": (
         lambda: uniqueness_test(
             make_system(3, [1, 2, 3, 4], [1, 1, 1, 1]),
-            LpSolution(
-                F(4), (F(2), F(1), F(1)), (F(2), F(2), F(-1), F(1)), (1, 3)
-            ),
+            lp_solution((2, 1, 1), (2, 2, -1, 1), (1, 3)),
         ),
         "solution is not optimal: negative dual weight",
     ),
-    # The zero point holds both systems' rows and has the claimed objective
-    # 0, so only the contract of the LP underneath refuses them.
+    # The zero point holds both systems' rows, so only the contract of the
+    # LP underneath refuses them.
     "uniqueness-missing-singleton": (
         lambda: uniqueness_test(
             make_system(2, [1], [0]),
-            LpSolution(F(0), (F(0), F(0)), (F(0),), (0,)),
+            lp_solution((0, 0), (0,), (0,)),
         ),
         r"every singleton row is needed, and \{2\} is missing",
     ),
     "uniqueness-negative-rhs": (
         lambda: uniqueness_test(
             make_system(2, [1, 2], [-1, 0]),
-            LpSolution(F(0), (F(0), F(0)), (F(0), F(1)), (1,)),
+            lp_solution((0, 0), (0, 1), (1,)),
         ),
         "right-hand side must be nonnegative",
     ),
@@ -208,6 +206,37 @@ CALLS = {
     "linear-row-width": (
         lambda: LinearGF2Source(2, 1, ((1,), (0b10,))),
         "terminal 2 row 0b10 exceeds 1 base bits",
+    ),
+    # A solution's ints are over positive denominators, as a system's are.
+    "solution-x-denominator": (
+        lambda: LpSolution((1, 0), 0, (0, 1), 1, (1,)),
+        "denominators must be positive",
+    ),
+    "solution-y-denominator": (
+        lambda: LpSolution((1, 0), 1, (0, 1), 0, (1,)),
+        "denominators must be positive",
+    ),
+    # ... and ints: a Fraction denominator is refused where the solution
+    # is read, not deep in the arithmetic.
+    "solution-fraction-denominator": (
+        lambda: uniqueness_test(
+            make_system(2, [1, 2], [1, 1]),
+            LpSolution((1, 1), F(1, 2), (1, 1), 1, (0, 1)),
+        ),
+        "solution numerators and denominators must be ints",
+    ),
+    # The LP layer takes the terminal counts the sources take, [2, 20].
+    "system-no-terminals": (
+        lambda: solve(make_system(0, [], [])),
+        r"terminal count must be in \[2, 20\], got 0",
+    ),
+    "system-one-terminal": (
+        lambda: solve(make_system(1, [1], [0])),
+        r"terminal count must be in \[2, 20\], got 1",
+    ),
+    "system-too-many-terminals": (
+        lambda: solve(make_system(21, [1 << j for j in range(21)], [0] * 21)),
+        r"terminal count must be in \[2, 20\], got 21",
     ),
     "system-b-length": (
         lambda: ConstraintSystem(2, (1, 2), (0,), 1),

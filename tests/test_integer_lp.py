@@ -27,7 +27,7 @@ from omniscio import (
     uniqueness_test,
 )
 from omniscio.errors import InternalContractError, InvalidInputError
-from omniscio.simplex import ConstraintSystem, LpSolution, feasible_point
+from omniscio.simplex import ConstraintSystem, feasible_point
 from omniscio.sources import TabularSource
 from omniscio.subsets import complement, full_mask
 
@@ -36,11 +36,13 @@ from helpers import (
     admissible,
     brute_force_lp_min,
     fraction_b,
+    lp_solution,
     packed_system,
     rational_simplex_min,
     reference_simplex_min,
     reference_uniqueness_test,
     row_sum,
+    solution_values,
     sw_gap,
 )
 
@@ -171,7 +173,26 @@ def test_untampered_scaled_system_is_certified():
     system = scaled_system()
     sol = solve(system)
     assert sol.objective == brute_force_lp_min(system)
+    assert all(type(v) is int for v in [*sol.x_num, sol.x_den, *sol.y_num, sol.y_den])
     assert all(type(v) is Fraction for v in [*sol.x, *sol.y, sol.objective])
+
+
+def test_solve_and_a_unique_verdict_build_no_fraction(monkeypatch):
+    # The solution keeps the LP's ints; its Fraction views are built only
+    # when read. This system's only optimum is x = (0, 1/2, 1).
+    system = zero_row_system()
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    sol = solve(system)
+    assert uniqueness_test(system, sol).unique
+    assert built == []
+    assert sol.x and built
 
 
 # One optimality proof, ``simplex._unproven``, certifies the answers of the
@@ -206,7 +227,7 @@ PLANTED = {
 def test_planted_fault_is_refused_by_both_callers(name, monkeypatch):
     b, x, y, condition = PLANTED[name]
     system = make_system(3, THREE, b)
-    solution = LpSolution(F(sum(x)), tuple(map(F, x)), tuple(map(F, y)), ())
+    solution = lp_solution(x, y)
     with pytest.raises(InvalidInputError, match=re.escape(condition)):
         uniqueness_test(system, solution)
 
@@ -289,7 +310,7 @@ def test_table_scale_gives_the_fraction_system_results(index):
     fractions = make_system(system.m, system.row_masks, list(fraction_b(system)))
     assert isinstance(system, ConstraintSystem)
     assert fraction_b(system) == fraction_b(fractions)
-    assert solve(system) == solve(fractions)
+    assert solution_values(solve(system)) == solution_values(solve(fractions))
     sol = solve(system)
     assert uniqueness_test(system, sol) == uniqueness_test(fractions, sol)
     m = oracle.m
@@ -345,7 +366,7 @@ def test_uniqueness_verdict_and_value_do_not_depend_on_the_row_order(data):
     base = uniqueness_test(system, sol)
     moved = replace(
         sol,
-        y=tuple(sol.y[i] for i in order),
+        y_num=tuple(sol.y_num[i] for i in order),
         tight_rows=tuple(k for k, i in enumerate(order) if i in sol.tight_rows),
     )
     shuffled = uniqueness_test(permuted(system, order), moved)

@@ -291,6 +291,25 @@ def test_sylvester_hadamard_systems_match_reference(order):
     assert "optimal" in outcomes
 
 
+# Field reads at both ends of a packed row, on cells of both signs. The
+# first case enters column 0 and keeps its start basis in the last two
+# fields; the second starts at fields 0 and 1 and enters the last field.
+# Every pivot column holds a negative cell, which its row update
+# multiplies, and the dual is read off the z-row at the start fields.
+EDGE_FIELDS = {
+    "field-0": ([[-1, 1, 1, 0], [2, -1, 0, 1]], [1, 4], [-1, -1, 0, 0], [2, 3]),
+    "last-field": ([[1, 0, 1, -1], [0, 1, -2, 3]], [2, 3], [0, 0, 1, -2], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FIELDS))
+def test_fields_are_read_at_both_ends_of_a_row(name):
+    matrix, rhs, costs, start = EDGE_FIELDS[name]
+    rows, *_, w = packed_system(matrix, rhs, costs, start)
+    assert [unpack(row, len(costs), w) for row in rows] == matrix
+    assert_call_matches_reference(rows, rhs, costs, start, w)
+
+
 def test_width_exceeds_the_row_count():
     # _optimum packs the dual's m rows at _width(m, 1, costs), at least the
     # width with no costs, and the mask stack is exact only above m bits.

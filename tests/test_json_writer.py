@@ -12,9 +12,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import omniscio.reporting as reporting
 from omniscio.reporting import render_json
 
 TEXT = st.text(
@@ -66,12 +67,24 @@ def test_any_value_matches_json_dumps(value):
         {"x": [True, 1, None, False, 0]},
         {"é\"\n": "\x00\t\\\U0001f600", "": ""},
         {"n": -(10**40), "l": [1, [2, [-3]]]},
+        ["a", 1],
+        [1, True],
+        ["x", None],
     ],
     ids=["empty-dict", "empty-list", "nested-empty", "true-one-none", "escapes",
-         "big-negative-int"],
+         "big-negative-int", "str-then-int", "int-then-bool", "str-then-none"],
 )
 def test_examples_match_json_dumps(value):
     assert render_json(value) == dumps(value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 6)
+def test_rates_and_weights_are_written_as_fraction_writes_them(num, den):
+    # The capacity report writes the LP's ints over their denominator
+    # without building a Fraction.
+    assert reporting._ratio(num, den) == str(Fraction(num, den))
 
 
 def test_unsupported_value_raises_type_error():

@@ -15,10 +15,9 @@ from omniscio import (
     uniqueness_test,
 )
 from omniscio.errors import InvalidInputError
-from omniscio.simplex import LpSolution
 from omniscio.subsets import full_mask, mask_from_terminals
 
-from helpers import brute_force_lp_min, fraction_b, row_sum
+from helpers import brute_force_lp_min, fraction_b, lp_solution, row_sum
 
 F = Fraction
 PUBLISHED_X = (F(1, 4), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 2))
@@ -178,7 +177,7 @@ class TestUniqueness:
         # stay tight, so the largest slack there is 0, as at a unique
         # vertex; the face LP's vertex is not the midpoint all the same.
         system = make_system(3, [0b001, 0b010, 0b100, 0b011], [0, 0, 0, 1])
-        midpoint = LpSolution(F(1), (F(1, 2), F(1, 2), F(0)), (0, 0, 1, 1), (2, 3))
+        midpoint = lp_solution((F(1, 2), F(1, 2), F(0)), (0, 0, 1, 1), (2, 3))
         cert = uniqueness_test(system, midpoint)
         assert cert.verdict == "NotUnique" and cert.auxiliary_value == 0
         assert cert.alternative in {(1, 0, 0), (0, 1, 0)}
@@ -189,10 +188,15 @@ class TestUniqueness:
         assert cert.unique
 
     def test_rejects_non_optimal_solution(self):
+        # (2, 1) holds both rows with sum 3, one above the optimum; the
+        # optimum's dual weighs the row {1}, slack at (2, 1).
         system = make_system(2, [0b01, 0b10], [F(1), F(1)])
         sol = solve(system)
-        fake = type(sol)(sol.objective + 1, sol.x, sol.y, sol.tight_rows)
-        with pytest.raises(InvalidInputError, match="objective does not match"):
+        fake = lp_solution((2, 1), sol.y, sol.tight_rows)
+        with pytest.raises(
+            InvalidInputError,
+            match="not optimal: complementary slackness violated",
+        ):
             uniqueness_test(system, fake)
 
     @pytest.mark.parametrize(
@@ -208,6 +212,6 @@ class TestUniqueness:
         # the negative coordinate fails its singleton row.
         system = make_system(2, [0b01, 0b10], [F(1), F(1)])
         sol = solve(system)
-        fake = type(sol)(sol.objective, x, sol.y, sol.tight_rows)
+        fake = lp_solution(x, sol.y, sol.tight_rows)
         with pytest.raises(InvalidInputError, match=message):
             uniqueness_test(system, fake)

@@ -1,6 +1,5 @@
 """Tightness deciders, closure checks, and constructive extraction."""
 
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,11 +27,10 @@ from omniscio.errors import (
     InvalidInputError,
 )
 from omniscio.omniscience import ConstraintFamily
-from omniscio.simplex import LpSolution
 from omniscio.sources import LinearGF2Source
 from omniscio.subsets import complement, full_mask, mask_from_terminals
 
-from helpers import region_contains, sw_gap, verify_closure
+from helpers import lp_solution, region_contains, sw_gap, verify_closure, with_rates
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -237,8 +235,8 @@ class TestConstructive:
 
 def crafted(masks, y, x=(F(0), F(0), F(0)), m=3):
     """A dual solution with weights y on the rows masks of an A = M family;
-    objective and tight rows are not read by the extraction."""
-    return LpSolution(sum(x), tuple(x), tuple(map(F, y)), ()), ConstraintFamily(
+    its tight rows are not read by the extraction."""
+    return lp_solution(x, y), ConstraintFamily(
         m, full_mask(m), tuple(masks)
     )
 
@@ -316,7 +314,7 @@ class TestWitnessCertificate:
             rates = tuple(v + 1 for v in report.rates)
         with pytest.raises(InternalContractError, match=message):
             witness_by_partition_search(
-                oracle, full_mask(4), report=replace(report, rates=rates)
+                oracle, full_mask(4), report=with_rates(report, rates)
             )
 
     def test_the_rate_lp_optimum_is_a_witness(self, instance):

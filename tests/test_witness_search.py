@@ -10,7 +10,6 @@ every oracle: exact or tabular, valid or not. The identity itself is
 checked against ``feasible_point`` on every admissible partition.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from omniscio.simplex import feasible_point
 from omniscio.sources import EntropyVector, TabularSource
 from omniscio.subsets import complement, full_mask
 
-from helpers import admissible, brute_force_mutual_dependence_bound
+from helpers import admissible, brute_force_mutual_dependence_bound, with_rates
 
 F = Fraction
 
@@ -181,7 +180,7 @@ def test_rates_off_the_optimum_are_refused(name, oracle, active, move):
     # own sign, fails. Either way the certificate refuses the witness.
     report = r_co(oracle, active)
     rates = (report.rates[0] + move, *report.rates[1:])
-    moved = dataclasses.replace(report, rates=rates)
+    moved = with_rates(report, rates)
     with pytest.raises(InternalContractError):
         witness_by_partition_search(oracle, active, report=moved)
 
